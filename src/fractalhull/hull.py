@@ -1,7 +1,10 @@
 """Robust convex hulls in ambient dimension 1 to 3.
 
-Rational inputs get exact predicates (signs of 2x2 / 3x3 determinants over
-Fraction entries); float inputs use a caller-supplied eps scaled by the
+Exact hulls run on integers.  Rational points are written as integer vectors
+over one shared positive denominator (lattice_hull takes them in that form),
+so every predicate, from the signs of 2x2 / 3x3 determinants to the direction
+and plane keys, works on Python ints; Fractions are built only for the
+returned Polytope.  Float inputs use a caller-supplied eps scaled by the
 coordinate magnitude, and points within tolerance of a facet are treated as
 non-vertices, which errs toward fewer vertices.
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
-from .linalg import dot, norm2_sq, vec_scale, vec_sub
+from .linalg import dot, norm2_sq, to_lattice, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,32 @@ def _affine_basis(pts, eps, scale):
     return base, dirs
 
 
+def _lattice_basis(pts):
+    """_affine_basis for integer points: exact rank tests, same choice of points."""
+    base = pts[0]
+    n = len(base)
+    dirs = []
+    for p in pts[1:]:
+        d = vec_sub(p, base)
+        if not dirs:
+            independent = any(d)
+        elif len(dirs) == 2:
+            independent = dot(_cross3(dirs[0], dirs[1]), d) != 0
+        elif n == 2:
+            independent = _cross2((0, 0), dirs[0], d) != 0
+        else:
+            independent = any(_cross3(dirs[0], d))
+        if independent:
+            dirs.append(d)
+            if len(dirs) == n:
+                break
+    return base, dirs
+
+
+def _rational(p, den):
+    return tuple(Fraction(c, den) for c in p)
+
+
 def _chain2d(pts, eps_area):
     """Monotone chain on 2-tuples; CCW cycle from the lexicographic minimum."""
     pts = sorted(set(pts))
@@ -138,14 +167,10 @@ def _polygon_facets(cycle):
 def _direction_key(d, exact):
     """Canonical signed direction key for collinearity grouping."""
     if exact:
-        lcm = 1
-        for c in d:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in d]
-        g = math.gcd(*(abs(i) for i in ints))
+        g = math.gcd(*d)
         if g == 0:
             return None
-        return tuple(i // g for i in ints)
+        return tuple(c // g for c in d)
     n = math.sqrt(sum(float(c) ** 2 for c in d))
     if n == 0.0:
         return None
@@ -168,10 +193,11 @@ def _remove_collinear_middles(pts, exact):
         for j in range(m):
             if j == i:
                 continue
-            key = _direction_key(vec_sub(pts[j], pts[i]), exact)
+            d = vec_sub(pts[j], pts[i])
+            key = _direction_key(d, exact)
             if key is None:
                 continue
-            size = norm2_sq(vec_sub(pts[j], pts[i]))
+            size = norm2_sq(d)
             prev = groups.get(key)
             if prev is None or size > prev[0]:
                 if prev is not None:
@@ -189,12 +215,8 @@ def _tri_edges(tri):
 
 def _plane_key(normal, anchor, exact, scale):
     if exact:
-        lcm = 1
-        for c in normal:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in normal]
-        g = math.gcd(*(abs(i) for i in ints))
-        prim = tuple(Fraction(i // g) for i in ints)
+        g = math.gcd(*normal)
+        prim = tuple(c // g for c in normal)
         return (prim, dot(prim, anchor))
     n = math.sqrt(sum(float(c) ** 2 for c in normal))
     unit = tuple(round(float(c) / n, 7) for c in normal)
@@ -202,31 +224,45 @@ def _plane_key(normal, anchor, exact, scale):
     return (unit, off)
 
 
-def _hull_3d(pts, eps, scale):
-    """Incremental triangulated hull with exact strict-visibility predicates.
+def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
+    """Incremental triangulated hull with strict-visibility predicates.
 
-    Coplanar input points are legal: faces sharing a supporting plane are
-    merged afterwards and each merged facet is re-hulled in 2D, which removes
-    facet-interior points from the vertex set.
+    With den set, pts are integer vectors standing for pts/den and every
+    predicate is exact; otherwise pts are floats and the predicates use eps
+    at the coordinate magnitude scale.  Coplanar input points are legal:
+    faces sharing a supporting plane are merged afterwards and each merged
+    facet is re-hulled in 2D, which removes facet-interior points from the
+    vertex set.
     """
-    exact = _is_exact(pts[0])
-    tol2 = 0.0 if exact else eps * scale**2
-    tol3 = 0.0 if exact else eps * scale**3
+    exact = den is not None
     pts = _remove_collinear_middles(pts, exact)
     m = len(pts)
 
     i0, i1 = 0, 1
-    i2 = next(
-        i for i in range(2, m)
-        if math.sqrt(sum(
-            float(c) ** 2
-            for c in _cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0]))
-        )) > tol2
-    )
-    i3 = next(
-        i for i in range(2, m)
-        if i != i2 and abs(float(_orient3(pts[i0], pts[i1], pts[i2], pts[i]))) > tol3
-    )
+    if exact:
+        tol3 = 0
+        i2 = next(
+            i for i in range(2, m)
+            if any(_cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0])))
+        )
+        i3 = next(
+            i for i in range(2, m)
+            if i != i2 and _orient3(pts[i0], pts[i1], pts[i2], pts[i]) != 0
+        )
+    else:
+        tol2 = eps * scale**2
+        tol3 = eps * scale**3
+        i2 = next(
+            i for i in range(2, m)
+            if math.sqrt(sum(
+                float(c) ** 2
+                for c in _cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0]))
+            )) > tol2
+        )
+        i3 = next(
+            i for i in range(2, m)
+            if i != i2 and abs(float(_orient3(pts[i0], pts[i1], pts[i2], pts[i]))) > tol3
+        )
 
     faces = {}
     edge_map = {}
@@ -292,36 +328,101 @@ def _hull_3d(pts, eps, scale):
         for t in ids:
             dp = vec_sub(pts[t], a)
             coord_of[(dot(dp, u), dot(dp, w))] = t
-        eps_area = 0.0 if exact else eps * _coord_scale(list(coord_of)) ** 2
+        eps_area = 0 if exact else eps * _coord_scale(list(coord_of)) ** 2
         cycle = _chain2d(list(coord_of), eps_area)
         poly = [coord_of[c] for c in cycle]
         facet_polys.append((key, poly))
 
     vertex_ids = sorted({t for _, poly in facet_polys for t in poly})
-    vertices = tuple(pts[t] for t in vertex_ids)
+    if exact:
+        vertices = tuple(_rational(pts[t], den) for t in vertex_ids)
+    else:
+        vertices = tuple(pts[t] for t in vertex_ids)
     index_of = {t: i for i, t in enumerate(vertex_ids)}
 
     triangles = []
     facets = []
     for key, poly in facet_polys:
-        prim_normal, _ = key
         if exact:
-            normal = tuple(prim_normal)
-            offset = dot(normal, pts[poly[0]])
+            # the primitive normal is the same integer vector at any scale
+            prim_normal, offset = key
+            facets.append((tuple(Fraction(c) for c in prim_normal), Fraction(offset, den)))
         else:
             a = pts[poly[0]]
             b, c = pts[poly[1]], pts[poly[2]]
             normal = _cross3(vec_sub(b, a), vec_sub(c, a))
-            offset = dot(normal, a)
-        facets.append((normal, offset))
+            facets.append((normal, dot(normal, a)))
         mapped = [index_of[t] for t in poly]
         for i in range(1, len(mapped) - 1):
             tri = (mapped[0], mapped[i], mapped[i + 1])
             shift = tri.index(min(tri))
             triangles.append(tri[shift:] + tri[:shift])
     triangles.sort()
+    if exact:
+        # facets whose float keys tie stay in the repr order of their values
+        facets.sort(key=repr)
     facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
     return Polytope(3, 3, vertices, tuple(triangles), tuple(facets))
+
+
+def _plane_cycle(pts, base, u, v, eps):
+    """Vertex cycle of 3D points spanning the plane base + span(u, v).
+
+    The points are hulled in the coordinates (u, w) with w the part of v
+    orthogonal to u, and the cycle starts at the smallest point.
+    """
+    w = vec_sub(vec_scale(dot(u, u), v), vec_scale(dot(v, u), u))
+    coord_of = {}
+    for p in pts:
+        dp = vec_sub(p, base)
+        coord_of[(dot(dp, u), dot(dp, w))] = p
+    eps_area = eps * _coord_scale(list(coord_of)) ** 2 if eps else 0
+    cycle = [coord_of[c] for c in _chain2d(list(coord_of), eps_area)]
+    start = cycle.index(min(cycle))
+    return cycle[start:] + cycle[:start]
+
+
+def lattice_hull(points, den):
+    """Exact convex hull of the rational points X/den for the X in points.
+
+    points are distinct integer vectors of one dimension (1 to 3) in
+    lexicographic order, and den is a positive integer.  Every predicate runs
+    on the integers; the result holds Fractions and equals convex_hull of the
+    rational points.
+    """
+    n = len(points[0])
+    base, dirs = _lattice_basis(points)
+    adim = len(dirs)
+
+    if adim == 0:
+        return Polytope(n, 0, (_rational(base, den),))
+
+    if adim == 1:
+        u = dirs[0]
+
+        def along(p):
+            return dot(vec_sub(p, base), u)
+
+        ends = sorted((min(points, key=along), max(points, key=along)))
+        facets = None
+        if n == 1:
+            one = Fraction(1)
+            facets = (((-one,), Fraction(-ends[0][0], den)), ((one,), Fraction(ends[1][0], den)))
+        return Polytope(n, 1, tuple(_rational(p, den) for p in ends), None, facets)
+
+    if n == 2:
+        cycle = _chain2d(points, 0)
+        facets = tuple(
+            ((Fraction(nx, den), Fraction(ny, den)), Fraction(offset, den * den))
+            for (nx, ny), offset in _polygon_facets(cycle)
+        )
+        return Polytope(2, 2, tuple(_rational(p, den) for p in cycle), None, facets)
+
+    if adim == 2:
+        cycle = _plane_cycle(points, base, dirs[0], dirs[1], 0)
+        return Polytope(3, 2, tuple(_rational(p, den) for p in cycle))
+
+    return _hull_3d(points, den)
 
 
 def convex_hull(points, eps=0.0):
@@ -329,7 +430,8 @@ def convex_hull(points, eps=0.0):
 
     Detects the affine dimension first and dispatches to the matching
     algorithm, so degenerate inputs (a single point, collinear or coplanar
-    sets) produce lower-dimensional polytopes instead of failing.
+    sets) produce lower-dimensional polytopes instead of failing.  Rational
+    points go to lattice_hull over the lcm of their denominators.
     """
     pts = sorted({tuple(p) for p in points})
     if not pts:
@@ -339,6 +441,8 @@ def convex_hull(points, eps=0.0):
         raise UnsupportedDimension(f"ambient dimension {n} outside 1..3")
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points have inconsistent dimensions")
+    if _is_exact(pts[0]):
+        return lattice_hull(*to_lattice(pts))
     scale = _coord_scale(pts)
     base, dirs = _affine_basis(pts, eps, scale)
     adim = len(dirs)
@@ -359,29 +463,17 @@ def convex_hull(points, eps=0.0):
         ends = tuple(sorted((lo[1], hi[1])))
         facets = None
         if n == 1:
-            one = Fraction(1) if _is_exact(pts[0]) else 1.0
-            facets = (((-one,), -ends[0][0]), ((one,), ends[1][0]))
+            facets = (((-1.0,), -ends[0][0]), ((1.0,), ends[1][0]))
         return Polytope(n, 1, ends, None, facets)
 
     if adim == 2 and n == 2:
-        cycle = _chain2d(pts, 0.0 if _is_exact(pts[0]) else eps * scale**2)
+        cycle = _chain2d(pts, eps * scale**2)
         return Polytope(2, 2, tuple(cycle), None, _polygon_facets(cycle))
 
     if adim == 2 and n == 3:
-        u = dirs[0]
-        v = dirs[1]
-        w = vec_sub(vec_scale(dot(u, u), v), vec_scale(dot(v, u), u))
-        coord_of = {}
-        for p in pts:
-            dp = vec_sub(p, base)
-            coord_of[(dot(dp, u), dot(dp, w))] = p
-        eps_area = 0.0 if _is_exact(pts[0]) else eps * _coord_scale(list(coord_of)) ** 2
-        cycle = [coord_of[c] for c in _chain2d(list(coord_of), eps_area)]
-        start = cycle.index(min(cycle))
-        cycle = cycle[start:] + cycle[:start]
-        return Polytope(3, 2, tuple(cycle))
+        return Polytope(3, 2, tuple(_plane_cycle(pts, base, dirs[0], dirs[1], eps)))
 
-    return _hull_3d(pts, eps, scale)
+    return _hull_3d(pts, eps=eps, scale=scale)
 
 
 def facet_normals(poly: Polytope):
@@ -402,11 +494,13 @@ def contains(poly: Polytope, x, eps=0.0):
     """Closed containment test; exact for rational data when eps is 0."""
     if len(x) != poly.ambient_dim:
         raise DimensionMismatch("point dimension differs from polytope ambient dimension")
-    scale = max(_coord_scale([x]), _coord_scale(poly.vertices), 1.0)
+    exact = eps == 0
+    if not exact:
+        scale = max(_coord_scale([x]), _coord_scale(poly.vertices), 1.0)
 
     if poly.facets is not None:
         for normal, offset in poly.facets:
-            if eps == 0.0:
+            if exact:
                 if dot(normal, x) > offset:  # exact comparison, no float mixing
                     return False
             else:
@@ -417,7 +511,7 @@ def contains(poly: Polytope, x, eps=0.0):
 
     if poly.affine_dim == 0:
         v = poly.vertices[0]
-        if eps == 0.0:
+        if exact:
             return tuple(x) == v
         return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(x, v))) <= eps * scale
 
@@ -429,19 +523,21 @@ def contains(poly: Polytope, x, eps=0.0):
             cross = (_cross2((0,) * 2, d, r),)
         else:
             cross = _cross3(d, r)
-        if eps == 0.0:
+        if exact:
             if any(c != 0 for c in cross):
                 return False
         elif math.sqrt(sum(float(c) ** 2 for c in cross)) > eps * scale * scale:
             return False
         t = dot(r, d) / dot(d, d)
+        if exact:
+            return 0 <= t <= 1
         return -eps <= t <= 1 + eps
 
     # planar polygon embedded in ambient dimension 3
     a = poly.vertices[0]
     normal = _carrier_plane_normal(poly)
     off_plane = dot(normal, vec_sub(x, a))
-    if eps == 0.0:
+    if exact:
         if off_plane != 0:
             return False
     elif abs(float(off_plane)) > eps * scale * scale * scale:
@@ -454,7 +550,7 @@ def contains(poly: Polytope, x, eps=0.0):
         coords.append((dot(dp, u), dot(dp, w)))
     dx = vec_sub(x, a)
     cx = (dot(dx, u), dot(dx, w))
-    eps_area = eps * _coord_scale(coords + [cx]) ** 2
+    eps_area = 0 if exact else eps * _coord_scale(coords + [cx]) ** 2
     r = len(coords)
     for i in range(r):
         if _cross2(coords[i], coords[(i + 1) % r], cx) < -eps_area:

@@ -178,17 +178,44 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
 
 
 def _step(model: IfsModel, ledger: VertexLedger):
-    """One hull-recursion step; returns the new ledger and its polytope."""
+    """One hull-recursion step; returns the new ledger and its polytope.
+
+    In rational mode the step runs on integers: with T = M/delta, digits
+    E_j/e and the ledger points X/s over the lcm s of their denominators,
+    each candidate T(X/s + E_j/e) is the integer vector M(eX) + M(sE_j) over
+    delta*e*s.  The scale restarts from the ledger at every step, so the
+    integers grow no faster than the ledger's Fractions.
+    """
+    exact = model.mode == RATIONAL
+    if exact:
+        matrix, delta = linalg.to_lattice(model.matrix)
+        digits, e = linalg.to_lattice(model.digits)
+        points, s = linalg.to_lattice(ledger.points)
+        images = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
+        shifts = [linalg.mat_vec(matrix, linalg.vec_scale(s, d)) for d in digits]
+        rows = ([linalg.vec_add(y, z) for z in shifts] for y in images)
+    else:
+        rows = (
+            [linalg.mat_vec(model.matrix, linalg.vec_add(x, d)) for d in model.digits]
+            for x in ledger.points
+        )
     candidates = {}
-    for point, address in ledger.entries:
-        for j, digit in enumerate(model.digits, start=1):
-            new_point = linalg.mat_vec(model.matrix, linalg.vec_add(point, digit))
+    for row, (_, address) in zip(rows, ledger.entries):
+        for j, new_point in enumerate(row, start=1):
             new_address = (j,) + address
             old = candidates.get(new_point)
             if old is None or new_address < old:
                 candidates[new_point] = new_address
-    poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
-    entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
+    if not exact:
+        poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
+        entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
+        return VertexLedger(ledger.step + 1, entries), poly
+    den = delta * e * s
+    poly = hull_mod.lattice_hull(sorted(candidates), den)
+    lattice = sorted(
+        (tuple(c.numerator * (den // c.denominator) for c in pt), pt) for pt in poly.vertices
+    )
+    entries = tuple((pt, candidates[x]) for x, pt in lattice)
     return VertexLedger(ledger.step + 1, entries), poly
 
 

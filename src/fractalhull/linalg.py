@@ -122,12 +122,18 @@ def mat_mul(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
 
 
-def mat_add(A, B):
-    return tuple(vec_add(r, s) for r, s in zip(A, B))
-
-
 def mat_sub(A, B):
     return tuple(vec_sub(r, s) for r, s in zip(A, B))
+
+
+def to_lattice(vectors):
+    """(integer vectors, den): each rational vector is its integer vector over den.
+
+    den is the lcm of all entries' denominators, the smallest common scale.
+    Matrices pass as their tuple of rows.
+    """
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den
 
 
 def transpose(A):

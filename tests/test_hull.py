@@ -245,6 +245,50 @@ def test_facet_validity_random():
             assert sum(1 for v in values if v == offset) >= dim
 
 
+def test_canonical_output_exact():
+    """Vertex order, faces and facets are fixed functions of the point set."""
+    tilted = convex_hull([
+        fr(0, 0, 0), fr(1, 0, -1), fr(0, 1, -1), fr(1, 1, -2),
+        fr("1/2", "1/2", -1), fr(2, "-1/2", "-3/2"),
+    ])
+    assert (tilted.affine_dim, tilted.faces, tilted.facets) == (2, None, None)
+    assert tilted.vertices == (fr(0, 0, 0), fr(0, 1, -1), fr(1, 1, -2), fr(2, "-1/2", "-3/2"))
+
+    pyramid = convex_hull([
+        fr(0, 0, 0), fr(2, 0, 0), fr(2, 2, 0), fr(0, 2, 0), fr(1, 1, 0),
+        fr(1, 1, "3/2"), fr("1/2", "1/2", "3/4"),
+    ])
+    assert pyramid.vertices == (
+        fr(0, 0, 0), fr(0, 2, 0), fr(1, 1, "3/2"), fr(2, 0, 0), fr(2, 2, 0)
+    )
+    assert pyramid.faces == ((0, 1, 4), (0, 2, 1), (0, 3, 2), (0, 4, 3), (1, 2, 4), (2, 3, 4))
+    assert pyramid.facets == (
+        (fr(-3, 0, 2), F(0)), (fr(0, -3, 2), F(0)), (fr(0, 0, -1), F(0)),
+        (fr(0, 3, 2), F(6)), (fr(3, 0, 2), F(6)),
+    )
+
+    polygon = convex_hull([fr(0, 0), fr("3/2", 0), fr(1, "2/3"), fr(0, 1), fr("1/2", "1/3")])
+    assert polygon.vertices == (fr(0, 0), fr("3/2", 0), fr(1, "2/3"), fr(0, 1))
+    assert polygon.facets == (
+        (fr(0, "-3/2"), F(0)), (fr("2/3", "1/2"), F(1)),
+        (fr("1/3", 1), F(1)), (fr(-1, 0), F(0)),
+    )
+    for poly in (tilted, pyramid, polygon):
+        scalars = [c for v in poly.vertices for c in v]
+        scalars += [c for normal, offset in poly.facets or () for c in normal + (offset,)]
+        assert all(type(c) is F for c in scalars)
+
+
+def test_facet_order_breaks_float_ties():
+    """Two facets whose keys agree as floats keep a fixed order."""
+    m = 2**60  # float(m) == float(m + 1)
+    poly = convex_hull([
+        fr(0, 1, 0), fr(0, -1, 0), fr(m, 1, 1), fr(m, -1, 1),
+        fr(-m - 1, 1, -1), fr(-m - 1, -1, -1), fr(-3 * m, 0, 0),
+    ])
+    assert poly.facets[-2:] == ((fr(1, 0, -m), F(0)), (fr(1, 0, -m - 1), F(0)))
+
+
 def test_float_mode_near_collinear_dropped():
     poly = convex_hull([(0.0, 0.0), (1.0, 1e-12), (2.0, 0.0)], eps=1e-9)
     assert poly.affine_dim == 1

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import diag_model, sierpinski_model, suite5_models, twin_dragon_model
+from fractalhull import hull as hull_mod
+from fractalhull.cli import parse_model
 from fractalhull.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
@@ -17,6 +23,8 @@ from fractalhull.errors import (
 from fractalhull.hull import contains, convex_hull
 from fractalhull.ifs import (
     EpAddress,
+    VertexLedger,
+    _step,
     attractor_radius_bound,
     brute_force_vertices,
     evaluate_ep_address,
@@ -27,7 +35,9 @@ from fractalhull.ifs import (
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import mat_vec, norm2, vec_sub
+from fractalhull.linalg import det, mat_vec, norm2, to_lattice, vec_add, vec_sub
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_validate_sierpinski():
@@ -128,6 +138,100 @@ def test_address_consistency():
         ledger = step_hull(model, ledger)
         for point, address in ledger.entries:
             assert evaluate_finite_address(model, address) == point
+
+
+def _fraction_step(model, ledger):
+    """Reference hull step on Fraction candidates: mat_vec + convex_hull."""
+    candidates = {}
+    for point, address in ledger.entries:
+        for j, digit in enumerate(model.digits, start=1):
+            new_point = mat_vec(model.matrix, vec_add(point, digit))
+            new_address = (j,) + address
+            old = candidates.get(new_point)
+            if old is None or new_address < old:
+                candidates[new_point] = new_address
+    poly = convex_hull(list(candidates))
+    entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
+    return VertexLedger(ledger.step + 1, entries), poly
+
+
+_entry = st.builds(F, st.integers(-3, 3), st.integers(1, 8))
+_coord = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def rational_models(draw):
+    """Contracting rational models in dimension 1 to 3 with degenerate digit sets.
+
+    Digit layouts: generic, collinear, coplanar (in 3D), an evenly spaced grid
+    (with a homothety T its images coincide, which exercises the address
+    tie-break) and a single digit (every hull is one point).
+    """
+    dim = draw(st.sampled_from((1, 2, 3)))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((F(1, 2), F(-1, 3), F(2, 3), F(-3, 4))))
+        matrix = [[c if i == j else F(0) for j in range(dim)] for i in range(dim)]
+    else:
+        matrix = [[draw(_entry) for _ in range(dim)] for _ in range(dim)]
+        assume(det(matrix) != 0 and max(sum(abs(c) for c in row) for row in matrix) < 1)
+    u, v = (tuple(draw(_coord) for _ in range(dim)) for _ in range(2))
+    layout = draw(st.sampled_from(("generic", "collinear", "coplanar", "grid", "single")))
+    if layout == "single":
+        digits = [u]
+    elif layout == "collinear":
+        digits = [tuple(draw(_coord) * c for c in u) for _ in range(draw(st.integers(2, 4)))]
+    elif layout == "coplanar":
+        coeffs = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=5))
+        digits = [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in coeffs]
+    elif layout == "grid":
+        digits = [tuple(i * x + j * y for x, y in zip(u, v)) for i in range(3) for j in range(2)]
+    else:
+        digits = [tuple(draw(_coord) for _ in range(dim)) for _ in range(draw(st.integers(2, 4)))]
+    return validate_model(matrix, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_models())
+@example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]))
+@example(validate_model([[F(1, 3), 0, 0], [0, F(1, 3), 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 1, 1]]))
+def test_lattice_step_matches_fraction_step(model):
+    """The integer step returns the ledger and Polytope of the Fraction step."""
+    steps = 6 if model.dim < 3 else 4
+    ledger = reference = initial_ledger(model)
+    for _ in range(steps):
+        ledger, poly = _step(model, ledger)
+        reference, ref_poly = _fraction_step(model, reference)
+        assert ledger == reference
+        assert poly == ref_poly
+        # equal values could hide an int where the boundary promises a Fraction
+        assert repr(ledger) == repr(reference) and repr(poly) == repr(ref_poly)
+
+
+def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
+    """Each step's scale s is at most the lcm of its ledger's denominators."""
+    twin_dragon, _opts = parse_model(str(MODELS / "twindragon.json"))
+    homothety = validate_model(
+        [[F(2, 3), 0, 0], [0, F(2, 3), 0], [0, 0, F(2, 3)]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [F(1, 2), F(1, 2), F(1, 2)]],
+    )
+    lattice_hull = hull_mod.lattice_hull
+    dens = []
+
+    def recording_hull(points, den):
+        dens.append(den)
+        return lattice_hull(points, den)
+
+    monkeypatch.setattr(hull_mod, "lattice_hull", recording_hull)
+    for model in (twin_dragon, homothety):
+        delta = to_lattice(model.matrix)[1]
+        e = to_lattice(model.digits)[1]
+        ledger = initial_ledger(model)
+        for _ in range(30):
+            ledger_lcm = math.lcm(*(c.denominator for p in ledger.points for c in p))
+            ledger = step_hull(model, ledger)
+            s, rest = divmod(dens[-1], delta * e)
+            assert rest == 0
+            assert s <= ledger_lcm
 
 
 def test_brute_force_matches_examples():
