@@ -4,10 +4,10 @@ The pipeline: classify the eigenvalue angles of the inverse map matrix; if
 none is a rational multiple of pi the hull is not a polytope; otherwise the
 denominators give a hard bound k on the number of hull-recursion steps that
 can matter.  Equal consecutive vertex counts (stabilization) within the bound
-signal a polytope, in which case each vertex address is resolved to an
-eventually periodic pattern, evaluated exactly, and the resulting candidate
-polytope is certified; strict count growth at every step up to the bound
-yields the not-a-polytope verdict.
+signal a polytope, in which case each vertex's eventually periodic address
+is read off the vertex map between the two stable steps, evaluated exactly,
+and the resulting candidate polytope is certified; strict count growth at
+every step up to the bound yields the not-a-polytope verdict.
 
 Certification proves conv(F) = P* from three checks: (a) every candidate
 point equals the exact value of its address, hence lies in F; (b) the
@@ -31,7 +31,6 @@ from .ifs import (
     IfsModel,
     evaluate_ep_address,
     initial_ledger,
-    tail_error_bound,
     _step,
 )
 from .linalg import RATIONAL
@@ -107,35 +106,34 @@ def detect_stabilization(counts):
     return None
 
 
-def extract_ep_addresses(ledger, min_reps: int = 3):
-    """Resolve each length-N vertex address to prefix + primitive period.
+def extract_ep_addresses(prev_ledger, prev_poly, ledger, poly):
+    """Eventually periodic address of each vertex of a stable pair of steps.
 
-    For each address the scan looks for the smallest prefix length m and then
-    the smallest period p with m + min_reps*p <= N such that the address
-    repeats with period p from position m on.  Minimizing the prefix first
-    matters: a truncated periodic word usually ends in a short spurious run
-    (for example a tail of equal digits) that a period-first scan would latch
-    onto, producing an address that evaluates back to the truncation point
-    instead of the limit vertex.  Any vertex without a pattern raises
-    ExtractionFailure (the caller deepens the ledger and retries).
+    prev_ledger/prev_poly hold step i and ledger/poly step i+1.  A vertex
+    (j,) + a of step i+1 goes to the support match in poly of its parent a
+    and is labelled j; walking this vertex map until a vertex repeats gives
+    the labels of the prefix, then of the period (one EpAddress per ledger
+    entry).  A tied or non-bijective match raises ExtractionFailure.
     """
-    n = ledger.step
+    match = hull_mod.support_map(prev_poly, poly)
+    images = list(match.values())
+    if None in images or not len(images) == len(set(images)) == ledger.count:
+        why = "ties a vertex" if None in images else "is not a bijection"
+        raise ExtractionFailure(f"support map from step {prev_ledger.step} to {ledger.step} {why}")
+    parent = {address: point for point, address in prev_ledger.entries}
+    index = {point: i for i, (point, _) in enumerate(ledger.entries)}
+    succ = [index[match[parent[address[1:]]]] for _, address in ledger.entries]
     out = []
-    for point, address in ledger.entries:
-        found = None
-        for m in range(0, n - min_reps + 1):
-            for p in range(1, (n - m) // min_reps + 1):
-                if all(address[s] == address[s + p] for s in range(m, n - p)):
-                    found = (m, p)
-                    break
-            if found:
-                break
-        if not found:
-            raise ExtractionFailure(
-                f"no period with at least {min_reps} repetitions in address of {point}"
-            )
-        m, p = found
-        out.append(EpAddress(address[:m], address[m : m + p]))
+    for start in range(ledger.count):
+        i, seen, labels = start, {}, []
+        while i not in seen:
+            seen[i] = len(labels)
+            labels.append(ledger.entries[i][1][0])
+            i = succ[i]
+        prefix, period = labels[: seen[i]], labels[seen[i] :]
+        while prefix and prefix[-1] == period[-1]:
+            period = [prefix.pop()] + period[:-1]
+        out.append(EpAddress(prefix, period))
     return out
 
 
@@ -151,8 +149,6 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     if eps is None:
         eps = model.geom_eps()
     checks = []
-    failure = None
-
     points = []
     eval_ok = True
     for ep, point in candidates:
@@ -171,8 +167,6 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
             "every candidate point equals the exact value of its address",
         )
     )
-    if not eval_ok:
-        failure = "address_evaluation"
 
     poly = hull_mod.convex_hull(points, eps=model.geom_eps())
     if exact:
@@ -186,8 +180,6 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
             "the candidates are exactly the vertices of their own hull",
         )
     )
-    if failure is None and not extremal_ok:
-        failure = "extremality"
 
     containment_ok = True
     first_violation = None
@@ -202,9 +194,8 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     if first_violation is not None:
         detail = f"image of vertex {first_violation[0]} under digit {first_violation[1]} escapes the hull"
     checks.append(CertCheck("self_mapping", containment_ok, detail))
-    if failure is None and not containment_ok:
-        failure = "self_mapping"
 
+    failure = next((check.name for check in checks if not check.ok), None)
     ok = failure is None
     return CertResult(ok, ok and exact, tuple(checks), failure)
 
@@ -219,20 +210,25 @@ def inverse_eigenvalue_classes(model: IfsModel):
 def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     """Run the bounded decision pipeline; returns (Decision, Report).
 
-    The stabilization search performs at most k+1 hull steps.  On
-    stabilization the ledger is deepened for address extraction; extraction
-    or certification failures deepen further (doubling, three retries) before
-    giving up with an inconclusive verdict.
+    The stabilization search performs at most k+1 hull steps and no step
+    follows it: the addresses are read off the vertex map of the stable pair
+    of steps (extract_ep_addresses), evaluated exactly and certified once.
+    An extraction or certification failure gives an inconclusive verdict.
     """
     start = time.perf_counter()
-    warnings = list(model.warnings)
-    warnings.append(NOTE_VERTEX_SETS)
-    warnings.append(NOTE_DECISION_RULE)
+    warnings = [*model.warnings, NOTE_VERTEX_SETS, NOTE_DECISION_RULE]
     if model.mode != RATIONAL:
         warnings.append(NOTE_FLOAT)
 
     classes = tuple(inverse_eigenvalue_classes(model))
     bound = spectral.compute_step_bound(classes, bound_mode)
+    counts = []
+
+    def finish(decision, cert=None):
+        timing = time.perf_counter() - start
+        return decision, Report(
+            classes, bound, tuple(counts), decision, None, cert, timing, tuple(warnings)
+        )
 
     if bound is None:
         warnings.append(
@@ -240,94 +236,48 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
             f"(denominators <= {model.tol.denom_max}, tolerance {model.tol.angle_tol:g}); "
             "an empty U is possible only if the ambient dimension is even"
         )
-        decision = Decision(
+        return finish(Decision(
             VERDICT_EMPTY_U,
             reason=f"no rational-angle eigenvalue up to denominator {model.tol.denom_max}",
-        )
-        report = Report(
-            classes, None, (), decision, None, None, time.perf_counter() - start, tuple(warnings)
-        )
-        return decision, report
+        ))
 
-    k = bound.k
-    counts = []
     ledger = initial_ledger(model)
-    prev_poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
-    stabilization = None
-    for i in range(1, k + 2):
+    poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
+    for i in range(1, bound.k + 2):
+        prev_ledger, prev_poly = ledger, poly
         ledger, poly = _step(model, ledger)
         counts.append(CountRow(i, ledger.count, hull_mod.hausdorff(prev_poly, poly)))
-        prev_poly = poly
         if i >= 2 and counts[-2].count == counts[-1].count:
-            stabilization = i - 1
             break
-
-    if stabilization is None:
-        decision = Decision(
+    else:
+        return finish(Decision(
             VERDICT_NO_STABILIZATION,
-            reason=f"vertex counts grew strictly for every i <= {k}",
-        )
-        report = Report(
-            classes,
-            bound,
-            tuple(counts),
-            decision,
-            None,
-            None,
-            time.perf_counter() - start,
-            tuple(warnings),
-        )
-        return decision, report
+            reason=f"vertex counts grew strictly for every i <= {bound.k}",
+        ))
+    stabilization = i - 1
 
-    # stabilization found: extract addresses, evaluate exactly, certify
-    depth = stabilization + max(2 * k, 8)
+    # read the addresses off the stable pair of steps, evaluate exactly, certify
     cert = None
-    decision = None
-    last_error = "extraction never ran"
-    for _attempt in range(4):
-        while ledger.step < depth:
-            ledger, _ = _step(model, ledger)
-        try:
-            addresses = extract_ep_addresses(ledger)
-        except ExtractionFailure as exc:
-            cert = None
-            last_error = str(exc)
-            depth *= 2
-            continue
+    try:
+        addresses = extract_ep_addresses(prev_ledger, prev_poly, ledger, poly)
+    except ExtractionFailure as exc:
+        failure = f"address extraction failed: {exc}"
+    else:
         candidates = [(ep, evaluate_ep_address(model, ep)) for ep in addresses]
-        cert_eps = None
-        if model.mode != RATIONAL:
-            cert_eps = max(model.tol.eps_geom, tail_error_bound(model, ledger.step))
-        cert = certify_polytope(model, candidates, eps=cert_eps)
-        if cert.ok:
-            decision = Decision(
-                VERDICT_POLYTOPE,
-                certified=cert.certified,
-                stabilization_index=stabilization,
-                vertices=tuple(sorted((point, ep) for ep, point in candidates)),
-            )
-            break
-        last_error = f"certification failed on check {cert.failure!r}"
-        depth *= 2
-
-    if decision is None:
-        decision = Decision(
+        cert = certify_polytope(model, candidates)
+        failure = f"certification failed on check {cert.failure!r}"
+    if cert is None or not cert.ok:
+        return finish(Decision(
             VERDICT_INCONCLUSIVE,
             stabilization_index=stabilization,
-            reason=f"stabilization at i={stabilization} but {last_error} after retries",
-        )
-
-    report = Report(
-        classes,
-        bound,
-        tuple(counts),
-        decision,
-        None,
-        cert,
-        time.perf_counter() - start,
-        tuple(warnings),
-    )
-    return decision, report
+            reason=f"stabilization at i={stabilization} but {failure}",
+        ), cert)
+    return finish(Decision(
+        VERDICT_POLYTOPE,
+        certified=cert.certified,
+        stabilization_index=stabilization,
+        vertices=tuple(sorted((point, ep) for ep, point in candidates)),
+    ), cert)
 
 
 def cross_check(model: IfsModel, decision: Decision, k_cap: int) -> CrossCheckSection:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
-from .linalg import dot, norm2_sq, to_lattice, vec_scale, vec_sub
+from .linalg import dot, norm2_sq, to_lattice, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,12 @@ def _cross3(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def _plane_normal(pts):
+    """Normal of the plane through the first three points, right-handed in their order."""
+    a, b, c = pts[0], pts[1], pts[2]
+    return _cross3(vec_sub(b, a), vec_sub(c, a))
 
 
 def _orient3(a, b, c, d):
@@ -309,9 +316,7 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     # merge coplanar triangles into facets and purify the vertex set
     groups = {}
     for tri in faces:
-        a, b, c = (pts[t] for t in tri)
-        normal = _cross3(vec_sub(b, a), vec_sub(c, a))
-        key = _plane_key(normal, a, exact, scale)
+        key = _plane_key(_plane_normal([pts[t] for t in tri]), pts[tri[0]], exact, scale)
         groups.setdefault(key, []).append(tri)
 
     facet_polys = []
@@ -319,9 +324,7 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         tris = groups[key]
         ids = sorted({t for tri in tris for t in tri})
         a = pts[tris[0][0]]
-        normal = _cross3(
-            vec_sub(pts[tris[0][1]], a), vec_sub(pts[tris[0][2]], a)
-        )
+        normal = _plane_normal([pts[t] for t in tris[0]])
         u = vec_sub(pts[tris[0][1]], a)
         w = _cross3(normal, u)
         coord_of = {}
@@ -348,10 +351,8 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
             prim_normal, offset = key
             facets.append((tuple(Fraction(c) for c in prim_normal), Fraction(offset, den)))
         else:
-            a = pts[poly[0]]
-            b, c = pts[poly[1]], pts[poly[2]]
-            normal = _cross3(vec_sub(b, a), vec_sub(c, a))
-            facets.append((normal, dot(normal, a)))
+            normal = _plane_normal([pts[t] for t in poly])
+            facets.append((normal, dot(normal, pts[poly[0]])))
         mapped = [index_of[t] for t in poly]
         for i in range(1, len(mapped) - 1):
             tri = (mapped[0], mapped[i], mapped[i + 1])
@@ -485,9 +486,45 @@ def facet_normals(poly: Polytope):
     return list(poly.facets)
 
 
-def _carrier_plane_normal(poly):
-    a, b, c = poly.vertices[0], poly.vertices[1], poly.vertices[2]
-    return _cross3(vec_sub(b, a), vec_sub(c, a))
+def _normal_sums(poly, pts):
+    """Sum of the outward normals at each vertex; pts are poly.vertices at any scale.
+
+    Those are the faces triangles at a 3D vertex, the two edges (in the
+    polygon's plane) at a polygon vertex, and the segment itself at its ends.
+    """
+    if poly.affine_dim < 2:
+        return [vec_sub(a, b) for a, b in zip(pts, reversed(pts))]
+    if poly.affine_dim == 3:
+        sums = [vec_sub(a, a) for a in pts]
+        for tri in poly.faces:
+            normal = _plane_normal([pts[t] for t in tri])
+            for t in tri:
+                sums[t] = vec_add(sums[t], normal)
+        return sums
+    if poly.ambient_dim == 2:
+        normals = [normal for normal, _ in _polygon_facets(pts)]
+    else:  # the cycle runs counterclockwise about the normal of its first three vertices
+        plane = _plane_normal(pts)
+        normals = [_cross3(vec_sub(b, a), plane) for a, b in zip(pts, pts[1:] + pts[:1])]
+    return [vec_add(normals[i - 1], normals[i]) for i in range(len(pts))]
+
+
+def support_map(p: Polytope, q: Polytope):
+    """{vertex v of p: the vertex of q with the same support direction}.
+
+    That is the unique vertex of q maximising <u, .>, u the sum of p's outward
+    normals at v, or None where the maximum is tied.  Exact polytopes are
+    compared on integers.
+    """
+    p_pts, q_pts = (
+        to_lattice(r.vertices)[0] if _is_exact(r.vertices[0]) else r.vertices for r in (p, q)
+    )
+    out = {}
+    for v, u in zip(p.vertices, _normal_sums(p, p_pts)):
+        values = [dot(u, x) for x in q_pts]
+        best = max(values)
+        out[v] = q.vertices[values.index(best)] if values.count(best) == 1 else None
+    return out
 
 
 def contains(poly: Polytope, x, eps=0.0):
@@ -535,7 +572,7 @@ def contains(poly: Polytope, x, eps=0.0):
 
     # planar polygon embedded in ambient dimension 3
     a = poly.vertices[0]
-    normal = _carrier_plane_normal(poly)
+    normal = _plane_normal(poly.vertices)
     off_plane = dot(normal, vec_sub(x, a))
     if exact:
         if off_plane != 0:
@@ -611,7 +648,7 @@ def _dist_point_triangle(p, a, b, c):
     return math.dist(p, closest)
 
 
-def _dist_point_polytope(x, poly: Polytope):
+def _dist_point_polytope(x, poly: Polytope, inside):
     xf = _fvec(x)
     verts = [_fvec(v) for v in poly.vertices]
     if poly.affine_dim == 0:
@@ -619,7 +656,7 @@ def _dist_point_polytope(x, poly: Polytope):
     if poly.affine_dim == 1:
         return _dist_point_segment(xf, verts[0], verts[1])
     if poly.ambient_dim == 2:
-        if contains(poly, x):
+        if inside:
             return 0.0
         r = len(verts)
         return min(_dist_point_segment(xf, verts[i], verts[(i + 1) % r]) for i in range(r))
@@ -628,11 +665,23 @@ def _dist_point_polytope(x, poly: Polytope):
             _dist_point_triangle(xf, verts[0], verts[i], verts[i + 1])
             for i in range(1, len(verts) - 1)
         )
-    if contains(poly, x):
+    if inside:
         return 0.0
     return min(
         _dist_point_triangle(xf, verts[a], verts[b], verts[c]) for a, b, c in poly.faces
     )
+
+
+def _inside(points, poly):
+    """contains(poly, x) for each x if poly has facets; exact data runs as n.X <= c*den."""
+    if poly.facets is None:
+        return [False] * len(points)
+    if not _is_exact(poly.vertices[0]):
+        return [contains(poly, x) for x in points]
+    rows, _ = to_lattice([normal + (offset,) for normal, offset in poly.facets])
+    xs, den = to_lattice(points)
+    facets = [(row[:-1], row[-1] * den) for row in rows]
+    return [all(dot(n, x) <= c for n, c in facets) for x in xs]
 
 
 def hausdorff(p: Polytope, q: Polytope):
@@ -643,6 +692,6 @@ def hausdorff(p: Polytope, q: Polytope):
         plo, phi = float(p.vertices[0][0]), float(p.vertices[-1][0])
         qlo, qhi = float(q.vertices[0][0]), float(q.vertices[-1][0])
         return max(abs(plo - qlo), abs(phi - qhi))
-    d_pq = max(_dist_point_polytope(v, q) for v in p.vertices)
-    d_qp = max(_dist_point_polytope(v, p) for v in q.vertices)
+    d_pq = max(map(_dist_point_polytope, p.vertices, repeat(q), _inside(p.vertices, q)))
+    d_qp = max(map(_dist_point_polytope, q.vertices, repeat(p), _inside(q.vertices, p)))
     return max(d_pq, d_qp)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -25,6 +26,7 @@ from fractalhull.decide import (
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def write_model(tmp_path, name, doc):
@@ -170,6 +172,15 @@ def test_report_vertices_respect_normalization_shift(tmp_path, capsys):
     report = json.loads(out.read_text())
     points = {tuple(v["point"]) for v in report["vertices"]}
     assert points == {("1/1", "1/1"), ("2/1", "1/1"), ("1/1", "2/1")}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in MODELS.glob("*.json")))
+def test_analyze_report_matches_benchmark_digest(name, tmp_path, capsys):
+    """analyze --json on a shipped model writes the report the benchmark stores."""
+    digests = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["cli-files"]
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", str(MODELS / name), "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"analyze:{name}"]["sha256"]
 
 
 def test_decision_dict_roundtrip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from conftest import (
     suite5_models,
     twin_dragon_model,
 )
+from fractalhull import decide as decide_mod
+from fractalhull.cli import parse_model
 from fractalhull.decide import (
     VERDICT_EMPTY_U,
     VERDICT_INCONCLUSIVE,
@@ -24,15 +27,24 @@ from fractalhull.decide import (
     decide_polytope,
     detect_stabilization,
     extract_ep_addresses,
+    inverse_eigenvalue_classes,
 )
 from fractalhull.errors import ExtractionFailure
+from fractalhull.hull import convex_hull, support_map
 from fractalhull.ifs import (
     EpAddress,
     VertexLedger,
     brute_force_vertices,
+    evaluate_ep_address,
+    initial_ledger,
+    step_hull,
+    tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import vec_add, vec_scale, vec_sub
+from fractalhull.linalg import RATIONAL, vec_add, vec_scale, vec_sub
+from fractalhull.spectral import compute_step_bound
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_detect_stabilization():
@@ -41,36 +53,114 @@ def test_detect_stabilization():
     assert detect_stabilization([3, 4, 4]) == 2
 
 
-def _ledger_from_addresses(model, addresses):
-    entries = []
-    from fractalhull.ifs import evaluate_finite_address
+def _stable_pair(labels, parents):
+    """A hand-built pair of steps over the unit square and its double.
 
-    for a in addresses:
-        entries.append((evaluate_finite_address(model, a), tuple(a)))
-    return VertexLedger(len(addresses[0]), tuple(sorted(entries)))
+    Vertex i of the doubled square has the address (labels[i], parents[i] + 1),
+    so its parent is corner parents[i] of the unit square, whose address is
+    (parents[i] + 1,).  The support map sends corner i to doubled corner i.
+    """
+    square = convex_hull([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))])
+    double = convex_hull([vec_scale(F(2), v) for v in square.vertices])
+    prev = VertexLedger(1, tuple(sorted((v, (i + 1,)) for i, v in enumerate(square.vertices))))
+    entries = ((v, (labels[i], parents[i] + 1)) for i, v in enumerate(double.vertices))
+    ledger = VertexLedger(2, tuple(sorted(entries)))
+    return prev, square, ledger, double
+
+
+def _addresses_by_corner(labels, parents):
+    prev, square, ledger, double = _stable_pair(labels, parents)
+    by_point = dict(zip(ledger.points, extract_ep_addresses(prev, square, ledger, double)))
+    return [by_point[v] for v in double.vertices]
 
 
 def test_extraction_examples():
-    model = sierpinski_model()
-    ledger = _ledger_from_addresses(model, [(2, 2)])
-    ep = extract_ep_addresses(ledger, min_reps=2)[0]
-    assert ep.prefix == () and ep.period == (2,)
-
-    model3 = validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [0, 1]])
-    ledger = _ledger_from_addresses(model3, [(1, 2, 1, 2, 1, 2)])
-    ep = extract_ep_addresses(ledger, min_reps=3)[0]
-    assert ep.prefix == () and ep.period == (1, 2)
-
-    ledger = _ledger_from_addresses(model3, [(1, 2, 2, 1, 2, 2, 2)])
-    ep = extract_ep_addresses(ledger, min_reps=3)[0]
-    assert ep.prefix == (1, 2, 2, 1) and ep.period == (2,)
+    # the map sends corner 0 to 1, 1 to 2, 2 back to 1, and fixes 3
+    parents = (1, 2, 1, 3)
+    assert _addresses_by_corner((1, 2, 3, 2), parents) == [
+        EpAddress((1,), (2, 3)),
+        EpAddress((), (2, 3)),
+        EpAddress((), (3, 2)),
+        EpAddress((), (2,)),
+    ]
+    # a prefix that ends like its period is folded into the period
+    assert _addresses_by_corner((3, 2, 3, 2), parents)[0] == EpAddress((), (3, 2))
+    # the cycle 1 -> 2 -> 1 reads (1, 1), whose primitive period is (1,)
+    addresses = _addresses_by_corner((2, 1, 1, 2), parents)
+    assert addresses[:2] == [EpAddress((2,), (1,)), EpAddress((), (1,))]
 
 
 def test_extraction_failure():
+    prev, square, ledger, _ = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
+    # every diagonal support direction of the square ties two diamond vertices
+    diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
+    with pytest.raises(ExtractionFailure, match="ties a vertex"):
+        extract_ep_addresses(prev, square, ledger, diamond)
+    # two square corners are supported by the same kite vertex
+    kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
+    assert len(set(support_map(square, kite).values())) < 4
+    with pytest.raises(ExtractionFailure, match="not a bijection"):
+        extract_ep_addresses(prev, square, ledger, kite)
+
+
+def test_non_bijective_vertex_map_is_inconclusive(monkeypatch):
+    """A stable pair whose support map is not a bijection ends INCONCLUSIVE with a reason."""
     model = sierpinski_model()
-    ledger = _ledger_from_addresses(model, [(1, 2, 3, 1, 2, 3)])
-    with pytest.raises(ExtractionFailure):
-        extract_ep_addresses(ledger, min_reps=3)
+    real_step = decide_mod._step
+    # sierpinski's step-1 triangle supports (-1,-1), (1,0) and (0,1); the last two
+    # both pick (10, 10)
+    fake = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10))])
+
+    def step(model, ledger):
+        if ledger.step == 0:
+            return real_step(model, ledger)
+        entries = zip(fake.vertices, ((1, 1), (2, 2), (3, 3)))
+        return VertexLedger(2, tuple(sorted(entries))), fake
+
+    monkeypatch.setattr(decide_mod, "_step", step)
+    decision, report = decide_polytope(model)
+    assert decision.verdict == VERDICT_INCONCLUSIVE
+    assert decision.stabilization_index == 1
+    assert report.certification is None
+    assert decision.reason == (
+        "stabilization at i=1 but address extraction failed: "
+        "support map from step 1 to 2 is not a bijection"
+    )
+
+
+def test_vertex_map_segment():
+    # T = -1/2 swaps the ends of [-2/3, 1/3]: each end's period is a 2-cycle
+    model = validate_model([[F(-1, 2)]], [[0], [1]])
+    decision, _ = decide_polytope(model)
+    assert decision.verdict == VERDICT_POLYTOPE and decision.certified
+    assert decision.vertices == (
+        ((F(-2, 3),), EpAddress((), (2, 1))),
+        ((F(1, 3),), EpAddress((), (1, 2))),
+    )
+    # a segment inside the plane keeps each end fixed
+    model = validate_model([[F(1, 2), 0], [0, F(1, 3)]], [[0, 0], [1, 0]])
+    decision, _ = decide_polytope(model)
+    assert decision.verdict == VERDICT_POLYTOPE and decision.certified
+    assert [ep.period for _, ep in decision.vertices] == [(1,), (2,)]
+
+
+def test_vertex_map_polygon_in_3d():
+    # a quarter turn in the plane z = 0: the hull is an octagon inside 3D
+    model = validate_model(
+        [[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    )
+    ledger = initial_ledger(model)
+    polys = []
+    for _ in range(5):
+        ledger = step_hull(model, ledger)
+        polys.append(convex_hull(ledger.points))
+    assert polys[-2].affine_dim == 2 and polys[-2].ambient_dim == 3
+    assert set(support_map(polys[-2], polys[-1]).values()) == polys[-1].vertex_set
+    decision, _ = decide_polytope(model)
+    assert decision.verdict == VERDICT_POLYTOPE and decision.certified
+    assert decision.stabilization_index == 4
+    assert len(decision.vertices) == 8
+    assert all(p[2] == 0 and len(ep.period) == 4 for p, ep in decision.vertices)
 
 
 def test_decide_sierpinski():
@@ -253,3 +343,98 @@ def test_random_models_decide_or_reject_consistently():
             stab_count = report.counts[decision.stabilization_index - 1].count
             assert len(decision.vertices) == stab_count
     assert count_polytope >= 1
+
+
+# --- reference: address extraction by deepening and a period scan ---
+
+
+def _reference_extract(ledger, min_reps=3):
+    """Smallest prefix, then smallest period repeating min_reps times, per address."""
+    n = ledger.step
+    out = []
+    for point, address in ledger.entries:
+        found = None
+        for m in range(0, n - min_reps + 1):
+            for p in range(1, (n - m) // min_reps + 1):
+                if all(address[s] == address[s + p] for s in range(m, n - p)):
+                    found = (m, p)
+                    break
+            if found:
+                break
+        if not found:
+            raise ExtractionFailure(f"no period in address of {point}")
+        m, p = found
+        out.append(EpAddress(address[:m], address[m : m + p]))
+    return out
+
+
+def _reference_decide(model):
+    """(verdict, certified, stabilization, vertices) from deepening the ledger.
+
+    After stabilization at i the ledger is stepped on to depth i + max(2k, 8),
+    its addresses are scanned for periods, and a failed scan or certification
+    doubles the depth, up to three times.
+    """
+    bound = compute_step_bound(tuple(inverse_eigenvalue_classes(model)), "product")
+    if bound is None:
+        return VERDICT_EMPTY_U, False, None, None
+    counts = []
+    ledger = initial_ledger(model)
+    for i in range(1, bound.k + 2):
+        ledger = step_hull(model, ledger)
+        counts.append(ledger.count)
+        if i >= 2 and counts[-2] == counts[-1]:
+            break
+    else:
+        return VERDICT_NO_STABILIZATION, False, None, None
+    stabilization = i - 1
+    depth = stabilization + max(2 * bound.k, 8)
+    for _attempt in range(4):
+        while ledger.step < depth:
+            ledger = step_hull(model, ledger)
+        try:
+            addresses = _reference_extract(ledger)
+        except ExtractionFailure:
+            depth *= 2
+            continue
+        candidates = [(ep, evaluate_ep_address(model, ep)) for ep in addresses]
+        eps = None
+        if model.mode != RATIONAL:
+            eps = max(model.tol.eps_geom, tail_error_bound(model, ledger.step))
+        cert = certify_polytope(model, candidates, eps=eps)
+        if cert.ok:
+            vertices = tuple(sorted((point, ep) for ep, point in candidates))
+            return VERDICT_POLYTOPE, cert.certified, stabilization, vertices
+        depth *= 2
+    return VERDICT_INCONCLUSIVE, False, stabilization, None
+
+
+def _spatial_models():
+    h, t = F(1, 2), F(1, 3)
+    corners = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return [
+        validate_model([[h, 0, 0], [0, h, 0], [0, 0, h]], corners),
+        validate_model([[-t, 0, 0], [0, -t, 0], [0, 0, -t]], corners),
+        validate_model([[0, 0, h], [h, 0, 0], [0, h, 0]], corners),
+        validate_model([[0, -h, 0], [h, 0, 0], [0, 0, h]], corners),
+        # hull inside the plane z = 0
+        validate_model([[0, -h, 0], [h, 0, 0], [0, 0, t]], corners[:3]),
+    ]
+
+
+def test_vertex_map_matches_deepening_reference():
+    models = list(suite5_models())
+    models += [parse_model(str(path))[0] for path in sorted(MODELS.glob("*.json"))]
+    models += _spatial_models()
+    polytopes = 0
+    for model in models:
+        decision, _ = decide_polytope(model)
+        got = (
+            decision.verdict,
+            decision.certified,
+            decision.stabilization_index,
+            decision.vertices,
+        )
+        assert got == _reference_decide(model)
+        polytopes += decision.verdict == VERDICT_POLYTOPE
+    assert polytopes >= 30

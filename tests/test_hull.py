@@ -9,7 +9,14 @@ import pytest
 
 from conftest import naive_vertices_2d, naive_vertices_3d
 from fractalhull.errors import DegeneratePolytope
-from fractalhull.hull import contains, convex_hull, facet_normals, hausdorff
+from fractalhull.hull import (
+    _dist_point_polytope,
+    _inside,
+    contains,
+    convex_hull,
+    facet_normals,
+    hausdorff,
+)
 
 
 def fr(*values):
@@ -226,6 +233,37 @@ def test_hausdorff_3d():
     unit = convex_hull([fr(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     bigger = convex_hull([fr(2 * x, 2 * y, 2 * z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert abs(hausdorff(unit, bigger) - 3 ** 0.5) < 1e-12
+
+
+def _reference_hausdorff(p, q):
+    """hausdorff as it tested containment before: Fraction contains() once per vertex."""
+
+    def dist(x, poly):
+        inside = poly.facets is not None and contains(poly, x)
+        return _dist_point_polytope(x, poly, inside)
+
+    return max(max(dist(v, q) for v in p.vertices), max(dist(v, p) for v in q.vertices))
+
+
+def test_hausdorff_integer_containment_matches_fraction_contains():
+    """The integer containment agrees with contains() and keeps every distance bit-identical."""
+    rng = random.Random(53)
+    for _case in range(120):
+        dim = rng.choice((2, 3))
+
+        def cloud():
+            size = rng.choice((1, 2, 4, 8, 12))
+            den = rng.randint(1, 9)
+            return [tuple(F(rng.randint(-9, 9), den) for _ in range(dim)) for _ in range(size)]
+
+        p = convex_hull(cloud())
+        # q often contains some of p's vertices: grow p's points a little and add new ones
+        q = convex_hull([tuple(F(5, 4) * c for c in v) for v in p.vertices] + cloud())
+        assert hausdorff(p, q) == _reference_hausdorff(p, q)
+        assert hausdorff(q, p) == _reference_hausdorff(q, p)
+        for a, b in ((p, q), (q, p)):
+            if b.facets is not None:
+                assert _inside(a.vertices, b) == [contains(b, x) for x in a.vertices]
 
 
 def test_facet_validity_random():
