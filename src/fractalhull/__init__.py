@@ -18,6 +18,7 @@ from .decide import (
     decide_polytope,
     detect_stabilization,
     extract_ep_addresses,
+    hull_steps,
 )
 from .errors import (
     DegeneratePolytope,
@@ -42,8 +43,6 @@ from .ifs import (
     evaluate_ep_address,
     evaluate_finite_address,
     initial_ledger,
-    iterate_hulls,
-    step_hull,
     tail_error_bound,
     validate_model,
 )
@@ -78,9 +77,8 @@ __all__ = [
     "facet_normal_criterion",
     "facet_normals",
     "hausdorff",
+    "hull_steps",
     "initial_ledger",
-    "iterate_hulls",
-    "step_hull",
     "tail_error_bound",
     "validate_model",
     "validate_spectrum",

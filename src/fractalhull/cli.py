@@ -18,25 +18,19 @@ model file and seed always reproduce byte-identical reports and SVG output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, pairwise
 
 from . import decide as decide_mod
 from . import hull as hull_mod
 from ._version import __version__
 from .errors import FractalHullError
-from .ifs import (
-    EpAddress,
-    IfsModel,
-    _step,
-    brute_force_vertices,
-    initial_ledger,
-    step_hull,
-    validate_model,
-)
+from .ifs import EpAddress, IfsModel, brute_force_vertices, validate_model
 from .linalg import FLOAT, RATIONAL, ToleranceConfig, make_vector, vec_add, vec_sub
 from .spectral import compute_step_bound
 from .render import render_svg
@@ -312,22 +306,17 @@ def _cmd_bound(args):
 
 def _cmd_iterate(args):
     model, _opts = parse_model(args.model)
-    ledger = initial_ledger(model)
-    prev_poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
     print("i\tcount\thausdorff_delta")
-    for i in range(1, args.steps + 1):
-        ledger, poly = _step(model, ledger)
+    steps = islice(decide_mod.hull_steps(model), args.steps + 1)
+    for (_, prev_poly), (ledger, poly) in pairwise(steps):
         delta = hull_mod.hausdorff(prev_poly, poly)
-        prev_poly = poly
-        print(f"{i}\t{ledger.count}\t{delta!r}")
+        print(f"{ledger.step}\t{ledger.count}\t{delta!r}")
     return 0
 
 
 def _cmd_oracle(args):
     model, opts = parse_model(args.model)
-    ledger = initial_ledger(model)
-    for _ in range(args.steps):
-        ledger = step_hull(model, ledger)
+    ledger, _ = next(islice(decide_mod.hull_steps(model), args.steps, None))
     oracle_poly = brute_force_vertices(model, args.steps, budget=opts.enum_budget)
     recursion = set(ledger.points)
     enumeration = set(oracle_poly.vertex_set)
@@ -390,6 +379,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text):
+    """argparse type of --steps and --points: an integer >= 0."""
+    value = int(text) if _INT_RE.match(text.strip()) else -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}: expected an integer >= 0")
+    return value
+
+
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="fractalhull",
@@ -409,12 +407,12 @@ def build_parser():
 
     p = sub.add_parser("iterate", help="vertex count table for the first K steps")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("oracle", help="compare hull recursion against brute-force enumeration")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("certify", help="certify an externally supplied vertex list")
@@ -424,8 +422,8 @@ def build_parser():
 
     p = sub.add_parser("render", help="render sampled attractor points with hull overlays")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, default=12)
-    p.add_argument("--points", type=int, default=20000)
+    p.add_argument("--steps", type=_count, default=12)
+    p.add_argument("--points", type=_count, default=20000)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_render)

@@ -3,11 +3,13 @@
 The pipeline: classify the eigenvalue angles of the inverse map matrix; if
 none is a rational multiple of pi the hull is not a polytope; otherwise the
 denominators give a hard bound k on the number of hull-recursion steps that
-can matter.  Equal consecutive vertex counts (stabilization) within the bound
-signal a polytope, in which case each vertex's eventually periodic address
-is read off the vertex map between the two stable steps, evaluated exactly,
-and the resulting candidate polytope is certified; strict count growth at
-every step up to the bound yields the not-a-polytope verdict.
+can matter.  The generator hull_steps yields the steps on demand, and every
+caller of the recursion drives it.  Equal consecutive vertex counts
+(stabilization) within the bound signal a polytope, in which case each
+vertex's eventually periodic address is read off the vertex map between the
+two stable steps, evaluated exactly, and the resulting candidate polytope is
+certified; strict count growth at every step up to the bound yields the
+not-a-polytope verdict.
 
 Certification proves conv(F) = P* from three checks: (a) every candidate
 point equals the exact value of its address, hence lies in F; (b) the
@@ -20,19 +22,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import islice, pairwise
 from typing import Optional
 
 from . import hull as hull_mod
 from . import linalg, spectral
 from ._version import __version__
 from .errors import ExtractionFailure
-from .ifs import (
-    EpAddress,
-    IfsModel,
-    evaluate_ep_address,
-    initial_ledger,
-    _step,
-)
+from .ifs import EpAddress, IfsModel, evaluate_ep_address, initial_ledger
+
+# The one private import across modules: the benchmark tracer wraps
+# decide._step as well as ifs._step, so hull_steps calls the step through
+# this module's global.
+from .ifs import _step
 from .linalg import RATIONAL
 
 VERDICT_POLYTOPE = "POLYTOPE"
@@ -96,6 +98,19 @@ class Report:
     timing: float
     warnings: tuple
     version: str = __version__
+
+
+def hull_steps(model: IfsModel):
+    """Yield (ledger, polytope) for steps 0, 1, 2, ... of the hull recursion.
+
+    Step 0 is the origin and its hull.  Each step is computed only when the
+    caller asks for it, so islice(hull_steps(model), n) takes n - 1 steps.
+    """
+    ledger = initial_ledger(model)
+    poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
+    while True:
+        yield ledger, poly
+        ledger, poly = _step(model, ledger)
 
 
 def detect_stabilization(counts):
@@ -241,20 +256,16 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
             reason=f"no rational-angle eigenvalue up to denominator {model.tol.denom_max}",
         ))
 
-    ledger = initial_ledger(model)
-    poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
-    for i in range(1, bound.k + 2):
-        prev_ledger, prev_poly = ledger, poly
-        ledger, poly = _step(model, ledger)
-        counts.append(CountRow(i, ledger.count, hull_mod.hausdorff(prev_poly, poly)))
-        if i >= 2 and counts[-2].count == counts[-1].count:
+    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(islice(hull_steps(model), bound.k + 2)):
+        counts.append(CountRow(ledger.step, ledger.count, hull_mod.hausdorff(prev_poly, poly)))
+        if ledger.step >= 2 and counts[-2].count == counts[-1].count:
             break
     else:
         return finish(Decision(
             VERDICT_NO_STABILIZATION,
             reason=f"vertex counts grew strictly for every i <= {bound.k}",
         ))
-    stabilization = i - 1
+    stabilization = ledger.step - 1
 
     # read the addresses off the stable pair of steps, evaluate exactly, certify
     cert = None

@@ -648,9 +648,8 @@ def _dist_point_triangle(p, a, b, c):
     return math.dist(p, closest)
 
 
-def _dist_point_polytope(x, poly: Polytope, inside):
-    xf = _fvec(x)
-    verts = [_fvec(v) for v in poly.vertices]
+def _dist_point_polytope(xf, poly: Polytope, verts, inside):
+    """Distance from the float point xf to poly, whose vertices as floats are verts."""
     if poly.affine_dim == 0:
         return math.dist(xf, verts[0])
     if poly.affine_dim == 1:
@@ -692,6 +691,8 @@ def hausdorff(p: Polytope, q: Polytope):
         plo, phi = float(p.vertices[0][0]), float(p.vertices[-1][0])
         qlo, qhi = float(q.vertices[0][0]), float(q.vertices[-1][0])
         return max(abs(plo - qlo), abs(phi - qhi))
-    d_pq = max(map(_dist_point_polytope, p.vertices, repeat(q), _inside(p.vertices, q)))
-    d_qp = max(map(_dist_point_polytope, q.vertices, repeat(p), _inside(q.vertices, p)))
+    pf = [_fvec(v) for v in p.vertices]
+    qf = [_fvec(v) for v in q.vertices]
+    d_pq = max(map(_dist_point_polytope, pf, repeat(q), repeat(qf), _inside(p.vertices, q)))
+    d_qp = max(map(_dist_point_polytope, qf, repeat(p), repeat(pf), _inside(q.vertices, p)))
     return max(d_pq, d_qp)

@@ -7,6 +7,9 @@ induced shift of the attractor is recorded, so results can be mapped back).
 Points of the attractor are digit-index sequences: the finite address
 (j_1, .., j_k) denotes sum_{s=1..k} T^s d_{j_s}, with j_1 the outermost map.
 Eventually periodic addresses evaluate in closed form through (I - T^p)^{-1}.
+
+One hull-recursion step, `_step`, takes the vertex ledger of conv(A_k) to that
+of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.
 """
 
 from __future__ import annotations
@@ -180,6 +183,11 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
+    Candidates are the images T(v + d_j) of the current vertices only; that
+    is sufficient because extreme points of a union of affine images of a
+    hull are images of extreme points.  Coincident candidates keep the
+    lexicographically smallest address.
+
     In rational mode the step runs on integers: with T = M/delta, digits
     E_j/e and the ledger points X/s over the lcm s of their denominators,
     each candidate T(X/s + E_j/e) is the integer vector M(eX) + M(sE_j) over
@@ -217,27 +225,6 @@ def _step(model: IfsModel, ledger: VertexLedger):
     )
     entries = tuple((pt, candidates[x]) for x, pt in lattice)
     return VertexLedger(ledger.step + 1, entries), poly
-
-
-def step_hull(model: IfsModel, ledger: VertexLedger) -> VertexLedger:
-    """Advance the vertex ledger from step k to step k+1.
-
-    Candidates are the images T(v + d_j) of the current vertices only; that
-    is sufficient because extreme points of a union of affine images of a
-    hull are images of extreme points.  Coincident candidates keep the
-    lexicographically smallest address.
-    """
-    return _step(model, ledger)[0]
-
-
-def iterate_hulls(model: IfsModel, steps: int):
-    """Ledgers for steps 1..steps (list of VertexLedger)."""
-    out = []
-    ledger = initial_ledger(model)
-    for _ in range(steps):
-        ledger = step_hull(model, ledger)
-        out.append(ledger)
-    return out
 
 
 def brute_force_vertices(model: IfsModel, k: int, budget: int = 10**6):

@@ -9,9 +9,10 @@ cost linear in the sample count instead of exponential in the depth.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from . import decide as decide_mod
-from .ifs import IfsModel, attractor_radius_bound, iterate_hulls
+from .ifs import IfsModel, attractor_radius_bound
 
 _PALETTE = ("#6a9f58", "#d1842f", "#4f7cac", "#a65a8a", "#8a8a3c", "#53a2a2")
 _POINT_COLOR = "#30506d"
@@ -64,9 +65,9 @@ def render_svg(model: IfsModel, steps: int, samples: int, seed: int, out_path: s
 
     decision, _report = decide_mod.decide_polytope(model)
     if decision.stabilization_index is not None:
-        hull_steps = min(steps, decision.stabilization_index + 1)
+        overlays = min(steps, decision.stabilization_index + 1)
     else:
-        hull_steps = steps
+        overlays = steps
 
     rng = random.Random(seed)
     point_elems = []
@@ -80,9 +81,8 @@ def render_svg(model: IfsModel, steps: int, samples: int, seed: int, out_path: s
         )
 
     hull_elems = []
-    ledgers = iterate_hulls(model, hull_steps)
-    for i, ledger in enumerate(ledgers, start=1):
-        color = _PALETTE[(i - 1) % len(_PALETTE)]
+    for ledger, _poly in islice(decide_mod.hull_steps(model), 1, overlays + 1):
+        color = _PALETTE[(ledger.step - 1) % len(_PALETTE)]
         pts = [_to_xy(tuple(float(c) for c in p)) for p in ledger.points]
         if len(pts) == 1:
             x, y = pts[0]

@@ -153,7 +153,7 @@ def exact_angle_order_2x2(matrix, denom_max: int) -> ExactAngleResult:
     lambda^k is real exactly when a_k = 0; the smallest such k is the
     denominator of the angle as a fraction of pi.  Scans k <= 2 * denom_max.
     """
-    if len(matrix) != 2 or linalg._mode_of(matrix[0][0]) != RATIONAL:
+    if len(matrix) != 2 or not isinstance(matrix[0][0], Fraction):
         raise FractalHullError("exact angle test requires a rational 2x2 matrix")
     t = matrix[0][0] + matrix[1][1]
     d = linalg.det(matrix)

@@ -11,6 +11,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 from conftest import (
     SUITE_SEED,
@@ -29,14 +30,13 @@ from fractalhull.decide import (
     analyze_model,
     certify_polytope,
     decide_polytope,
+    hull_steps,
 )
 from fractalhull.ifs import (
     EpAddress,
     brute_force_vertices,
     evaluate_ep_address,
     evaluate_finite_address,
-    initial_ledger,
-    step_hull,
     tail_error_bound,
     validate_model,
 )
@@ -151,9 +151,8 @@ def test_criterion_5_oracle_equivalence():
     models = suite5_models()
     ok = len(models) == 100
     for model in models:
-        ledger = initial_ledger(model)
-        for k in range(1, 7):
-            ledger = step_hull(model, ledger)
+        for ledger, _ in islice(hull_steps(model), 1, 7):
+            k = ledger.step
             oracle = brute_force_vertices(model, k)
             if set(ledger.points) != oracle.vertex_set:
                 ok = False

@@ -121,14 +121,72 @@ def test_oracle_match(capsys):
     assert "match: 5 vertices" in out
 
 
+ITERATE_TABLES = {
+    "diagonal.json": [
+        "1 3 0.5", "2 4 0.25", "3 5 0.125", "4 6 0.0625", "5 7 0.03125", "6 8 0.015625",
+    ],
+    "rotation1.json": [
+        "1 2 0.49999999999999994",
+        "2 4 0.24999999999999997",
+        "3 6 0.12499999999999999",
+        "4 8 0.062499999999999986",
+        "5 10 0.031249999999999976",
+        "6 12 0.015624999999999912",
+    ],
+    "sierpinski.json": [
+        "1 3 0.5", "2 3 0.25", "3 3 0.125", "4 3 0.0625", "5 3 0.03125", "6 3 0.015625",
+    ],
+    "twindragon.json": [
+        "1 2 0.7071067811865476",
+        "2 4 0.5",
+        "3 6 0.3535533905932738",
+        "4 8 0.25",
+        "5 8 0.1767766952966369",
+        "6 8 0.125",
+    ],
+}
+
+
 def test_iterate_table(capsys):
-    code = cli.main(["iterate", str(MODELS / "diagonal.json"), "--steps", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "i\tcount\thausdorff_delta"
-    counts = [int(line.split("\t")[1]) for line in lines[1:]]
-    assert counts == [3, 4, 5]
+    assert sorted(ITERATE_TABLES) == sorted(path.name for path in MODELS.glob("*.json"))
+    for name, rows in ITERATE_TABLES.items():
+        code = cli.main(["iterate", str(MODELS / name), "--steps", "6"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "i\tcount\thausdorff_delta"
+        assert lines[1:] == [row.replace(" ", "\t") for row in rows], name
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("iterate", ["--steps", "-2"]),
+        ("oracle", ["--steps", "-1"]),
+        ("render", ["--steps", "-1"]),
+        ("render", ["--points", "-5"]),
+    ],
+)
+def test_negative_counts_are_usage_errors(command, options, tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    out = ["--out", str(svg)] if command == "render" else []
+    assert cli.main([command, str(MODELS / "sierpinski.json"), *options, *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert not svg.exists()
+
+
+def test_zero_counts_stay_valid(tmp_path, capsys):
+    sierpinski = str(MODELS / "sierpinski.json")
+    assert cli.main(["iterate", sierpinski, "--steps", "0"]) == 0
+    assert capsys.readouterr().out == "i\tcount\thausdorff_delta\n"
+    assert cli.main(["oracle", sierpinski, "--steps", "0"]) == 0
+    assert capsys.readouterr().out == "match: 1 vertices\n"
+    svg = tmp_path / "zero.svg"
+    assert cli.main(["render", sierpinski, "--steps", "0", "--points", "0", "--out", str(svg)]) == 0
+    capsys.readouterr()
+    assert "<polygon" not in svg.read_text()
 
 
 def test_bound_output(capsys):
@@ -181,6 +239,16 @@ def test_analyze_report_matches_benchmark_digest(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["analyze", str(MODELS / name), "--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"analyze:{name}"]["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in MODELS.glob("*.json")))
+def test_render_matches_benchmark_digest(name, tmp_path, capsys):
+    """render --points 2000 with the default steps and seed writes the SVG the benchmark stores."""
+    digests = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["cli-files"]
+    out = tmp_path / "render.svg"
+    assert cli.main(["render", str(MODELS / name), "--points", "2000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"render:{name}"]["sha256"]
 
 
 def test_decision_dict_roundtrip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from fractalhull.decide import (
     decide_polytope,
     detect_stabilization,
     extract_ep_addresses,
+    hull_steps,
     inverse_eigenvalue_classes,
 )
 from fractalhull.errors import ExtractionFailure
@@ -36,8 +38,6 @@ from fractalhull.ifs import (
     VertexLedger,
     brute_force_vertices,
     evaluate_ep_address,
-    initial_ledger,
-    step_hull,
     tail_error_bound,
     validate_model,
 )
@@ -103,6 +103,22 @@ def test_extraction_failure():
         extract_ep_addresses(prev, square, ledger, kite)
 
 
+def test_hull_steps_computes_only_the_steps_consumed(monkeypatch):
+    """Sierpinski stabilizes at i = 1, so decide_polytope takes steps 1 and 2 and no more."""
+    real_step = decide_mod._step
+    calls = []
+
+    def step(model, ledger):
+        calls.append(ledger.step)
+        return real_step(model, ledger)
+
+    monkeypatch.setattr(decide_mod, "_step", step)
+    decision, report = decide_polytope(sierpinski_model())
+    assert decision.stabilization_index == 1
+    assert [row.i for row in report.counts] == [1, 2]
+    assert calls == [0, 1]
+
+
 def test_non_bijective_vertex_map_is_inconclusive(monkeypatch):
     """A stable pair whose support map is not a bijection ends INCONCLUSIVE with a reason."""
     model = sierpinski_model()
@@ -149,11 +165,7 @@ def test_vertex_map_polygon_in_3d():
     model = validate_model(
         [[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     )
-    ledger = initial_ledger(model)
-    polys = []
-    for _ in range(5):
-        ledger = step_hull(model, ledger)
-        polys.append(convex_hull(ledger.points))
+    polys = [convex_hull(ledger.points) for ledger, _ in islice(hull_steps(model), 1, 6)]
     assert polys[-2].affine_dim == 2 and polys[-2].ambient_dim == 3
     assert set(support_map(polys[-2], polys[-1]).values()) == polys[-1].vertex_set
     decision, _ = decide_polytope(model)
@@ -379,9 +391,10 @@ def _reference_decide(model):
     if bound is None:
         return VERDICT_EMPTY_U, False, None, None
     counts = []
-    ledger = initial_ledger(model)
+    steps = hull_steps(model)
+    next(steps)
     for i in range(1, bound.k + 2):
-        ledger = step_hull(model, ledger)
+        ledger, _ = next(steps)
         counts.append(ledger.count)
         if i >= 2 and counts[-2] == counts[-1]:
             break
@@ -391,7 +404,7 @@ def _reference_decide(model):
     depth = stabilization + max(2 * bound.k, 8)
     for _attempt in range(4):
         while ledger.step < depth:
-            ledger = step_hull(model, ledger)
+            ledger, _ = next(steps)
         try:
             addresses = _reference_extract(ledger)
         except ExtractionFailure:

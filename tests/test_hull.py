@@ -11,6 +11,7 @@ from conftest import naive_vertices_2d, naive_vertices_3d
 from fractalhull.errors import DegeneratePolytope
 from fractalhull.hull import (
     _dist_point_polytope,
+    _fvec,
     _inside,
     contains,
     convex_hull,
@@ -240,7 +241,7 @@ def _reference_hausdorff(p, q):
 
     def dist(x, poly):
         inside = poly.facets is not None and contains(poly, x)
-        return _dist_point_polytope(x, poly, inside)
+        return _dist_point_polytope(_fvec(x), poly, [_fvec(v) for v in poly.vertices], inside)
 
     return max(max(dist(v, q) for v in p.vertices), max(dist(v, p) for v in q.vertices))
 

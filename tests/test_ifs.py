@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import diag_model, sierpinski_model, suite5_models, twin_dragon_model
 from fractalhull import hull as hull_mod
 from fractalhull.cli import parse_model
+from fractalhull.decide import hull_steps
 from fractalhull.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
@@ -30,8 +32,6 @@ from fractalhull.ifs import (
     evaluate_ep_address,
     evaluate_finite_address,
     initial_ledger,
-    iterate_hulls,
-    step_hull,
     tail_error_bound,
     validate_model,
 )
@@ -105,9 +105,14 @@ def test_ep_period_reduced_to_primitive():
         EpAddress((1,), ())
 
 
+def _ledgers(model, steps):
+    """The ledgers of steps 1..steps."""
+    return [ledger for ledger, _ in islice(hull_steps(model), 1, steps + 1)]
+
+
 def test_step_hull_sierpinski_counts():
     model = sierpinski_model()
-    ledgers = iterate_hulls(model, 2)
+    ledgers = _ledgers(model, 2)
     assert [l.count for l in ledgers] == [3, 3]
     assert set(ledgers[1].points) == {
         (F(0), F(0)), (F(3, 4), F(0)), (F(0), F(3, 4))
@@ -116,7 +121,7 @@ def test_step_hull_sierpinski_counts():
 
 def test_step_hull_diagonal_counts_and_v2():
     model = diag_model()
-    ledgers = iterate_hulls(model, 3)
+    ledgers = _ledgers(model, 3)
     assert [l.count for l in ledgers] == [3, 4, 5]
     assert set(ledgers[1].points) == {
         (F(0), F(0)), (F(3, 4), F(0)), (F(1, 4), F(1, 3)), (F(0), F(4, 9))
@@ -125,17 +130,13 @@ def test_step_hull_diagonal_counts_and_v2():
 
 def test_step_hull_single_map():
     model = validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0]])
-    ledger = initial_ledger(model)
-    for k in range(1, 5):
-        ledger = step_hull(model, ledger)
+    for k, ledger in enumerate(_ledgers(model, 4), start=1):
         assert ledger.entries == (((F(0), F(0)), (1,) * k),)
 
 
 def test_address_consistency():
     model = twin_dragon_model()
-    ledger = initial_ledger(model)
-    for _ in range(8):
-        ledger = step_hull(model, ledger)
+    for ledger in _ledgers(model, 8):
         for point, address in ledger.entries:
             assert evaluate_finite_address(model, address) == point
 
@@ -225,10 +226,11 @@ def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
     for model in (twin_dragon, homothety):
         delta = to_lattice(model.matrix)[1]
         e = to_lattice(model.digits)[1]
-        ledger = initial_ledger(model)
+        steps = hull_steps(model)
+        ledger, _ = next(steps)
         for _ in range(30):
             ledger_lcm = math.lcm(*(c.denominator for p in ledger.points for c in p))
-            ledger = step_hull(model, ledger)
+            ledger, _ = next(steps)
             s, rest = divmod(dens[-1], delta * e)
             assert rest == 0
             assert s <= ledger_lcm
@@ -241,13 +243,13 @@ def test_brute_force_matches_examples():
 
     model = diag_model()
     poly = brute_force_vertices(model, 3)
-    ledger = iterate_hulls(model, 3)[-1]
+    ledger = _ledgers(model, 3)[-1]
     assert poly.vertex_set == set(ledger.points)
     assert len(poly.vertices) == 5
 
     model = twin_dragon_model()
     poly = brute_force_vertices(model, 10)
-    ledger = iterate_hulls(model, 10)[-1]
+    ledger = _ledgers(model, 10)[-1]
     assert poly.vertex_set == set(ledger.points)
 
 
@@ -258,16 +260,14 @@ def test_brute_force_budget():
 
 def test_oracle_equivalence_random_models():
     for model in suite5_models()[:15]:
-        ledger = initial_ledger(model)
-        for k in range(1, 6):
-            ledger = step_hull(model, ledger)
+        for k, ledger in enumerate(_ledgers(model, 5), start=1):
             oracle = brute_force_vertices(model, k)
             assert set(ledger.points) == oracle.vertex_set, (model.matrix, k)
 
 
 def test_monotone_hulls():
     for model in (sierpinski_model(), diag_model(), twin_dragon_model()):
-        ledgers = iterate_hulls(model, 6)
+        ledgers = _ledgers(model, 6)
         for small, big in zip(ledgers, ledgers[1:]):
             outer = convex_hull(big.points)
             for v in small.points:
@@ -276,7 +276,7 @@ def test_monotone_hulls():
 
 def test_count_growth_bounded():
     for model in suite5_models()[:10]:
-        ledgers = iterate_hulls(model, 5)
+        ledgers = _ledgers(model, 5)
         counts = [l.count for l in ledgers]
         for a, b in zip(counts, counts[1:]):
             assert b <= model.digit_count * a
@@ -303,8 +303,8 @@ def test_conjugation_invariance():
         T2 = mat_mul(mat_mul(S, model.matrix), S_inv)
         D2 = [mat_vec(S, d) for d in model.digits]
         conj = validate_model(T2, D2)
-        counts_a = [l.count for l in iterate_hulls(model, 5)]
-        counts_b = [l.count for l in iterate_hulls(conj, 5)]
+        counts_a = [l.count for l in _ledgers(model, 5)]
+        counts_b = [l.count for l in _ledgers(conj, 5)]
         assert counts_a == counts_b
 
 
