@@ -333,6 +333,28 @@ def _cmd_oracle(args):
     return 2
 
 
+def _candidate(model, i, item):
+    """(EpAddress, normalized point) of candidate-file item i, each field checked."""
+
+    def digits(key, least):
+        value, q = item.get(key, []), model.digit_count
+        if not isinstance(value, list) or len(value) < least or not all(
+            type(j) is int and 1 <= j <= q for j in value  # bools are not digits
+        ):
+            kind = "a nonempty list" if least else "a list"
+            raise ModelFileError(f"candidate {i}: {key!r} must be {kind} of digits 1..{q}")
+        return tuple(value)
+
+    if not isinstance(item, dict):
+        raise ModelFileError(f"candidate {i}: must be an object")
+    point = item.get("point")
+    if not isinstance(point, list) or len(point) != model.dim:
+        raise ModelFileError(f"candidate {i}: 'point' must be a list of {model.dim} entries")
+    ep = EpAddress(digits("prefix", 0), digits("period", 1))
+    point = make_vector([parse_entry(v, model.mode) for v in point], model.mode)
+    return ep, vec_sub(point, model.normalization_shift)
+
+
 def _cmd_certify(args):
     model, _opts = parse_model(args.model)
     try:
@@ -342,12 +364,7 @@ def _cmd_certify(args):
         raise ModelFileError(f"cannot read candidate list: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         raise ModelFileError("candidate file must be a nonempty JSON list")
-    candidates = []
-    for item in doc:
-        point = make_vector([parse_entry(v, model.mode) for v in item["point"]], model.mode)
-        normalized = vec_sub(point, model.normalization_shift)
-        ep = EpAddress(tuple(item.get("prefix", [])), tuple(item["period"]))
-        candidates.append((ep, normalized))
+    candidates = [_candidate(model, i, item) for i, item in enumerate(doc)]
     result = decide_mod.certify_polytope(model, candidates)
     for check in result.checks:
         print(f"  [{'ok' if check.ok else 'FAIL'}] {check.name}: {check.detail}")

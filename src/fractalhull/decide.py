@@ -16,6 +16,9 @@ point equals the exact value of its address, hence lies in F; (b) the
 candidates are exactly the vertices of their own hull P*; (c) every image
 T(v + d_j) of a vertex stays inside P*, hence the attractor map sends P*
 into itself and F is trapped inside P*.  Together: P* <= conv(F) <= P*.
+In rational mode certification reads only the model and the candidates and
+runs on integers: (a) is an exact fixed-point test, not a second evaluation,
+and (c) tests the lattice images against integer facet rows.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from . import hull as hull_mod
 from . import linalg, spectral
 from ._version import __version__
 from .errors import ExtractionFailure
-from .ifs import EpAddress, IfsModel, evaluate_ep_address, initial_ledger
+from .ifs import (
+    EpAddress, IfsModel, evaluate_ep_address, initial_ledger, is_address_value, lattice_images
+)
 
 # The one private import across modules: the benchmark tracer wraps
 # decide._step as well as ifs._step, so hull_steps calls the step through
 # this module's global.
 from .ifs import _step
-from .linalg import RATIONAL
+from .linalg import RATIONAL, vec_add
 
 VERDICT_POLYTOPE = "POLYTOPE"
 VERDICT_EMPTY_U = "NOT_POLYTOPE_EMPTY_U"
@@ -163,25 +168,21 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     exact = model.mode == RATIONAL
     if eps is None:
         eps = model.geom_eps()
-    checks = []
-    points = []
-    eval_ok = True
-    for ep, point in candidates:
-        value = evaluate_ep_address(model, ep)
-        if exact:
-            good = value == point
-        else:
-            good = linalg.norm2(linalg.vec_sub(value, point)) <= eps
-        if not good:
-            eval_ok = False
-        points.append(point)
-    checks.append(
+    points = [point for _, point in candidates]
+    if exact:
+        evaluated = [is_address_value(model, ep, point) for ep, point in candidates]
+    else:
+        evaluated = [
+            linalg.norm2(linalg.vec_sub(evaluate_ep_address(model, ep), point)) <= eps
+            for ep, point in candidates
+        ]
+    checks = [
         CertCheck(
             "address_evaluation",
-            eval_ok,
+            all(evaluated),
             "every candidate point equals the exact value of its address",
         )
-    )
+    ]
 
     poly = hull_mod.convex_hull(points, eps=model.geom_eps())
     if exact:
@@ -196,19 +197,18 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
         )
     )
 
-    containment_ok = True
-    first_violation = None
-    for point in points:
-        for j, digit in enumerate(model.digits, start=1):
-            image = linalg.mat_vec(model.matrix, linalg.vec_add(point, digit))
-            if not hull_mod.contains(poly, image, eps=eps):
-                containment_ok = False
-                if first_violation is None:
-                    first_violation = (point, j)
+    if exact and poly.facets is not None:
+        rows, den = lattice_images(model, *linalg.to_lattice(points))
+        inside = hull_mod.lattice_contains(poly, den)
+    else:
+        rows = [[linalg.mat_vec(model.matrix, vec_add(x, d)) for d in model.digits] for x in points]
+        inside = lambda y: hull_mod.contains(poly, y, eps=eps)
+    images = ((x, j, y) for x, row in zip(points, rows) for j, y in enumerate(row, start=1))
+    violation = next(((x, j) for x, j, y in images if not inside(y)), None)
     detail = "every image T(v + d_j) of a candidate vertex lies in the hull"
-    if first_violation is not None:
-        detail = f"image of vertex {first_violation[0]} under digit {first_violation[1]} escapes the hull"
-    checks.append(CertCheck("self_mapping", containment_ok, detail))
+    if violation is not None:
+        detail = f"image of vertex {violation[0]} under digit {violation[1]} escapes the hull"
+    checks.append(CertCheck("self_mapping", violation is None, detail))
 
     failure = next((check.name for check in checks if not check.ok), None)
     ok = failure is None

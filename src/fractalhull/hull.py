@@ -671,16 +671,21 @@ def _dist_point_polytope(xf, poly: Polytope, verts, inside):
     )
 
 
+def lattice_contains(poly: Polytope, den):
+    """Test n.X <= c*den for integer points X over den, in an exact poly with facets."""
+    rows, _ = to_lattice([normal + (offset,) for normal, offset in poly.facets])
+    facets = [(row[:-1], row[-1] * den) for row in rows]
+    return lambda x: all(dot(n, x) <= c for n, c in facets)
+
+
 def _inside(points, poly):
     """contains(poly, x) for each x if poly has facets; exact data runs as n.X <= c*den."""
     if poly.facets is None:
         return [False] * len(points)
     if not _is_exact(poly.vertices[0]):
         return [contains(poly, x) for x in points]
-    rows, _ = to_lattice([normal + (offset,) for normal, offset in poly.facets])
     xs, den = to_lattice(points)
-    facets = [(row[:-1], row[-1] * den) for row in rows]
-    return [all(dot(n, x) <= c for n, c in facets) for x in xs]
+    return list(map(lattice_contains(poly, den), xs))
 
 
 def hausdorff(p: Polytope, q: Polytope):

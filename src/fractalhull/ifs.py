@@ -14,7 +14,9 @@ of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import hull as hull_mod
@@ -46,6 +48,13 @@ class IfsModel:
     def geom_eps(self):
         """Geometric tolerance: zero in rational mode, eps_geom otherwise."""
         return 0.0 if self.mode == RATIONAL else self.tol.eps_geom
+
+    @functools.cached_property
+    def lattice(self):
+        """(M, delta, (M E_j), e) for T = M/delta and digits E_j/e (rational mode)."""
+        matrix, delta = linalg.to_lattice(self.matrix)
+        digits, e = linalg.to_lattice(self.digits)
+        return matrix, delta, tuple(linalg.mat_vec(matrix, d) for d in digits), e
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,18 @@ def _check_indices(model, indices):
             raise ValueError(f"digit index {j} out of range 1..{model.digit_count}")
 
 
+def lattice_images(model: IfsModel, points, s):
+    """Images T(x + d_j) of the points x = X/s under every digit, on integers.
+
+    With T = M/delta and digits E_j/e, image j of X is M(eX) + s(M E_j) over
+    delta*e*s.  Returns (rows, delta*e*s), one row of q images per point.
+    """
+    matrix, delta, shifts, e = model.lattice
+    images = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
+    shifts = [linalg.vec_scale(s, z) for z in shifts]
+    return [[linalg.vec_add(y, z) for z in shifts] for y in images], delta * e * s
+
+
 def evaluate_finite_address(model: IfsModel, address):
     """Value of a finite address: sum of T^s d_{j_s}, evaluated Horner-style."""
     address = tuple(address)
@@ -161,19 +182,49 @@ def evaluate_ep_address(model: IfsModel, ep: EpAddress):
 
     The periodic tail solves y = T^p y + g with g the one-block sum, which is
     nonsingular because the spectral radius of T is below 1; the prefix is
-    then folded around the tail.
+    then folded around the tail.  In rational mode g is an integer Horner sum
+    A over e*delta^p, and (delta^p I - M^p) y = A/e is solved on ints by
+    Cramer's rule; Fractions are built only for y.
     """
-    _check_indices(model, ep.prefix)
-    _check_indices(model, ep.period)
+    _check_indices(model, ep.prefix + ep.period)
     p = len(ep.period)
-    block = evaluate_finite_address(model, ep.period)
-    eye = linalg.identity(model.dim, model.mode)
-    tp = linalg.mat_pow(model.matrix, p)
-    y = linalg.solve(linalg.mat_sub(eye, tp), block, eps=model.geom_eps())
+    if model.mode == RATIONAL:
+        matrix, _, _, e = model.lattice
+        block, s = (0,) * model.dim, e
+        for j in reversed(ep.period):
+            (row,), s = lattice_images(model, [block], s)
+            block, s = tuple(c // e for c in row[j - 1]), s // e
+        mp = functools.reduce(linalg.mat_mul, [matrix] * p)
+        b = [[s // e * (i == k) - mp[i][k] for k in range(model.dim)] for i in range(model.dim)]
+        cols = ([r[:i] + [a] + r[i + 1 :] for r, a in zip(b, block)] for i in range(model.dim))
+        y = tuple(Fraction(linalg.det(c), linalg.det(b) * e) for c in cols)
+    else:
+        block = evaluate_finite_address(model, ep.period)
+        eye = linalg.identity(model.dim, model.mode)
+        tp = linalg.mat_pow(model.matrix, p)
+        y = linalg.solve(linalg.mat_sub(eye, tp), block, eps=model.geom_eps())
     acc = y
     for j in reversed(ep.prefix):
         acc = linalg.mat_vec(model.matrix, linalg.vec_add(model.digits[j - 1], acc))
     return acc
+
+
+def is_address_value(model: IfsModel, ep: EpAddress, point):
+    """Whether a rational point is the value of ep, by an exact fixed-point test.
+
+    The prefix is peeled off by the inverse maps x -> T^{-1}x - d_j; the rest
+    must be fixed by the period's composite map, applied on the lattice.  That
+    map's fixed point is unique (I - T^p is nonsingular), so no solve is needed.
+    """
+    _check_indices(model, ep.prefix + ep.period)
+    for j in ep.prefix:
+        point = linalg.vec_sub(linalg.solve(model.matrix, point), model.digits[j - 1])
+    (y,), s = linalg.to_lattice([point])
+    image, t = y, s
+    for j in reversed(ep.period):
+        (row,), t = lattice_images(model, [image], t)
+        image = row[j - 1]
+    return linalg.vec_scale(t, y) == linalg.vec_scale(s, image)
 
 
 def initial_ledger(model: IfsModel) -> VertexLedger:
@@ -188,20 +239,14 @@ def _step(model: IfsModel, ledger: VertexLedger):
     hull are images of extreme points.  Coincident candidates keep the
     lexicographically smallest address.
 
-    In rational mode the step runs on integers: with T = M/delta, digits
-    E_j/e and the ledger points X/s over the lcm s of their denominators,
-    each candidate T(X/s + E_j/e) is the integer vector M(eX) + M(sE_j) over
-    delta*e*s.  The scale restarts from the ledger at every step, so the
-    integers grow no faster than the ledger's Fractions.
+    In rational mode the step runs on integers (lattice_images), with the
+    ledger points X/s over the lcm s of their denominators.  The scale
+    restarts from the ledger at every step, so the integers grow no faster
+    than the ledger's Fractions.
     """
     exact = model.mode == RATIONAL
     if exact:
-        matrix, delta = linalg.to_lattice(model.matrix)
-        digits, e = linalg.to_lattice(model.digits)
-        points, s = linalg.to_lattice(ledger.points)
-        images = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
-        shifts = [linalg.mat_vec(matrix, linalg.vec_scale(s, d)) for d in digits]
-        rows = ([linalg.vec_add(y, z) for z in shifts] for y in images)
+        rows, den = lattice_images(model, *linalg.to_lattice(ledger.points))
     else:
         rows = (
             [linalg.mat_vec(model.matrix, linalg.vec_add(x, d)) for d in model.digits]
@@ -218,7 +263,6 @@ def _step(model: IfsModel, ledger: VertexLedger):
         poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
         entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
         return VertexLedger(ledger.step + 1, entries), poly
-    den = delta * e * s
     poly = hull_mod.lattice_hull(sorted(candidates), den)
     lattice = sorted(
         (tuple(c.numerator * (den // c.denominator) for c in pt), pt) for pt in poly.vertices

@@ -6,6 +6,9 @@ import math
 import random
 from fractions import Fraction as F
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from fractalhull import validate_model
 from fractalhull.linalg import spectral_radius, det
 
@@ -67,6 +70,41 @@ def suite5_models():
         rng = random.Random(SUITE_SEED)
         _SUITE5_CACHE = [random_contracting_model(rng) for _ in range(100)]
     return _SUITE5_CACHE
+
+
+_entry = st.builds(F, st.integers(-3, 3), st.integers(1, 8))
+_coord = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def rational_models(draw):
+    """Contracting rational models in dimension 1 to 3 with degenerate digit sets.
+
+    Digit layouts: generic, collinear, coplanar (in 3D), an evenly spaced grid
+    (with a homothety T its images coincide, which exercises the address
+    tie-break) and a single digit (every hull is one point).
+    """
+    dim = draw(st.sampled_from((1, 2, 3)))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((F(1, 2), F(-1, 3), F(2, 3), F(-3, 4))))
+        matrix = [[c if i == j else F(0) for j in range(dim)] for i in range(dim)]
+    else:
+        matrix = [[draw(_entry) for _ in range(dim)] for _ in range(dim)]
+        assume(det(matrix) != 0 and max(sum(abs(c) for c in row) for row in matrix) < 1)
+    u, v = (tuple(draw(_coord) for _ in range(dim)) for _ in range(2))
+    layout = draw(st.sampled_from(("generic", "collinear", "coplanar", "grid", "single")))
+    if layout == "single":
+        digits = [u]
+    elif layout == "collinear":
+        digits = [tuple(draw(_coord) * c for c in u) for _ in range(draw(st.integers(2, 4)))]
+    elif layout == "coplanar":
+        coeffs = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=5))
+        digits = [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in coeffs]
+    elif layout == "grid":
+        digits = [tuple(i * x + j * y for x, y in zip(u, v)) for i in range(3) for j in range(2)]
+    else:
+        digits = [tuple(draw(_coord) for _ in range(dim)) for _ in range(draw(st.integers(2, 4)))]
+    return validate_model(matrix, digits)
 
 
 # --- exact membership oracles (independent of the hull implementation) ---

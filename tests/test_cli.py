@@ -288,6 +288,48 @@ def test_certify_subcommand(tmp_path, capsys):
     assert "NOT CERTIFIED" in out
 
 
+def _certify(tmp_path, candidates):
+    cfile = tmp_path / "candidates.json"
+    cfile.write_text(json.dumps(candidates), encoding="utf-8")
+    return cli.main(["certify", str(MODELS / "sierpinski.json"), "--vertices", str(cfile)])
+
+
+def test_certify_peels_an_address_prefix(tmp_path, capsys):
+    candidates = [
+        {"point": ["0", "0"], "period": [1]},
+        {"point": ["1", "0"], "prefix": [2], "period": [2]},
+        {"point": ["0", "1"], "prefix": [], "period": [3]},
+    ]
+    assert _certify(tmp_path, candidates) == 0
+    assert "CERTIFIED: 3 vertices" in capsys.readouterr().out
+
+    candidates[1]["prefix"] = [3]
+    assert _certify(tmp_path, candidates) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL] address_evaluation" in out
+    assert "NOT CERTIFIED: check 'address_evaluation' failed" in out
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        (7, "candidate 1: must be an object"),
+        ({"period": [2]}, "candidate 1: 'point' must be a list of 2 entries"),
+        ({"point": ["1"], "period": [2]}, "candidate 1: 'point' must be a list of 2 entries"),
+        ({"point": ["1", "0"]}, "candidate 1: 'period' must be a nonempty list of digits 1..3"),
+        ({"point": ["1", "0"], "period": ["a"]}, "candidate 1: 'period' must be a nonempty"),
+        ({"point": ["1", "0"], "period": [True]}, "candidate 1: 'period' must be a nonempty"),
+        ({"point": ["1", "0"], "prefix": 2, "period": [2]}, "candidate 1: 'prefix' must be a list"),
+    ],
+)
+def test_certify_rejects_malformed_candidates(tmp_path, capsys, item, message):
+    candidates = [{"point": ["0", "0"], "period": [1]}, item]
+    assert _certify(tmp_path, candidates) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 def test_render_deterministic(tmp_path, capsys):
     svg1 = tmp_path / "a.svg"
     svg2 = tmp_path / "b.svg"

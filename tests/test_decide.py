@@ -7,9 +7,12 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     diag_model,
+    rational_models,
     rot1_model,
     sierpinski_model,
     suite5_models,
@@ -32,7 +35,8 @@ from fractalhull.decide import (
     inverse_eigenvalue_classes,
 )
 from fractalhull.errors import ExtractionFailure
-from fractalhull.hull import convex_hull, support_map
+from fractalhull import hull as hull_mod
+from fractalhull.hull import contains, convex_hull, support_map
 from fractalhull.ifs import (
     EpAddress,
     VertexLedger,
@@ -41,7 +45,7 @@ from fractalhull.ifs import (
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import RATIONAL, vec_add, vec_scale, vec_sub
+from fractalhull.linalg import RATIONAL, mat_vec, vec_add, vec_scale, vec_sub
 from fractalhull.spectral import compute_step_bound
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -271,6 +275,73 @@ def test_certify_wrong_point_fails_evaluation():
     result = certify_polytope(model, candidates)
     assert not result.ok
     assert result.failure == "address_evaluation"
+
+
+def _reference_self_mapping(model, points):
+    """Check (c) with one Fraction contains() per image: (ok, detail)."""
+    poly = convex_hull(points)
+    escapes = [
+        (point, j)
+        for point in points
+        for j, digit in enumerate(model.digits, start=1)
+        if not contains(poly, mat_vec(model.matrix, vec_add(point, digit)))
+    ]
+    if not escapes:
+        return True, "every image T(v + d_j) of a candidate vertex lies in the hull"
+    point, j = escapes[0]
+    return False, f"image of vertex {point} under digit {j} escapes the hull"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_models(), st.data())
+# degenerate hulls: a point, a segment in the plane, a polygon inside 3D
+@example(validate_model([[F(1, 2), 0], [0, F(1, 3)]], [[1, 1]]), None)
+@example(validate_model([[F(-1, 3), 0], [0, F(-1, 3)]], [[0, 0], [1, 2], [2, 4]]), None)
+@example(validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0]]), None)
+# full-dimensional 3D hulls: a tetrahedron and a quarter turn about the z axis
+@example(validate_model([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), None)
+@example(validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 2)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), None)
+def test_integer_self_mapping_matches_fraction_contains(model, data):
+    """Check (c) on integer facets gives the ok flag and detail of per-image contains()."""
+    sets = []
+    bound = compute_step_bound(inverse_eigenvalue_classes(model))
+    if bound is not None and bound.k <= 16:
+        decision, _ = decide_polytope(model)
+        if decision.vertices:
+            sets.append([(ep, point) for point, ep in decision.vertices])
+    step = data.draw(st.integers(1, 4)) if data else 3
+    ledger, _ = next(islice(hull_steps(model), step, None))
+    sets.append([(EpAddress(address, (1,)), point) for point, address in ledger.entries])
+    for candidates in list(sets):
+        if len(candidates) > 1:
+            drop = data.draw(st.integers(0, len(candidates) - 1)) if data else 0
+            sets.append(candidates[:drop] + candidates[drop + 1 :])
+    for candidates in sets:
+        check = certify_polytope(model, candidates).checks[2]
+        points = [point for _, point in candidates]
+        assert (check.ok, check.detail) == _reference_self_mapping(model, points)
+
+
+def test_decide_evaluates_each_address_once(monkeypatch):
+    """Certification re-evaluates no address and calls no Fraction contains()."""
+    model, _opts = parse_model(str(MODELS / "twindragon.json"))
+    evaluate = decide_mod.evaluate_ep_address
+    evaluated, contains_calls = [], []
+
+    def counting_evaluate(model, ep):
+        evaluated.append(ep)
+        return evaluate(model, ep)
+
+    monkeypatch.setattr(decide_mod, "evaluate_ep_address", counting_evaluate)
+    monkeypatch.setattr(hull_mod, "contains", lambda *args, **kw: contains_calls.append(args))
+    decision, _ = decide_polytope(model)
+    assert decision.certified
+    assert len(evaluated) == len(decision.vertices) == 8
+    assert set(evaluated) == {ep for _, ep in decision.vertices}
+    assert contains_calls == []
 
 
 def test_perturbation_rejection():

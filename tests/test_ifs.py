@@ -9,10 +9,16 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import diag_model, sierpinski_model, suite5_models, twin_dragon_model
+from conftest import (
+    diag_model,
+    rational_models,
+    sierpinski_model,
+    suite5_models,
+    twin_dragon_model,
+)
 from fractalhull import hull as hull_mod
 from fractalhull.cli import parse_model
 from fractalhull.decide import hull_steps
@@ -32,10 +38,21 @@ from fractalhull.ifs import (
     evaluate_ep_address,
     evaluate_finite_address,
     initial_ledger,
+    is_address_value,
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import det, mat_vec, norm2, to_lattice, vec_add, vec_sub
+from fractalhull.linalg import (
+    identity,
+    mat_pow,
+    mat_sub,
+    mat_vec,
+    norm2,
+    solve,
+    to_lattice,
+    vec_add,
+    vec_sub,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -156,41 +173,6 @@ def _fraction_step(model, ledger):
     return VertexLedger(ledger.step + 1, entries), poly
 
 
-_entry = st.builds(F, st.integers(-3, 3), st.integers(1, 8))
-_coord = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
-
-
-@st.composite
-def rational_models(draw):
-    """Contracting rational models in dimension 1 to 3 with degenerate digit sets.
-
-    Digit layouts: generic, collinear, coplanar (in 3D), an evenly spaced grid
-    (with a homothety T its images coincide, which exercises the address
-    tie-break) and a single digit (every hull is one point).
-    """
-    dim = draw(st.sampled_from((1, 2, 3)))
-    if draw(st.booleans()):
-        c = draw(st.sampled_from((F(1, 2), F(-1, 3), F(2, 3), F(-3, 4))))
-        matrix = [[c if i == j else F(0) for j in range(dim)] for i in range(dim)]
-    else:
-        matrix = [[draw(_entry) for _ in range(dim)] for _ in range(dim)]
-        assume(det(matrix) != 0 and max(sum(abs(c) for c in row) for row in matrix) < 1)
-    u, v = (tuple(draw(_coord) for _ in range(dim)) for _ in range(2))
-    layout = draw(st.sampled_from(("generic", "collinear", "coplanar", "grid", "single")))
-    if layout == "single":
-        digits = [u]
-    elif layout == "collinear":
-        digits = [tuple(draw(_coord) * c for c in u) for _ in range(draw(st.integers(2, 4)))]
-    elif layout == "coplanar":
-        coeffs = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=5))
-        digits = [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in coeffs]
-    elif layout == "grid":
-        digits = [tuple(i * x + j * y for x, y in zip(u, v)) for i in range(3) for j in range(2)]
-    else:
-        digits = [tuple(draw(_coord) for _ in range(dim)) for _ in range(draw(st.integers(2, 4)))]
-    return validate_model(matrix, digits)
-
-
 @settings(max_examples=150, deadline=None)
 @given(rational_models())
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]))
@@ -234,6 +216,64 @@ def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
             s, rest = divmod(dens[-1], delta * e)
             assert rest == 0
             assert s <= ledger_lcm
+
+
+def _fraction_evaluate(model, ep):
+    """The Fraction evaluator of an EpAddress: Horner block, Gaussian solve, prefix fold."""
+    block = (F(0),) * model.dim
+    for j in reversed(ep.period):
+        block = mat_vec(model.matrix, vec_add(model.digits[j - 1], block))
+    tp = mat_pow(model.matrix, len(ep.period))
+    acc = solve(mat_sub(identity(model.dim), tp), block)
+    for j in reversed(ep.prefix):
+        acc = mat_vec(model.matrix, vec_add(model.digits[j - 1], acc))
+    return acc
+
+
+def _addresses(model):
+    digit = st.integers(1, model.digit_count)
+    return st.builds(
+        EpAddress,
+        st.lists(digit, min_size=0, max_size=3),
+        st.lists(digit, min_size=1, max_size=12),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_evaluate_matches_fraction_evaluator(data):
+    """The integer Horner sum and Cramer solve give the Fraction evaluator's value."""
+    model = data.draw(rational_models())
+    for _ in range(3):
+        ep = data.draw(_addresses(model))
+        value = evaluate_ep_address(model, ep)
+        reference = _fraction_evaluate(model, ep)
+        assert value == reference and repr(value) == repr(reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fixed_point_check_accepts_value_and_rejects_perturbation(data):
+    """is_address_value holds at the value of an address and not next to it."""
+    model = data.draw(rational_models())
+    drawn = data.draw(_addresses(model))
+    prefixed = EpAddress((model.digit_count,), drawn.period)
+    for ep in (drawn, EpAddress((), drawn.period), prefixed):
+        value = evaluate_ep_address(model, ep)
+        assert is_address_value(model, ep, value)
+        axis = data.draw(st.integers(0, model.dim - 1))
+        shift = data.draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 10**6)))
+        moved = tuple(c + shift if i == axis else c for i, c in enumerate(value))
+        assert not is_address_value(model, ep, moved)
+
+
+def test_fixed_point_check_peels_the_prefix():
+    """A ledger point is the value of its finite address followed by the origin digit 1."""
+    for model in (sierpinski_model(), twin_dragon_model(), diag_model()):
+        for ledger, _ in islice(hull_steps(model), 1, 6):
+            for point, address in ledger.entries:
+                assert is_address_value(model, EpAddress(address, (1,)), point)
+                assert not is_address_value(model, EpAddress(address, (2,)), point)
 
 
 def test_brute_force_matches_examples():
