@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
@@ -599,9 +598,13 @@ def _fvec(v):
     return tuple(float(c) for c in v)
 
 
-def _dist_point_segment(x, a, b):
+def _edge(a, b):
+    """Float segment data (a, b - a, |b - a|^2) for _dist_point_segment."""
     d = tuple(bb - aa for aa, bb in zip(a, b))
-    dd = sum(c * c for c in d)
+    return a, d, sum(c * c for c in d)
+
+
+def _dist_point_segment(x, a, d, dd):
     if dd == 0.0:
         return math.dist(x, a)
     t = sum((xx - aa) * c for xx, aa, c in zip(x, a, d)) / dd
@@ -648,27 +651,31 @@ def _dist_point_triangle(p, a, b, c):
     return math.dist(p, closest)
 
 
-def _dist_point_polytope(xf, poly: Polytope, verts, inside):
-    """Distance from the float point xf to poly, whose vertices as floats are verts."""
+def _pieces(poly: Polytope, verts):
+    """(dist, args): the distance from a float point xf outside poly is the least
+    dist(xf, *a) over args.  verts are poly's vertices as floats; the pieces are
+    a point, a segment, the edges of a polygon, the fan triangles of a polygon
+    inside 3D or the faces of a solid.
+    """
     if poly.affine_dim == 0:
-        return math.dist(xf, verts[0])
+        return math.dist, [verts[:1]]
     if poly.affine_dim == 1:
-        return _dist_point_segment(xf, verts[0], verts[1])
+        return _dist_point_segment, [_edge(*verts)]
     if poly.ambient_dim == 2:
-        if inside:
-            return 0.0
-        r = len(verts)
-        return min(_dist_point_segment(xf, verts[i], verts[(i + 1) % r]) for i in range(r))
+        return _dist_point_segment, list(map(_edge, verts, verts[1:] + verts[:1]))
     if poly.affine_dim == 2:
-        return min(
-            _dist_point_triangle(xf, verts[0], verts[i], verts[i + 1])
-            for i in range(1, len(verts) - 1)
-        )
+        return _dist_point_triangle, [
+            (verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)
+        ]
+    return _dist_point_triangle, [(verts[a], verts[b], verts[c]) for a, b, c in poly.faces]
+
+
+def _dist_point_polytope(xf, pieces, inside):
+    """Distance from the float point xf to a polytope given by its _pieces."""
     if inside:
         return 0.0
-    return min(
-        _dist_point_triangle(xf, verts[a], verts[b], verts[c]) for a, b, c in poly.faces
-    )
+    dist, args = pieces
+    return min(dist(xf, *a) for a in args)
 
 
 def lattice_contains(poly: Polytope, den):
@@ -678,18 +685,61 @@ def lattice_contains(poly: Polytope, den):
     return lambda x: all(dot(n, x) <= c for n, c in facets)
 
 
-def _inside(points, poly):
-    """contains(poly, x) for each x if poly has facets; exact data runs as n.X <= c*den."""
-    if poly.facets is None:
-        return [False] * len(points)
+def _inside(x, poly):
+    """contains(poly, x) for poly with facets; exact data runs as n.X <= c*den."""
     if not _is_exact(poly.vertices[0]):
-        return [contains(poly, x) for x in points]
-    xs, den = to_lattice(points)
-    return list(map(lattice_contains(poly, den), xs))
+        return contains(poly, x)
+    (point,), den = to_lattice([x])
+    return lattice_contains(poly, den)(point)
+
+
+def _directed(xs, xf, poly, verts, best):
+    """max(best, the distance from each x in xs to poly); xf, verts are floats.
+
+    Each point's distance to one guessed piece bounds its distance from above,
+    and the points run in decreasing order of that bound; once a bound is at
+    most best, no point left can raise it.  The guess starts at the previous
+    point's guess (for a solid: at a face through the vertex nearest to the
+    point) and walks the pieces forward while the next one is strictly closer.
+    """
+    pieces = _pieces(poly, verts)
+    dist, args = pieces
+    r = len(args)
+    face_at = {}
+    for i, tri in enumerate(poly.faces or ()):
+        for t in tri:
+            face_at.setdefault(t, i)
+    bounds = []
+    j = 0
+    for x in xf:
+        if face_at:
+            j = face_at[min(range(len(verts)), key=lambda t: math.dist(x, verts[t]))]
+        d = dist(x, *args[j])
+        for _ in range(r - 1):
+            k = j + 1 if j + 1 < r else 0
+            dk = dist(x, *args[k])
+            if dk >= d:
+                break
+            j, d = k, dk
+        bounds.append(d)
+    for i in sorted(range(len(xs)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] <= best:
+            break
+        inside = poly.facets is not None and _inside(xs[i], poly)
+        best = max(best, _dist_point_polytope(xf[i], pieces, inside))
+    return best
 
 
 def hausdorff(p: Polytope, q: Polytope):
-    """Hausdorff distance between two convex polytopes, as a float."""
+    """Hausdorff distance between two convex polytopes, as a float.
+
+    Bit-identical to the max over the vertices x of either polytope of
+    _dist_point_polytope(x, the other): every piece's float distance bounds
+    that min from above, so a vertex whose bound is at most the best value
+    so far is skipped without its containment test or its full min.  The
+    pass over p's vertices starts from the result of the pass over q's,
+    which for nested steps (p inside q) skips nearly all of them.
+    """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient dimensions")
     if p.ambient_dim == 1:
@@ -698,6 +748,4 @@ def hausdorff(p: Polytope, q: Polytope):
         return max(abs(plo - qlo), abs(phi - qhi))
     pf = [_fvec(v) for v in p.vertices]
     qf = [_fvec(v) for v in q.vertices]
-    d_pq = max(map(_dist_point_polytope, pf, repeat(q), repeat(qf), _inside(p.vertices, q)))
-    d_qp = max(map(_dist_point_polytope, qf, repeat(p), repeat(pf), _inside(q.vertices, p)))
-    return max(d_pq, d_qp)
+    return _directed(p.vertices, pf, q, qf, _directed(q.vertices, qf, p, pf, 0.0))

@@ -194,7 +194,7 @@ def evaluate_ep_address(model: IfsModel, ep: EpAddress):
         for j in reversed(ep.period):
             (row,), s = lattice_images(model, [block], s)
             block, s = tuple(c // e for c in row[j - 1]), s // e
-        mp = functools.reduce(linalg.mat_mul, [matrix] * p)
+        mp = linalg.mat_pow(matrix, p)
         b = [[s // e * (i == k) - mp[i][k] for k in range(model.dim)] for i in range(model.dim)]
         cols = ([r[:i] + [a] + r[i + 1 :] for r, a in zip(b, block)] for i in range(model.dim))
         y = tuple(Fraction(linalg.det(c), linalg.det(b) * e) for c in cols)

@@ -141,11 +141,12 @@ def transpose(A):
 
 
 def mat_pow(T, p):
-    """T**p by repeated squaring; p = 0 yields the identity."""
+    """T**p by repeated squaring; p = 0 yields the identity in T's scalar type."""
     if p < 0:
         raise ValueError("exponent must be nonnegative")
     n = len(T)
-    result = identity(n, _mode_of(T[0][0]))
+    kind = type(T[0][0])
+    result = tuple(tuple(kind(1 if i == j else 0) for j in range(n)) for i in range(n))
     base = T
     while p:
         if p & 1:

@@ -239,7 +239,9 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
     normal of conv(digits) is an eigenvector of some power of the transposed
     map matrix.  Inapplicable when conv(digits) is not full-dimensional.
     Normals are kept unnormalized so the parallelism test stays exact in
-    rational mode.
+    rational mode.  There the recurrence runs on integers: with T^T = M^T/delta
+    and each normal scaled to an integer vector, the iterates of M^T are the
+    Fraction iterates times a positive scale, which parallelism does not see.
     """
     n = len(matrix)
     if n not in (2, 3):
@@ -248,14 +250,18 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
     if digit_hull.affine_dim < n:
         return NormalCriterionResult("inapplicable", (), k_cap)
     tmat = linalg.transpose(matrix)
+    exact = eps == 0 and isinstance(matrix[0][0], Fraction)
+    if exact:
+        tmat = linalg.to_lattice(tmat)[0]
     checks = []
     all_found = True
     for normal, _offset in hull_mod.facet_normals(digit_hull):
-        w = normal
+        start = linalg.to_lattice([normal])[0][0] if exact else normal
+        w = start
         k_found = None
         for k in range(1, k_cap + 1):
             w = linalg.mat_vec(tmat, w)
-            if _parallel(w, normal, eps):
+            if _parallel(w, start, eps):
                 k_found = k
                 break
         if k_found is None:

@@ -344,6 +344,28 @@ def test_decide_evaluates_each_address_once(monkeypatch):
     assert contains_calls == []
 
 
+def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):
+    """Bound-and-skip runs the full distance on about one vertex per direction."""
+    hausdorff, full = hull_mod.hausdorff, hull_mod._dist_point_polytope
+    calls = {"hausdorff": 0, "full": 0}
+
+    def counting_hausdorff(p, q):
+        calls["hausdorff"] += 1
+        return hausdorff(p, q)
+
+    def counting_full(*args):
+        calls["full"] += 1
+        return full(*args)
+
+    monkeypatch.setattr(hull_mod, "hausdorff", counting_hausdorff)
+    monkeypatch.setattr(hull_mod, "_dist_point_polytope", counting_full)
+    for model in suite5_models():
+        decide_polytope(model)
+    # every vertex through the full distance made 3857 evaluations in 270 calls
+    assert calls["hausdorff"] > 0
+    assert calls["full"] <= 2 * calls["hausdorff"]
+
+
 def test_perturbation_rejection():
     model = twin_dragon_model()
     decision, _ = decide_polytope(model)

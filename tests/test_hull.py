@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_vertices_2d, naive_vertices_3d
+from conftest import naive_vertices_2d, naive_vertices_3d, rational_models
+from fractalhull.decide import hull_steps
 from fractalhull.errors import DegeneratePolytope
 from fractalhull.hull import (
     _dist_point_polytope,
+    _dist_point_triangle,
     _fvec,
     _inside,
     contains,
@@ -236,12 +242,35 @@ def test_hausdorff_3d():
     assert abs(hausdorff(unit, bigger) - 3 ** 0.5) < 1e-12
 
 
+def _segment_distance(x, a, b):
+    """The float point-segment distance as it ran before edge data was precomputed."""
+    d = tuple(bb - aa for aa, bb in zip(a, b))
+    dd = sum(c * c for c in d)
+    if dd == 0.0:
+        return math.dist(x, a)
+    t = min(1.0, max(0.0, sum((xx - aa) * c for xx, aa, c in zip(x, a, d)) / dd))
+    return math.dist(x, tuple(aa + t * c for aa, c in zip(a, d)))
+
+
+def _reference_pieces(poly, verts):
+    """The pieces of _pieces, built independently, with the segment distance above."""
+    if poly.affine_dim == 0:
+        return math.dist, [verts[:1]]
+    if poly.affine_dim == 1:
+        return _segment_distance, [verts]
+    if poly.ambient_dim == 2:
+        return _segment_distance, list(zip(verts, verts[1:] + verts[:1]))
+    faces = poly.faces or [(0, i, i + 1) for i in range(1, len(verts) - 1)]
+    return _dist_point_triangle, [[verts[t] for t in face] for face in faces]
+
+
 def _reference_hausdorff(p, q):
-    """hausdorff as it tested containment before: Fraction contains() once per vertex."""
+    """All pairs: every vertex through _dist_point_polytope, with Fraction contains()."""
 
     def dist(x, poly):
         inside = poly.facets is not None and contains(poly, x)
-        return _dist_point_polytope(_fvec(x), poly, [_fvec(v) for v in poly.vertices], inside)
+        pieces = _reference_pieces(poly, [_fvec(v) for v in poly.vertices])
+        return _dist_point_polytope(_fvec(x), pieces, inside)
 
     return max(max(dist(v, q) for v in p.vertices), max(dist(v, p) for v in q.vertices))
 
@@ -264,7 +293,48 @@ def test_hausdorff_integer_containment_matches_fraction_contains():
         assert hausdorff(q, p) == _reference_hausdorff(q, p)
         for a, b in ((p, q), (q, p)):
             if b.facets is not None:
-                assert _inside(a.vertices, b) == [contains(b, x) for x in a.vertices]
+                assert [_inside(x, b) for x in a.vertices] == [contains(b, x) for x in a.vertices]
+
+
+@st.composite
+def _polytopes(draw, dim, exact):
+    """A point, a segment, a polygon (inside 3D too) or a solid; float ones on dyadic points."""
+    dens = (1, 2, 3, 4, 8) if exact else (1, 2, 4, 8)
+    coord = st.builds(F, st.integers(-9, 9), st.sampled_from(dens))
+    base, *dirs = (tuple(draw(coord) for _ in range(dim)) for _ in range(dim + 1))
+    span = draw(st.integers(0, dim))
+    points = [base]
+    for _ in range(draw(st.integers(1, 10))):
+        coeffs = [draw(coord) for _ in range(span)]
+        points.append(
+            tuple(b + sum(c * d[i] for c, d in zip(coeffs, dirs)) for i, b in enumerate(base))
+        )
+    if exact:
+        return convex_hull(points)
+    return convex_hull([tuple(map(float, x)) for x in points], eps=1e-9)
+
+
+@given(st.sampled_from((2, 3)), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_hausdorff_bound_and_skip_is_bit_identical(dim, exact, data):
+    """Exact and float pairs, points, segments and polygons inside 3D among them."""
+    p = data.draw(_polytopes(dim, exact))
+    q = data.draw(_polytopes(dim, exact))
+    # a bigger copy of p holds p, as consecutive hull steps do
+    doubled = [tuple(2 * c for c in v) for v in p.vertices + q.vertices]
+    grown = convex_hull(doubled, eps=0 if exact else 1e-9)
+    for a, b in ((p, q), (q, p), (p, grown), (grown, p)):
+        assert float.hex(hausdorff(a, b)) == float.hex(_reference_hausdorff(a, b))
+
+
+@given(rational_models())
+@settings(max_examples=100, deadline=None)
+def test_hausdorff_bit_identical_on_nested_steps(model):
+    assume(model.dim > 1)  # on a line hausdorff compares the interval ends directly
+    polys = [poly for _ledger, poly in islice(hull_steps(model), 6)]
+    for a, b in zip(polys, polys[1:]):
+        assert float.hex(hausdorff(a, b)) == float.hex(_reference_hausdorff(a, b))
+        assert float.hex(hausdorff(b, a)) == float.hex(_reference_hausdorff(b, a))
 
 
 def test_facet_validity_random():

@@ -38,6 +38,16 @@ def test_mat_pow_identity():
     assert mat_pow(frac_matrix([[F(1, 2), 0], [0, F(1, 3)]]), 0) == I2
 
 
+def test_mat_pow_keeps_integers():
+    square = mat_pow(((1, 2), (3, 4)), 2)
+    assert square == ((7, 10), (15, 22))
+    assert all(type(c) is int for row in square for c in row)
+    big = 2**60 + 1  # float(big) == 2**60, so a float detour would lose the square
+    assert mat_pow(((big, 0), (0, 1)), 2) == ((big * big, 0), (0, 1))
+    assert mat_pow(((big, 0), (0, 1)), 0) == ((1, 0), (0, 1))
+    assert all(type(c) is F for row in mat_pow(I2, 0) for c in row)
+
+
 def test_mat_pow_diagonal():
     T = frac_matrix([[F(1, 2), 0], [0, F(1, 3)]])
     assert mat_pow(T, 2) == frac_matrix([[F(1, 4), 0], [0, F(1, 9)]])

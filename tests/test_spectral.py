@@ -8,10 +8,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
 
-from conftest import diag_model, sierpinski_model, twin_dragon_model
+from conftest import (
+    diag_model,
+    rational_models,
+    rot1_model,
+    sierpinski_model,
+    twin_dragon_model,
+)
+from fractalhull import linalg
 from fractalhull.errors import FractalHullError
-from fractalhull.linalg import RATIONAL, ToleranceConfig, make_matrix
+from fractalhull.hull import convex_hull
+from fractalhull.ifs import validate_model
+from fractalhull.linalg import RATIONAL, ToleranceConfig, make_matrix, mat_vec, transpose
 from fractalhull.spectral import (
     classify_angle,
     compute_step_bound,
@@ -216,3 +226,86 @@ def test_normal_criterion_digit_scaling_invariance():
         res2 = facet_normal_criterion(model.matrix, scaled, 8)
         assert res2.verdict == res.verdict
         assert [c.k_found for c in res2.checks] == [c.k_found for c in res.checks]
+
+
+def _fraction_criterion(matrix, digits, k_cap):
+    """(verdict, [(repr(normal), k_found)]) by w = T^T w on Fractions, the loop as it ran before."""
+    digit_hull = convex_hull(digits)
+    if digit_hull.affine_dim < len(matrix):
+        return "inapplicable", []
+    tmat = transpose(matrix)
+    checks = []
+    for normal, _offset in digit_hull.facets:
+        w, k_found = normal, None
+        for k in range(1, k_cap + 1):
+            w = mat_vec(tmat, w)
+            if len(w) == 2:
+                cross = (w[0] * normal[1] - w[1] * normal[0],)
+            else:
+                cross = (
+                    w[1] * normal[2] - w[2] * normal[1],
+                    w[2] * normal[0] - w[0] * normal[2],
+                    w[0] * normal[1] - w[1] * normal[0],
+                )
+            if not any(cross):
+                k_found = k
+                break
+        checks.append((repr(normal), k_found))
+    if not checks:
+        return "inapplicable", checks
+    return ("polytope" if all(k is not None for _, k in checks) else "not_polytope"), checks
+
+
+# a rotation by atan(4/3), an irrational multiple of pi, scaled by 1/2, and a 3D extension
+_IRRATIONAL_2D = validate_model(
+    [[F(3, 10), F(-2, 5)], [F(2, 5), F(3, 10)]], [[0, 0], [1, 0], [0, 1]]
+)
+_IRRATIONAL_3D = validate_model(
+    [[F(3, 10), F(-2, 5), 0], [F(2, 5), F(3, 10), 0], [0, 0, F(1, 3)]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]],  # a prism
+)
+
+
+@given(rational_models())
+@example(_IRRATIONAL_2D)
+@example(_IRRATIONAL_3D)
+@example(validate_model(  # a cyclic permutation: the coordinate normals recur at k = 3
+    [[0, 0, F(1, 2)], [F(1, 2), 0, 0], [0, F(1, 2), 0]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+))
+@settings(max_examples=150, deadline=None)
+def test_integer_normal_recurrence_matches_fractions(model):
+    assume(model.dim > 1)
+    for k_cap in (1, 12, 64):
+        res = facet_normal_criterion(model.matrix, model.digits, k_cap)
+        verdict, checks = _fraction_criterion(model.matrix, model.digits, k_cap)
+        assert res.verdict == verdict
+        assert [(repr(c.normal), c.k_found) for c in res.checks] == checks
+
+
+def test_integer_normal_recurrence_irrational_angle():
+    """No power of an irrational rotation fixes a slanted normal; the integers grow for 64 steps."""
+    for model in (_IRRATIONAL_2D, _IRRATIONAL_3D):
+        res = facet_normal_criterion(model.matrix, model.digits, 64)
+        assert res.verdict == "not_polytope"
+        assert [(repr(c.normal), c.k_found) for c in res.checks] == (
+            _fraction_criterion(model.matrix, model.digits, 64)[1]
+        )
+    assert [c.k_found for c in facet_normal_criterion(
+        _IRRATIONAL_3D.matrix, _IRRATIONAL_3D.digits, 64
+    ).checks].count(1) == 2  # the normals +-e3 are eigenvectors
+
+
+def test_float_normal_recurrence_stays_on_floats(monkeypatch):
+    calls = []
+    real = linalg.to_lattice
+    monkeypatch.setattr(linalg, "to_lattice", lambda vectors: calls.append(1) or real(vectors))
+    model = rot1_model()
+    digits = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    res = facet_normal_criterion(model.matrix, digits, 8, eps=model.geom_eps())
+    assert calls == []
+    assert res.verdict == "not_polytope"
+    assert all(type(c) is float for check in res.checks for c in check.normal)
+    exact = sierpinski_model()
+    facet_normal_criterion(exact.matrix, exact.digits, 2)
+    assert calls  # the rational recurrence does scale onto the lattice
