@@ -404,6 +404,14 @@ def _count(text):
     return value
 
 
+def _points(text):
+    """argparse type of render --points: a count of at most 10^6."""
+    value = _count(text)
+    if value > 10**6:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}: expected at most 10^6 points")
+    return value
+
+
 @functools.cache
 def build_parser():
     parser = _Parser(
@@ -440,7 +448,7 @@ def build_parser():
     p = sub.add_parser("render", help="render sampled attractor points with hull overlays")
     p.add_argument("model")
     p.add_argument("--steps", type=_count, default=12)
-    p.add_argument("--points", type=_count, default=20000)
+    p.add_argument("--points", type=_points, default=20000)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_render)

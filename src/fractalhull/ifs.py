@@ -294,18 +294,21 @@ def brute_force_vertices(model: IfsModel, k: int, budget: int = 10**6):
 def attractor_radius_bound(model: IfsModel) -> float:
     """Radius R with every attractor point inside the ball of radius R.
 
-    Uses the smallest power s <= 64 whose operator norm drops below one and
-    sums the leading norms of the geometric series.
+    Uses the smallest power s <= 4096 whose operator norm drops below one and
+    sums the leading norms of the geometric series.  Powers past the 64th are
+    taken on floats: exact ones grow too costly there.
     """
     max_digit = max(linalg.norm2(d) for d in model.digits)
     norms = []
-    power = model.matrix
-    for s in range(1, 65):
+    matrix = power = model.matrix
+    for s in range(1, 4097):
         norms.append(linalg.operator_norm(power))
         if norms[-1] < 1.0:
             return sum(norms) * max_digit / (1.0 - norms[-1])
-        power = linalg.mat_mul(power, model.matrix)
-    raise FractalHullError("no matrix power with operator norm below 1 within 64 steps")
+        if s == 64:
+            matrix, power = (linalg.make_matrix(m, linalg.FLOAT) for m in (matrix, power))
+        power = linalg.mat_mul(power, matrix)
+    raise FractalHullError("no matrix power with operator norm below 1 within 4096 steps")
 
 
 def tail_error_bound(model: IfsModel, k: int) -> float:

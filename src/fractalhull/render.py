@@ -4,6 +4,11 @@ The output is plain SVG 1.1 text assembled by hand so that a given model
 file and seed always produce byte-identical output.  Attractor points are
 sampled by evaluating seeded uniform random digit strings, which keeps the
 cost linear in the sample count instead of exponential in the depth.
+
+The samples are bit for bit those of digits `Random(seed).randrange(1, q + 1)`
+(on CPython 3.10-3.13, `getrandbits(q.bit_length())` redrawn while >= q) fed
+to the Horner step `acc = T(d_j + acc)`, innermost digit first, each
+coordinate summed left to right from 0.0 as Python 3.11's `sum` does.
 """
 
 from __future__ import annotations
@@ -24,27 +29,60 @@ def _fmt(x: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def _float_model(model: IfsModel):
-    matrix = tuple(tuple(float(v) for v in row) for row in model.matrix)
-    digits = tuple(tuple(float(v) for v in d) for d in model.digits)
-    shift = tuple(float(v) for v in model.normalization_shift)
-    return matrix, digits, shift
+def _horner_1d(matrix, drawn):
+    ((a,),) = matrix
+    x = 0.0
+    for (e,) in drawn:
+        x = 0.0 + a * (e + x)
+    return (x,)
 
 
-def _eval_float(matrix, digits, address):
-    n = len(matrix)
-    acc = (0.0,) * n
-    for j in reversed(address):
-        v = tuple(a + b for a, b in zip(digits[j - 1], acc))
-        acc = tuple(sum(row[i] * v[i] for i in range(n)) for row in matrix)
-    return acc
+def _horner_2d(matrix, drawn):
+    (a, b), (c, d) = matrix
+    x = y = 0.0
+    for e, f in drawn:
+        u = e + x
+        v = f + y
+        x = 0.0 + a * u + b * v
+        y = 0.0 + c * u + d * v
+    return x, y
+
+
+def _horner_3d(matrix, drawn):
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    x = y = z = 0.0
+    for dx, dy, dz in drawn:
+        u = dx + x
+        v = dy + y
+        w = dz + z
+        x = 0.0 + a * u + b * v + c * w
+        y = 0.0 + d * u + e * v + f * w
+        z = 0.0 + g * u + h * v + i * w
+    return x, y, z
+
+
+def _sample(matrix, digits, steps, samples, seed):
+    """Float points T(d_1 + T(d_2 + ... T(d_steps))) of `samples` seeded digit strings."""
+    getrandbits = random.Random(seed).getrandbits
+    q = len(digits)
+    k = q.bit_length()
+    horner = (_horner_1d, _horner_2d, _horner_3d)[len(matrix) - 1]
+    points = []
+    for _ in range(samples):
+        drawn = []
+        for _ in range(steps):
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            drawn.append(digits[r])
+        drawn.reverse()
+        points.append(horner(matrix, drawn))
+    return points
 
 
 def _to_xy(point):
-    """Project a 1/2/3-dimensional point to drawing coordinates (y up)."""
-    if len(point) == 1:
-        return point[0], 0.0
-    return point[0], point[1]
+    """Project a 1/2/3-dimensional point to float drawing coordinates (y up)."""
+    return float(point[0]), float(point[1]) if len(point) > 1 else 0.0
 
 
 def render_svg(model: IfsModel, steps: int, samples: int, seed: int, out_path: str):
@@ -55,13 +93,14 @@ def render_svg(model: IfsModel, steps: int, samples: int, seed: int, out_path: s
     stabilization index exists and for every step up to `steps` otherwise;
     certified vertices, when available, are marked on top.
     """
-    if samples > 10**6:
-        raise ValueError("sample count exceeds 10^6")
-    matrix, digits, shift = _float_model(model)
-    q = len(digits)
-    radius = attractor_radius_bound(model)
-    extent = 1.02 * max(radius, 1e-6)
-    cx, cy = _to_xy(shift)
+    matrix = tuple(tuple(float(v) for v in row) for row in model.matrix)
+    digits = tuple(tuple(float(v) for v in d) for d in model.digits)
+    extent = 1.02 * max(attractor_radius_bound(model), 1e-6)
+    cx, cy = _to_xy(model.normalization_shift)
+
+    def at(point):
+        x, y = _to_xy(point)
+        return _fmt(x + cx), _fmt(-(y + cy))
 
     decision, _report = decide_mod.decide_polytope(model)
     if decision.stabilization_index is not None:
@@ -69,42 +108,33 @@ def render_svg(model: IfsModel, steps: int, samples: int, seed: int, out_path: s
     else:
         overlays = steps
 
-    rng = random.Random(seed)
-    point_elems = []
-    r_point = extent / 300.0
-    for _ in range(samples):
-        address = tuple(rng.randrange(1, q + 1) for _ in range(steps))
-        p = _eval_float(matrix, digits, address)
-        x, y = _to_xy(p)
-        point_elems.append(
-            f'<circle cx="{_fmt(x + cx)}" cy="{_fmt(-(y + cy))}" r="{_fmt(r_point)}"/>'
-        )
+    r_point = _fmt(extent / 300.0)
+    point_elems = [
+        f'<circle cx="{x}" cy="{y}" r="{r_point}"/>'
+        for x, y in map(at, _sample(matrix, digits, steps, samples, seed))
+    ]
 
     hull_elems = []
+    stroke = f'stroke-width="{_fmt(extent / 250.0)}"'
     for ledger, _poly in islice(decide_mod.hull_steps(model), 1, overlays + 1):
         color = _PALETTE[(ledger.step - 1) % len(_PALETTE)]
-        pts = [_to_xy(tuple(float(c) for c in p)) for p in ledger.points]
+        pts = [at(p) for p in ledger.points]
         if len(pts) == 1:
             x, y = pts[0]
             hull_elems.append(
-                f'<circle cx="{_fmt(x + cx)}" cy="{_fmt(-(y + cy))}" r="{_fmt(extent / 150.0)}" '
-                f'fill="none" stroke="{color}" stroke-width="{_fmt(extent / 250.0)}"/>'
+                f'<circle cx="{x}" cy="{y}" r="{_fmt(extent / 150.0)}" '
+                f'fill="none" stroke="{color}" {stroke}/>'
             )
             continue
-        coords = " ".join(f"{_fmt(x + cx)},{_fmt(-(y + cy))}" for x, y in pts)
-        hull_elems.append(
-            f'<polygon points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(extent / 250.0)}"/>'
-        )
+        coords = " ".join(f"{x},{y}" for x, y in pts)
+        hull_elems.append(f'<polygon points="{coords}" fill="none" stroke="{color}" {stroke}/>')
 
     vertex_elems = []
-    if decision.vertices:
-        for point, _ep in decision.vertices:
-            x, y = _to_xy(tuple(float(c) for c in point))
-            vertex_elems.append(
-                f'<circle cx="{_fmt(x + cx)}" cy="{_fmt(-(y + cy))}" '
-                f'r="{_fmt(extent / 100.0)}" fill="{_VERTEX_COLOR}"/>'
-            )
+    for point, _ep in decision.vertices or ():
+        x, y = at(point)
+        vertex_elems.append(
+            f'<circle cx="{x}" cy="{y}" r="{_fmt(extent / 100.0)}" fill="{_VERTEX_COLOR}"/>'
+        )
 
     x0 = _fmt(cx - extent)
     y0 = _fmt(-cy - extent)

@@ -177,6 +177,23 @@ def test_negative_counts_are_usage_errors(command, options, tmp_path, capsys):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("points", ["1000001", "10000000"])
+def test_render_points_above_a_million_are_usage_errors(points, tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    argv = ["render", str(MODELS / "sierpinski.json"), "--points", points, "--out", str(svg)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert "at most 10^6" in captured.err
+    assert not svg.exists()
+
+
+def test_render_points_of_a_million_stay_valid():
+    args = cli.build_parser().parse_args(["render", "m.json", "--points", "1000000", "--out", "o.svg"])
+    assert args.points == 10**6
+
+
 def test_zero_counts_stay_valid(tmp_path, capsys):
     sierpinski = str(MODELS / "sierpinski.json")
     assert cli.main(["iterate", sierpinski, "--steps", "0"]) == 0
