@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
-from .linalg import dot, norm2_sq, to_lattice, vec_add, vec_scale, vec_sub
+from .linalg import dot, to_lattice, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,17 @@ def _cross3(u, v):
 
 
 def _plane_normal(pts):
-    """Normal of the plane through the first three points, right-handed in their order."""
-    a, b, c = pts[0], pts[1], pts[2]
-    return _cross3(vec_sub(b, a), vec_sub(c, a))
+    """(b - a) x (c - a) for the first three points a, b, c: right-handed in their order."""
+    (ax, ay, az), b, c = pts[0], pts[1], pts[2]
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
+    return (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
 
 
-def _orient3(a, b, c, d):
-    return dot(_cross3(vec_sub(b, a), vec_sub(c, a)), vec_sub(d, a))
+def _height(plane, p):
+    """n . (p - a) for a face plane n + a (normal, anchor): positive on the side n points to."""
+    nx, ny, nz, ax, ay, az = plane
+    return sum((nx * (p[0] - ax), ny * (p[1] - ay), nz * (p[2] - az)))
 
 
 def _affine_basis(pts, eps, scale):
@@ -170,13 +174,8 @@ def _polygon_facets(cycle):
     return tuple(facets)
 
 
-def _direction_key(d, exact):
-    """Canonical signed direction key for collinearity grouping."""
-    if exact:
-        g = math.gcd(*d)
-        if g == 0:
-            return None
-        return tuple(c // g for c in d)
+def _direction_key(d):
+    """Canonical signed direction key of a float vector, for collinearity grouping."""
     n = math.sqrt(sum(float(c) ** 2 for c in d))
     if n == 0.0:
         return None
@@ -184,26 +183,35 @@ def _direction_key(d, exact):
 
 
 def _remove_collinear_middles(pts, exact):
-    """Drop points lying strictly between two others along a line.
+    """Drop 3D points lying strictly between two others along a line.
 
     Such points are never hull vertices and, once gone, no three remaining
     points are collinear, which keeps the incremental 3D hull free of
-    degenerate (zero-area) cone faces.
+    degenerate (zero-area) cone faces.  Seen from each point, the others are
+    grouped by direction and all but the farthest of each group are dropped.
+    Exact points are integers: the direction is d // g with g = gcd(d), and
+    since d = g * (d // g), |d|^2 = g^2 |d // g|^2 within a group, so g orders
+    a group as the squared norm does.
     """
     m = len(pts)
     if m <= 4:
         return pts
     removed = [False] * m
-    for i in range(m):
+    gcd = math.gcd
+    for xi, yi, zi in pts:
         groups = {}
-        for j in range(m):
-            if j == i:
-                continue
-            d = vec_sub(pts[j], pts[i])
-            key = _direction_key(d, exact)
-            if key is None:
-                continue
-            size = norm2_sq(d)
+        for j, (xj, yj, zj) in enumerate(pts):
+            dx, dy, dz = xj - xi, yj - yi, zj - zi
+            if exact:
+                size = gcd(dx, dy, dz)
+                if not size:
+                    continue
+                key = (dx // size, dy // size, dz // size)
+            else:
+                key = _direction_key((dx, dy, dz))
+                if key is None:
+                    continue
+                size = sum((dx * dx, dy * dy, dz * dz))
             prev = groups.get(key)
             if prev is None or size > prev[0]:
                 if prev is not None:
@@ -235,69 +243,60 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
 
     With den set, pts are integer vectors standing for pts/den and every
     predicate is exact; otherwise pts are floats and the predicates use eps
-    at the coordinate magnitude scale.  Coplanar input points are legal:
-    faces sharing a supporting plane are merged afterwards and each merged
-    facet is re-hulled in 2D, which removes facet-interior points from the
-    vertex set.
+    at the coordinate magnitude scale.  Each face caches its plane when it
+    is made, normal n = (b - a) x (c - a) and anchor a, so a point p sees a
+    face when the three-term dot product n . (p - a) exceeds the tolerance;
+    the coplanar merge reads the same normals.  Such three-term sums go
+    through sum(), as in linalg.dot, because from Python 3.12 on sum() adds
+    floats with compensation and a + b + c would round differently.
+    Coplanar input points are legal: faces sharing a supporting plane are
+    merged afterwards and each merged facet is re-hulled in 2D, which
+    removes facet-interior points from the vertex set.  Float points on
+    which no seed tetrahedron clears the tolerances raise DegeneratePolytope.
     """
     exact = den is not None
     pts = _remove_collinear_middles(pts, exact)
     m = len(pts)
+    tol2, tol3 = (0, 0) if exact else (eps * scale**2, eps * scale**3)
 
-    i0, i1 = 0, 1
-    if exact:
-        tol3 = 0
-        i2 = next(
-            i for i in range(2, m)
-            if any(_cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0])))
-        )
-        i3 = next(
-            i for i in range(2, m)
-            if i != i2 and _orient3(pts[i0], pts[i1], pts[i2], pts[i]) != 0
-        )
-    else:
-        tol2 = eps * scale**2
-        tol3 = eps * scale**3
-        i2 = next(
-            i for i in range(2, m)
-            if math.sqrt(sum(
-                float(c) ** 2
-                for c in _cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0]))
-            )) > tol2
-        )
-        i3 = next(
-            i for i in range(2, m)
-            if i != i2 and abs(float(_orient3(pts[i0], pts[i1], pts[i2], pts[i]))) > tol3
+    def spans(normal):
+        return any(normal) if exact else math.sqrt(sum(float(c) ** 2 for c in normal)) > tol2
+
+    i2 = next((i for i in range(2, m) if spans(_plane_normal((pts[0], pts[1], pts[i])))), None)
+    i3 = None
+    if i2 is not None:
+        seed = _plane_normal((pts[0], pts[1], pts[i2])) + pts[0]
+        i3 = next((i for i in range(2, m) if i != i2 and abs(_height(seed, pts[i])) > tol3), None)
+    if i3 is None:
+        raise DegeneratePolytope(
+            f"no seed tetrahedron clears the float tolerances eps*scale**2 = {tol2:g}"
+            f" (triangle) and eps*scale**3 = {tol3:g} (volume)"
         )
 
-    faces = {}
+    faces = {}  # triangle -> its plane, normal + anchor
     edge_map = {}
 
     def add_face(tri):
-        faces[tri] = True
+        abc = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+        faces[tri] = _plane_normal(abc) + abc[0]
         for e in _tri_edges(tri):
             edge_map[e] = tri
 
-    def remove_face(tri):
-        del faces[tri]
-        for e in _tri_edges(tri):
-            del edge_map[e]
-
-    tet = (i0, i1, i2, i3)
+    tet = (0, 1, i2, i3)
     for excl in range(4):
-        tri = [tet[j] for j in range(4) if j != excl]
-        if _orient3(pts[tri[0]], pts[tri[1]], pts[tri[2]], pts[tet[excl]]) > 0:
-            tri[1], tri[2] = tri[2], tri[1]
-        add_face(tuple(tri))
+        a, b, c = (tet[j] for j in range(4) if j != excl)
+        if _height(_plane_normal((pts[a], pts[b], pts[c])) + pts[a], pts[tet[excl]]) > 0:
+            b, c = c, b
+        add_face((a, b, c))
 
     used = set(tet)
     for idx in range(m):
         if idx in used:
             continue
-        p = pts[idx]
+        px, py, pz = pts[idx]
         visible = [
-            tri for tri in faces
-            if _orient3(pts[tri[0]], pts[tri[1]], pts[tri[2]], p) > tol3
+            tri for tri, (nx, ny, nz, ax, ay, az) in faces.items()
+            if sum((nx * (px - ax), ny * (py - ay), nz * (pz - az))) > tol3
         ]
         if not visible:
             continue
@@ -308,28 +307,29 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
                 if edge_map[(v, u)] not in visible_set:
                     horizon.append((u, v))
         for tri in visible:
-            remove_face(tri)
+            del faces[tri]
+            for e in _tri_edges(tri):
+                del edge_map[e]
         for (u, v) in horizon:
             add_face((u, v, idx))
 
     # merge coplanar triangles into facets and purify the vertex set
     groups = {}
-    for tri in faces:
-        key = _plane_key(_plane_normal([pts[t] for t in tri]), pts[tri[0]], exact, scale)
-        groups.setdefault(key, []).append(tri)
+    for tri, plane in faces.items():
+        groups.setdefault(_plane_key(plane[:3], plane[3:], exact, scale), []).append(tri)
 
     facet_polys = []
     for key in sorted(groups, key=repr):
         tris = groups[key]
         ids = sorted({t for tri in tris for t in tri})
-        a = pts[tris[0][0]]
-        normal = _plane_normal([pts[t] for t in tris[0]])
-        u = vec_sub(pts[tris[0][1]], a)
-        w = _cross3(normal, u)
+        ax, ay, az = a = pts[tris[0][0]]
+        ux, uy, uz = u = vec_sub(pts[tris[0][1]], a)
+        wx, wy, wz = _cross3(faces[tris[0]][:3], u)
         coord_of = {}
         for t in ids:
-            dp = vec_sub(pts[t], a)
-            coord_of[(dot(dp, u), dot(dp, w))] = t
+            x, y, z = pts[t]
+            x, y, z = x - ax, y - ay, z - az
+            coord_of[(sum((x * ux, y * uy, z * uz)), sum((x * wx, y * wy, z * wz)))] = t
         eps_area = 0 if exact else eps * _coord_scale(list(coord_of)) ** 2
         cycle = _chain2d(list(coord_of), eps_area)
         poly = [coord_of[c] for c in cycle]

@@ -452,9 +452,5 @@ def inf_norm(matrix):
     return max(sum(abs(float(v)) for v in row) for row in matrix)
 
 
-def norm2_sq(v):
-    return sum(a * a for a in v)
-
-
 def norm2(v):
     return math.sqrt(sum(float(a) * float(a) for a in v))

@@ -454,3 +454,19 @@ def test_float_mode_polytope_is_uncertified(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["decision"]["verdict"] == "POLYTOPE"
     assert report["decision"]["certified"] is False
+
+
+def test_float_model_without_a_seed_tetrahedron_is_an_error(tmp_path, capsys):
+    """A float 3D model whose hull steps are too thin for the seed tolerances."""
+    doc = {
+        "dimension": 3,
+        "matrix": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+        "digits": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.4, 3e-9]],
+        "arithmetic": "float",
+    }
+    path = write_model(tmp_path, "thin.json", doc)
+    assert cli.main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no seed tetrahedron clears the float tolerances")
+    assert "Traceback" not in captured.err

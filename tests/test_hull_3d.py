@@ -1,0 +1,266 @@
+"""The 3D hull against a frozen copy of its earlier, helper-based version.
+
+_reference_hull_3d below is the incremental hull as it was before face planes
+were cached and the collinear prefilter ran on scalars: every visibility test
+recomputes the face's cross product through the generic vector helpers, and
+collinear points are grouped by gcd-reduced direction and ordered by squared
+norm.  The current hull must give the same Polytope, repr for repr, on exact
+and on float input.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fractalhull.errors import DegeneratePolytope
+from fractalhull.hull import (
+    Polytope,
+    _affine_basis,
+    _chain2d,
+    _coord_scale,
+    _rational,
+    _tri_edges,
+    convex_hull,
+    lattice_hull,
+)
+from fractalhull.linalg import dot, vec_sub
+
+
+def _cross3(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _plane_normal(pts):
+    a, b, c = pts[0], pts[1], pts[2]
+    return _cross3(vec_sub(b, a), vec_sub(c, a))
+
+
+def _orient3(a, b, c, d):
+    return dot(_cross3(vec_sub(b, a), vec_sub(c, a)), vec_sub(d, a))
+
+
+def _direction_key(d, exact):
+    if exact:
+        g = math.gcd(*d)
+        if g == 0:
+            return None
+        return tuple(c // g for c in d)
+    n = math.sqrt(sum(float(c) ** 2 for c in d))
+    if n == 0.0:
+        return None
+    return tuple(round(float(c) / n, 9) for c in d)
+
+
+def _remove_collinear_middles(pts, exact):
+    m = len(pts)
+    if m <= 4:
+        return pts
+    removed = [False] * m
+    for i in range(m):
+        groups = {}
+        for j in range(m):
+            if j == i:
+                continue
+            d = vec_sub(pts[j], pts[i])
+            key = _direction_key(d, exact)
+            if key is None:
+                continue
+            size = sum(a * a for a in d)
+            prev = groups.get(key)
+            if prev is None or size > prev[0]:
+                if prev is not None:
+                    removed[prev[1]] = True
+                groups[key] = (size, j)
+            else:
+                removed[j] = True
+    return [p for p, gone in zip(pts, removed) if not gone]
+
+
+def _plane_key(normal, anchor, exact, scale):
+    if exact:
+        g = math.gcd(*normal)
+        prim = tuple(c // g for c in normal)
+        return (prim, dot(prim, anchor))
+    n = math.sqrt(sum(float(c) ** 2 for c in normal))
+    unit = tuple(round(float(c) / n, 7) for c in normal)
+    off = round(sum(u * float(a) for u, a in zip(unit, anchor)) / max(1.0, scale), 7)
+    return (unit, off)
+
+
+def _reference_hull_3d(pts, den=None, eps=0.0, scale=1.0):
+    exact = den is not None
+    pts = _remove_collinear_middles(pts, exact)
+    m = len(pts)
+
+    i0, i1 = 0, 1
+    if exact:
+        tol3 = 0
+        i2 = next(
+            i for i in range(2, m)
+            if any(_cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0])))
+        )
+        i3 = next(
+            i for i in range(2, m)
+            if i != i2 and _orient3(pts[i0], pts[i1], pts[i2], pts[i]) != 0
+        )
+    else:
+        tol2 = eps * scale**2
+        tol3 = eps * scale**3
+        i2 = next(
+            i for i in range(2, m)
+            if math.sqrt(sum(
+                float(c) ** 2
+                for c in _cross3(vec_sub(pts[i1], pts[i0]), vec_sub(pts[i], pts[i0]))
+            )) > tol2
+        )
+        i3 = next(
+            i for i in range(2, m)
+            if i != i2 and abs(float(_orient3(pts[i0], pts[i1], pts[i2], pts[i]))) > tol3
+        )
+
+    faces = {}
+    edge_map = {}
+
+    def add_face(tri):
+        faces[tri] = True
+        for e in _tri_edges(tri):
+            edge_map[e] = tri
+
+    def remove_face(tri):
+        del faces[tri]
+        for e in _tri_edges(tri):
+            del edge_map[e]
+
+    tet = (i0, i1, i2, i3)
+    for excl in range(4):
+        tri = [tet[j] for j in range(4) if j != excl]
+        if _orient3(pts[tri[0]], pts[tri[1]], pts[tri[2]], pts[tet[excl]]) > 0:
+            tri[1], tri[2] = tri[2], tri[1]
+        add_face(tuple(tri))
+
+    used = set(tet)
+    for idx in range(m):
+        if idx in used:
+            continue
+        p = pts[idx]
+        visible = [
+            tri for tri in faces
+            if _orient3(pts[tri[0]], pts[tri[1]], pts[tri[2]], p) > tol3
+        ]
+        if not visible:
+            continue
+        visible_set = set(visible)
+        horizon = []
+        for tri in visible:
+            for (u, v) in _tri_edges(tri):
+                if edge_map[(v, u)] not in visible_set:
+                    horizon.append((u, v))
+        for tri in visible:
+            remove_face(tri)
+        for (u, v) in horizon:
+            add_face((u, v, idx))
+
+    groups = {}
+    for tri in faces:
+        key = _plane_key(_plane_normal([pts[t] for t in tri]), pts[tri[0]], exact, scale)
+        groups.setdefault(key, []).append(tri)
+
+    facet_polys = []
+    for key in sorted(groups, key=repr):
+        tris = groups[key]
+        ids = sorted({t for tri in tris for t in tri})
+        a = pts[tris[0][0]]
+        normal = _plane_normal([pts[t] for t in tris[0]])
+        u = vec_sub(pts[tris[0][1]], a)
+        w = _cross3(normal, u)
+        coord_of = {}
+        for t in ids:
+            dp = vec_sub(pts[t], a)
+            coord_of[(dot(dp, u), dot(dp, w))] = t
+        eps_area = 0 if exact else eps * _coord_scale(list(coord_of)) ** 2
+        cycle = _chain2d(list(coord_of), eps_area)
+        poly = [coord_of[c] for c in cycle]
+        facet_polys.append((key, poly))
+
+    vertex_ids = sorted({t for _, poly in facet_polys for t in poly})
+    if exact:
+        vertices = tuple(_rational(pts[t], den) for t in vertex_ids)
+    else:
+        vertices = tuple(pts[t] for t in vertex_ids)
+    index_of = {t: i for i, t in enumerate(vertex_ids)}
+
+    triangles = []
+    facets = []
+    for key, poly in facet_polys:
+        if exact:
+            prim_normal, offset = key
+            facets.append((tuple(Fraction(c) for c in prim_normal), Fraction(offset, den)))
+        else:
+            normal = _plane_normal([pts[t] for t in poly])
+            facets.append((normal, dot(normal, pts[poly[0]])))
+        mapped = [index_of[t] for t in poly]
+        for i in range(1, len(mapped) - 1):
+            tri = (mapped[0], mapped[i], mapped[i + 1])
+            shift = tri.index(min(tri))
+            triangles.append(tri[shift:] + tri[:shift])
+    triangles.sort()
+    if exact:
+        facets.sort(key=repr)
+    facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
+    return Polytope(3, 3, vertices, tuple(triangles), tuple(facets))
+
+
+@st.composite
+def _lattice_sets(draw):
+    """(distinct integer 3D points in lexicographic order, a denominator).
+
+    Half the sets are random points in a box; the other half are subsets of a
+    small grid mapped by a random integer matrix plus a shift, which gives
+    collinear triples, coplanar faces at any slope, and interior and face
+    points.
+    """
+    if draw(st.booleans()):
+        coord = st.integers(-12, 12)
+        pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=40))
+    else:
+        side = draw(st.integers(2, 5))
+        grid = [(x, y, z) for x in range(side) for y in range(side) for z in range(side)]
+        cells = draw(st.permutations(grid))[: draw(st.integers(4, 40))]
+        entry = st.integers(-3, 3)
+        rows = draw(st.tuples(*[st.tuples(entry, entry, entry)] * 3))
+        shift = draw(st.tuples(entry, entry, entry))
+        pts = [tuple(dot(row, g) + s for row, s in zip(rows, shift)) for g in cells]
+    return sorted(set(pts)), draw(st.integers(1, 12))
+
+
+def _outcome(hull, *args, **kwargs):
+    """repr of the hull, or the kind of failure when no seed tetrahedron exists."""
+    try:
+        return repr(hull(*args, **kwargs))
+    except (StopIteration, DegeneratePolytope):
+        return "no seed"
+
+
+@given(_lattice_sets())
+@settings(max_examples=150, deadline=None)
+def test_3d_hull_matches_reference(case):
+    points, den = case
+    poly = lattice_hull(points, den)
+    if poly.affine_dim == 3:
+        assert repr(poly) == repr(_reference_hull_3d(points, den))
+    # the same integer sets over a power of two are exact floats (dyadic)
+    floats = sorted({tuple(c / (1 << den.bit_length()) for c in p) for p in points})
+    scale = _coord_scale(floats)
+    if len(_affine_basis(floats, 1e-9, scale)[1]) == 3:
+        assert _outcome(convex_hull, floats, eps=1e-9) == _outcome(
+            _reference_hull_3d, floats, eps=1e-9, scale=scale
+        )
+
