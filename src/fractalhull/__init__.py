@@ -16,7 +16,6 @@ from .decide import (
     certify_polytope,
     cross_check,
     decide_polytope,
-    detect_stabilization,
     extract_ep_addresses,
     hull_steps,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "convex_hull",
     "cross_check",
     "decide_polytope",
-    "detect_stabilization",
     "evaluate_ep_address",
     "evaluate_finite_address",
     "exact_angle_order_2x2",

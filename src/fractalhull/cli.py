@@ -309,7 +309,7 @@ def _cmd_iterate(args):
     print("i\tcount\thausdorff_delta")
     steps = islice(decide_mod.hull_steps(model), args.steps + 1)
     for (_, prev_poly), (ledger, poly) in pairwise(steps):
-        delta = hull_mod.hausdorff(prev_poly, poly)
+        delta = hull_mod.nested_hausdorff(prev_poly, poly)
         print(f"{ledger.step}\t{ledger.count}\t{delta!r}")
     return 0
 

@@ -23,7 +23,6 @@ and (c) tests the lattice images against integer facet rows.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from itertools import islice, pairwise
 from typing import Optional
@@ -100,7 +99,6 @@ class Report:
     decision: Decision
     cross_check: Optional[CrossCheckSection]
     certification: Optional[CertResult]
-    timing: float
     warnings: tuple
     version: str = __version__
 
@@ -112,18 +110,10 @@ def hull_steps(model: IfsModel):
     caller asks for it, so islice(hull_steps(model), n) takes n - 1 steps.
     """
     ledger = initial_ledger(model)
-    poly = hull_mod.convex_hull(ledger.points, eps=model.geom_eps())
+    poly = hull_mod.Polytope(model.dim, 0, ledger.points)
     while True:
         yield ledger, poly
         ledger, poly = _step(model, ledger)
-
-
-def detect_stabilization(counts):
-    """Smallest i (1-based) with counts[i-1] == counts[i], or None."""
-    for i in range(1, len(counts)):
-        if counts[i - 1] == counts[i]:
-            return i
-    return None
 
 
 def extract_ep_addresses(prev_ledger, prev_poly, ledger, poly):
@@ -134,21 +124,42 @@ def extract_ep_addresses(prev_ledger, prev_poly, ledger, poly):
     and is labelled j; walking this vertex map until a vertex repeats gives
     the labels of the prefix, then of the period (one EpAddress per ledger
     entry).  A tied or non-bijective match raises ExtractionFailure.
+
+    When both ledgers hold the integer cycles of their planar polytopes and
+    hull.parallel_cycles holds, the match keeps each vertex's cycle index, so
+    the map is read off the addresses alone; a stable pair of planar rational
+    steps always has parallel cycles.
     """
-    match = hull_mod.support_map(prev_poly, poly)
-    images = list(match.values())
-    if None in images or not len(images) == len(set(images)) == ledger.count:
-        why = "ties a vertex" if None in images else "is not a bijection"
-        raise ExtractionFailure(f"support map from step {prev_ledger.step} to {ledger.step} {why}")
-    parent = {address: point for point, address in prev_ledger.entries}
-    index = {point: i for i, (point, _) in enumerate(ledger.entries)}
-    succ = [index[match[parent[address[1:]]]] for _, address in ledger.entries]
+    planar = poly.ambient_dim == 2 and poly.lattice is not None and prev_poly.lattice is not None
+    if (
+        planar
+        and ledger.lattice[:2] == poly.lattice
+        and prev_ledger.lattice[:2] == prev_poly.lattice
+        and hull_mod.parallel_cycles(prev_poly, poly)
+    ):
+        xs, _, addresses = ledger.lattice
+        parent = {address: i for i, address in enumerate(prev_ledger.lattice[2])}
+        succ = [parent[address[1:]] for address in addresses]
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+    else:
+        match = hull_mod.support_map(prev_poly, poly)
+        images = list(match.values())
+        if None in images or not len(images) == len(set(images)) == ledger.count:
+            why = "ties a vertex" if None in images else "is not a bijection"
+            raise ExtractionFailure(
+                f"support map from step {prev_ledger.step} to {ledger.step} {why}"
+            )
+        parent = {address: point for point, address in prev_ledger.entries}
+        index = {point: i for i, (point, _) in enumerate(ledger.entries)}
+        addresses = [address for _, address in ledger.entries]
+        succ = [index[match[parent[address[1:]]]] for address in addresses]
+        order = range(ledger.count)
     out = []
-    for start in range(ledger.count):
+    for start in order:
         i, seen, labels = start, {}, []
         while i not in seen:
             seen[i] = len(labels)
-            labels.append(ledger.entries[i][1][0])
+            labels.append(addresses[i][0])
             i = succ[i]
         prefix, period = labels[: seen[i]], labels[seen[i] :]
         while prefix and prefix[-1] == period[-1]:
@@ -230,7 +241,6 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     of steps (extract_ep_addresses), evaluated exactly and certified once.
     An extraction or certification failure gives an inconclusive verdict.
     """
-    start = time.perf_counter()
     warnings = [*model.warnings, NOTE_VERTEX_SETS, NOTE_DECISION_RULE]
     if model.mode != RATIONAL:
         warnings.append(NOTE_FLOAT)
@@ -240,10 +250,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     counts = []
 
     def finish(decision, cert=None):
-        timing = time.perf_counter() - start
-        return decision, Report(
-            classes, bound, tuple(counts), decision, None, cert, timing, tuple(warnings)
-        )
+        return decision, Report(classes, bound, tuple(counts), decision, None, cert, tuple(warnings))
 
     if bound is None:
         warnings.append(
@@ -257,7 +264,8 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
         ))
 
     for (prev_ledger, prev_poly), (ledger, poly) in pairwise(islice(hull_steps(model), bound.k + 2)):
-        counts.append(CountRow(ledger.step, ledger.count, hull_mod.hausdorff(prev_poly, poly)))
+        delta = hull_mod.nested_hausdorff(prev_poly, poly)
+        counts.append(CountRow(ledger.step, ledger.count, delta))
         if ledger.step >= 2 and counts[-2].count == counts[-1].count:
             break
     else:

@@ -4,9 +4,10 @@ Exact hulls run on integers.  Rational points are written as integer vectors
 over one shared positive denominator (lattice_hull takes them in that form),
 so every predicate, from the signs of 2x2 / 3x3 determinants to the direction
 and plane keys, works on Python ints; Fractions are built only for the
-returned Polytope.  Float inputs use a caller-supplied eps scaled by the
-coordinate magnitude, and points within tolerance of a facet are treated as
-non-vertices, which errs toward fewer vertices.
+returned Polytope, and a planar one builds them only when they are read.
+Float inputs use a caller-supplied eps scaled by the coordinate magnitude,
+and points within tolerance of a facet are treated as non-vertices, which
+errs toward fewer vertices.
 
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
@@ -16,6 +17,7 @@ equal structurally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +35,9 @@ class Polytope:
     a counterclockwise cycle (affine_dim 2), or a sorted list with triangular
     faces (affine_dim 3).  facets holds outward unnormalized (normal, offset)
     pairs for full-dimensional hulls and is None otherwise.
+
+    A planar exact Polytope from lattice_polygon holds only its integer form
+    `lattice` and builds its Fraction vertices and facets when they are read.
     """
 
     ambient_dim: int
@@ -44,6 +49,47 @@ class Polytope:
     @property
     def vertex_set(self):
         return frozenset(self.vertices)
+
+    @functools.cached_property
+    def lattice(self):
+        """(integer vertices, den) with the vertices X/den in order; None for floats."""
+        return to_lattice(self.vertices) if _is_exact(self.vertices[0]) else None
+
+
+def _lattice_vertices(poly):
+    cycle, den = poly.lattice
+    return tuple(_rational(p, den) for p in cycle)
+
+
+def _lattice_facets(poly):
+    cycle, den = poly.lattice
+    if len(cycle) < 3:
+        return None
+    return tuple(
+        ((Fraction(nx, den), Fraction(ny, den)), Fraction(offset, den * den))
+        for (nx, ny), offset in _polygon_facets(cycle)
+    )
+
+
+# Set after @dataclass, so the fields keep their defaults: a lattice_polygon
+# leaves vertices and facets out of its __dict__ and these build them when
+# first read.  (A __getattr__ hook would slow every attribute read instead.)
+Polytope.vertices = functools.cached_property(_lattice_vertices)
+Polytope.vertices.__set_name__(Polytope, "vertices")
+Polytope.facets = functools.cached_property(_lattice_facets)
+Polytope.facets.__set_name__(Polytope, "facets")
+
+
+def lattice_polygon(cycle, den):
+    """The planar Polytope of the integer cycle X/den, its Fractions built when read.
+
+    cycle runs counterclockwise from its lexicographic minimum: one point, a
+    segment's two ends, or a polygon without collinear middle vertices.
+    """
+    poly = object.__new__(Polytope)
+    adim = min(len(cycle) - 1, 2)
+    vars(poly).update(ambient_dim=2, affine_dim=adim, faces=None, lattice=(cycle, den))
+    return poly
 
 
 def _is_exact(p):
@@ -130,8 +176,6 @@ def _lattice_basis(pts):
             independent = any(d)
         elif len(dirs) == 2:
             independent = dot(_cross3(dirs[0], dirs[1]), d) != 0
-        elif n == 2:
-            independent = _cross2((0, 0), dirs[0], d) != 0
         else:
             independent = any(_cross3(dirs[0], d))
         if independent:
@@ -146,7 +190,10 @@ def _rational(p, den):
 
 
 def _chain2d(pts, eps_area):
-    """Monotone chain on 2-tuples; CCW cycle from the lexicographic minimum."""
+    """Monotone chain on 2-tuples; CCW cycle from the lexicographic minimum.
+
+    With eps_area 0 collinear points give their two ends and one point itself.
+    """
     pts = sorted(set(pts))
     if len(pts) <= 2:
         return pts
@@ -382,15 +429,55 @@ def _plane_cycle(pts, base, u, v, eps):
     return cycle[start:] + cycle[:start]
 
 
+def lattice_cycle(points):
+    """Counterclockwise vertex cycle of distinct integer points in the plane.
+
+    It starts at the lexicographic minimum; collinear points give their two
+    ends and a single point gives itself, as lattice_polygon takes them.
+    """
+    return _chain2d(points, 0)
+
+
+def minkowski_cycle(p, q):
+    """Vertex cycle of conv(p) + conv(q) for two integer cycles of lattice_cycle's form.
+
+    The edges of both cycles are merged by direction in O(|p| + |q|) steps,
+    with no hull predicate: from the two lexicographic minima on, each step
+    takes the edge that turns less, or both when they are parallel.  Each
+    vertex comes as (p[i] + q[j], i, j); a vertex of a Minkowski sum splits
+    into its summands in only this one way.
+    """
+    n, m = len(p), len(q)
+    if n == 1 or m == 1:
+        return [((a[0] + b[0], a[1] + b[1]), i, j) for i, a in enumerate(p) for j, b in enumerate(q)]
+    out = []
+    i = j = 0
+    while i < n or j < m:
+        (ax, ay), (bx, by) = p[i % n], q[j % m]
+        out.append(((ax + bx, ay + by), i % n, j % m))
+        if i == n or j == m:
+            turn = -1 if i == n else 1
+        else:
+            (cx, cy), (dx, dy) = p[(i + 1) % n], q[(j + 1) % m]
+            turn = (cx - ax) * (dy - by) - (cy - ay) * (dx - bx)
+        if turn >= 0:
+            i += 1
+        if turn <= 0:
+            j += 1
+    return out
+
+
 def lattice_hull(points, den):
     """Exact convex hull of the rational points X/den for the X in points.
 
     points are distinct integer vectors of one dimension (1 to 3) in
     lexicographic order, and den is a positive integer.  Every predicate runs
-    on the integers; the result holds Fractions and equals convex_hull of the
-    rational points.
+    on the integers; the result holds Fractions (a planar one builds them when
+    they are read) and equals convex_hull of the rational points.
     """
     n = len(points[0])
+    if n == 2:
+        return lattice_polygon(_chain2d(points, 0), den)
     base, dirs = _lattice_basis(points)
     adim = len(dirs)
 
@@ -409,14 +496,6 @@ def lattice_hull(points, den):
             one = Fraction(1)
             facets = (((-one,), Fraction(-ends[0][0], den)), ((one,), Fraction(ends[1][0], den)))
         return Polytope(n, 1, tuple(_rational(p, den) for p in ends), None, facets)
-
-    if n == 2:
-        cycle = _chain2d(points, 0)
-        facets = tuple(
-            ((Fraction(nx, den), Fraction(ny, den)), Fraction(offset, den * den))
-            for (nx, ny), offset in _polygon_facets(cycle)
-        )
-        return Polytope(2, 2, tuple(_rational(p, den) for p in cycle), None, facets)
 
     if adim == 2:
         cycle = _plane_cycle(points, base, dirs[0], dirs[1], 0)
@@ -515,15 +594,30 @@ def support_map(p: Polytope, q: Polytope):
     normals at v, or None where the maximum is tied.  Exact polytopes are
     compared on integers.
     """
-    p_pts, q_pts = (
-        to_lattice(r.vertices)[0] if _is_exact(r.vertices[0]) else r.vertices for r in (p, q)
-    )
+    p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
     out = {}
     for v, u in zip(p.vertices, _normal_sums(p, p_pts)):
         values = [dot(u, x) for x in q_pts]
         best = max(values)
         out[v] = q.vertices[values.index(best)] if values.count(best) == 1 else None
     return out
+
+
+def parallel_cycles(p: Polytope, q: Polytope):
+    """Whether the exact planar p and q have equally many vertices and parallel,
+    equally oriented edges i from vertex i to vertex i + 1 of their cycles.
+
+    Their normal fans then agree, so vertex i of q is the support_map match
+    of vertex i of p; the test runs on integers and reads no Fraction.
+    """
+    (ps, _), (qs, _) = p.lattice, q.lattice
+    if len(ps) != len(qs):
+        return False
+    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in zip(ps, ps[1:] + ps[:1], qs, qs[1:] + qs[:1]):
+        ux, uy, wx, wy = bx - ax, by - ay, dx - cx, dy - cy
+        if ux * wy != uy * wx or ux * wx + uy * wy < 0:
+            return False
+    return True
 
 
 def contains(poly: Polytope, x, eps=0.0):
@@ -685,22 +779,47 @@ def lattice_contains(poly: Polytope, den):
     return lambda x: all(dot(n, x) <= c for n, c in facets)
 
 
-def _inside(x, poly):
-    """contains(poly, x) for poly with facets; exact data runs as n.X <= c*den."""
-    if not _is_exact(poly.vertices[0]):
-        return contains(poly, x)
-    (point,), den = to_lattice([x])
-    return lattice_contains(poly, den)(point)
+def _containment(p, q):
+    """inside(i): whether vertex i of p lies in q; None unless q has facets.
+
+    Exact data runs on integers: a planar q tests cross products against its
+    integer cycle, any other q the rows n.X <= c*den of lattice_contains.
+    """
+    if q.affine_dim < q.ambient_dim:
+        return None
+    if p.lattice is None or q.lattice is None:
+        return lambda i: contains(q, p.vertices[i])
+    xs, den = p.lattice
+    if q.ambient_dim != 2:
+        test = lattice_contains(q, den)
+        return lambda i: test(xs[i])
+    ys, e = q.lattice
+    edges = [
+        (ax * den, ay * den, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(ys, ys[1:] + ys[:1])
+    ]
+    return lambda i: all(
+        dx * (xs[i][1] * e - ay) >= dy * (xs[i][0] * e - ax) for ax, ay, dx, dy in edges
+    )
 
 
-def _directed(xs, xf, poly, verts, best):
-    """max(best, the distance from each x in xs to poly); xf, verts are floats.
+def _floats(poly):
+    """poly's vertices as floats; X/den is float(Fraction) bit for bit, both correctly rounded."""
+    if poly.lattice is None:
+        return [_fvec(v) for v in poly.vertices]
+    xs, den = poly.lattice
+    return [tuple(c / den for c in x) for x in xs]
 
-    Each point's distance to one guessed piece bounds its distance from above,
-    and the points run in decreasing order of that bound; once a bound is at
-    most best, no point left can raise it.  The guess starts at the previous
-    point's guess (for a solid: at a face through the vertex nearest to the
-    point) and walks the pieces forward while the next one is strictly closer.
+
+def _directed(xf, inside, poly, verts, best):
+    """max(best, the distance from each float point in xf to poly), verts its floats.
+
+    inside(i) tells whether point i lies in poly; it is None unless poly has
+    facets.  Each point's distance to one guessed piece bounds its distance
+    from above, and the points run in decreasing order of that bound; once a
+    bound is at most best, no point left can raise it.  The guess starts at
+    the previous point's guess (for a solid: at a face through the vertex
+    nearest to the point) and walks the pieces forward while the next one is
+    strictly closer.
     """
     pieces = _pieces(poly, verts)
     dist, args = pieces
@@ -722,11 +841,10 @@ def _directed(xs, xf, poly, verts, best):
                 break
             j, d = k, dk
         bounds.append(d)
-    for i in sorted(range(len(xs)), key=bounds.__getitem__, reverse=True):
+    for i in sorted(range(len(xf)), key=bounds.__getitem__, reverse=True):
         if bounds[i] <= best:
             break
-        inside = poly.facets is not None and _inside(xs[i], poly)
-        best = max(best, _dist_point_polytope(xf[i], pieces, inside))
+        best = max(best, _dist_point_polytope(xf[i], pieces, inside is not None and inside(i)))
     return best
 
 
@@ -746,6 +864,20 @@ def hausdorff(p: Polytope, q: Polytope):
         plo, phi = float(p.vertices[0][0]), float(p.vertices[-1][0])
         qlo, qhi = float(q.vertices[0][0]), float(q.vertices[-1][0])
         return max(abs(plo - qlo), abs(phi - qhi))
-    pf = [_fvec(v) for v in p.vertices]
-    qf = [_fvec(v) for v in q.vertices]
-    return _directed(p.vertices, pf, q, qf, _directed(q.vertices, qf, p, pf, 0.0))
+    pf, qf = _floats(p), _floats(q)
+    best = _directed(qf, _containment(q, p), p, pf, 0.0)
+    return _directed(pf, _containment(p, q), q, qf, best)
+
+
+def nested_hausdorff(p: Polytope, q: Polytope):
+    """hausdorff(p, q) for consecutive hull steps p and q of one recursion.
+
+    In exact arithmetic p lies inside q (A_k is inside A_{k+1} since d_1 = 0),
+    so once q has facets every vertex of p is at distance 0.0 from q and only
+    the pass over q's vertices runs.  Float steps, and a q without facets (a
+    point, a segment, a polygon inside 3D), keep both passes: there a vertex
+    of p on q can be an ulp away in floats.
+    """
+    if p.ambient_dim == 1 or q.affine_dim < q.ambient_dim or q.lattice is None:
+        return hausdorff(p, q)
+    return _directed(_floats(q), _containment(q, p), p, _floats(p), 0.0)

@@ -9,12 +9,17 @@ Points of the attractor are digit-index sequences: the finite address
 Eventually periodic addresses evaluate in closed form through (I - T^p)^{-1}.
 
 One hull-recursion step, `_step`, takes the vertex ledger of conv(A_k) to that
-of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.
+of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.  With
+Delta = conv(D) the step is conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski
+sum.  A planar rational step computes it as an edge merge of two integer
+vertex cycles and makes no hull call; its ledger and Polytope keep that
+integer form and build their Fractions only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -56,6 +61,14 @@ class IfsModel:
         digits, e = linalg.to_lattice(self.digits)
         return matrix, delta, tuple(linalg.mat_vec(matrix, d) for d in digits), e
 
+    @functools.cached_property
+    def _digit_cycle(self):
+        """conv{M E_j} of a planar rational model: its integer cycle, each vertex's digit."""
+        shifts = self.lattice[2]
+        digit_of = {z: j for j, z in enumerate(shifts, start=1)}
+        cycle = hull_mod.lattice_cycle(shifts)
+        return cycle, [digit_of[z] for z in cycle]
+
 
 @dataclass(frozen=True)
 class EpAddress:
@@ -94,7 +107,11 @@ def _primitive_word(word):
 
 @dataclass(frozen=True)
 class VertexLedger:
-    """Vertex set of conv(A_k) with one length-k address per vertex."""
+    """Vertex set of conv(A_k) with one length-k address per vertex.
+
+    A planar rational ledger from _step holds only its integer form `lattice`
+    and builds its Fraction entries when they are read.
+    """
 
     step: int
     entries: tuple  # ((point, address), ...) sorted by point
@@ -105,7 +122,33 @@ class VertexLedger:
 
     @property
     def count(self):
-        return len(self.entries)
+        entries = vars(self).get("entries")
+        return len(self.lattice[0]) if entries is None else len(entries)
+
+    @functools.cached_property
+    def lattice(self):
+        """(cycle, den, addresses) of a planar rational ledger.
+
+        Its vertices are the integer points X/den of cycle, counterclockwise
+        from the lexicographic minimum, and addresses[i] is that of cycle[i].
+        """
+        xs, den = linalg.to_lattice(self.points)
+        address_of = dict(zip(xs, (address for _, address in self.entries)))
+        cycle = hull_mod.lattice_cycle(xs)
+        return cycle, den, [address_of[x] for x in cycle]
+
+
+def _lattice_entries(ledger):
+    cycle, den, addresses = ledger.lattice
+    return tuple(
+        (tuple(Fraction(c, den) for c in x), address) for x, address in sorted(zip(cycle, addresses))
+    )
+
+
+# Set after @dataclass, as hull does for Polytope: a ledger from _step leaves
+# entries out of its __dict__ and this builds them when first read.
+VertexLedger.entries = functools.cached_property(_lattice_entries)
+VertexLedger.entries.__set_name__(VertexLedger, "entries")
 
 
 def validate_model(matrix, digits, mode=RATIONAL, tol: Optional[ToleranceConfig] = None) -> IfsModel:
@@ -234,16 +277,41 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
-    Candidates are the images T(v + d_j) of the current vertices only; that
-    is sufficient because extreme points of a union of affine images of a
-    hull are images of extreme points.  Coincident candidates keep the
-    lexicographically smallest address.
+    A planar rational step is the Minkowski sum T(P_k + Delta) = T P_k + T Delta,
+    taken by hull.minkowski_cycle on integers: the image e M X of the ledger's
+    cycle over delta*e*den (reversed when det M < 0, so it stays
+    counterclockwise) merged with den times the cycle of conv{M E_j}.  The
+    vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits into
+    its summands in one way only, so no two candidates tie.  The scale is
+    cut by the gcd of all its coordinates, which leaves den the lcm of the
+    Fraction denominators.
 
-    In rational mode the step runs on integers (lattice_images), with the
-    ledger points X/s over the lcm s of their denominators.  The scale
-    restarts from the ledger at every step, so the integers grow no faster
+    Other steps take as candidates the images T(v + d_j) of the current
+    vertices only; that is sufficient because extreme points of a union of
+    affine images of a hull are images of extreme points.  Coincident
+    candidates keep the lexicographically smallest address.  In rational
+    mode they run on integers (lattice_images), with the ledger points X/s
+    over the lcm s of their denominators, so the integers grow no faster
     than the ledger's Fractions.
     """
+    if model.mode == RATIONAL and model.dim == 2:
+        cycle, den, addresses = ledger.lattice
+        ((a, b), (c, d)), delta, _, e = model.lattice
+        ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in cycle]
+        n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
+        turn = 1 if a * d > b * c else -1
+        order = [(k + turn * t) % n for t in range(n)]
+        zs, digit_of = model._digit_cycle
+        merged = hull_mod.minkowski_cycle(
+            [ys[i] for i in order], [(den * x, den * y) for x, y in zs]
+        )
+        scale = delta * e * den
+        g = math.gcd(scale, *(c for point, _, _ in merged for c in point))
+        cycle = [(x // g, y // g) for (x, y), _, _ in merged]
+        addresses = [(digit_of[j],) + addresses[order[i]] for _, i, j in merged]
+        out = object.__new__(VertexLedger)
+        vars(out).update(step=ledger.step + 1, lattice=(cycle, scale // g, addresses))
+        return out, hull_mod.lattice_polygon(cycle, scale // g)
     exact = model.mode == RATIONAL
     if exact:
         rows, den = lattice_images(model, *linalg.to_lattice(ledger.points))

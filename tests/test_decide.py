@@ -29,7 +29,6 @@ from fractalhull.decide import (
     certify_polytope,
     cross_check,
     decide_polytope,
-    detect_stabilization,
     extract_ep_addresses,
     hull_steps,
     inverse_eigenvalue_classes,
@@ -49,12 +48,6 @@ from fractalhull.linalg import RATIONAL, mat_vec, vec_add, vec_scale, vec_sub
 from fractalhull.spectral import compute_step_bound
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
-
-
-def test_detect_stabilization():
-    assert detect_stabilization([3, 3, 3]) == 1
-    assert detect_stabilization([3, 4, 5, 6]) is None
-    assert detect_stabilization([3, 4, 4]) == 2
 
 
 def _stable_pair(labels, parents):
@@ -345,25 +338,61 @@ def test_decide_evaluates_each_address_once(monkeypatch):
 
 
 def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):
-    """Bound-and-skip runs the full distance on about one vertex per direction."""
-    hausdorff, full = hull_mod.hausdorff, hull_mod._dist_point_polytope
-    calls = {"hausdorff": 0, "full": 0}
+    """Bound-and-skip runs the full distance on about one vertex per direction.
 
-    def counting_hausdorff(p, q):
-        calls["hausdorff"] += 1
-        return hausdorff(p, q)
+    decide takes its deltas from nested_hausdorff; here hausdorff runs both
+    passes over the steps that decide_polytope takes.
+    """
+    pairs = []
+    for model in suite5_models():
+        _, report = decide_polytope(model)
+        polys = [poly for _, poly in islice(hull_steps(model), len(report.counts) + 1)]
+        pairs += zip(polys, polys[1:])
+    full = hull_mod._dist_point_polytope
+    calls = {"hausdorff": len(pairs), "full": 0}
 
     def counting_full(*args):
         calls["full"] += 1
         return full(*args)
 
-    monkeypatch.setattr(hull_mod, "hausdorff", counting_hausdorff)
     monkeypatch.setattr(hull_mod, "_dist_point_polytope", counting_full)
-    for model in suite5_models():
-        decide_polytope(model)
+    for prev, poly in pairs:
+        hull_mod.hausdorff(prev, poly)
     # every vertex through the full distance made 3857 evaluations in 270 calls
     assert calls["hausdorff"] > 0
     assert calls["full"] <= 2 * calls["hausdorff"]
+
+
+def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
+    """The planar rational search and extraction call neither lattice_hull nor support_map.
+
+    Certification hulls the candidates itself, independent of the search, so
+    its one convex_hull call is the only lattice_hull call left.
+    """
+    calls = []
+    certifying = []
+
+    def recorder(name, real):
+        def record(*args, **kwargs):
+            calls.append((name, bool(certifying)))
+            return real(*args, **kwargs)
+
+        return record
+
+    def certify(*args, **kwargs):
+        certifying.append(True)
+        try:
+            return certify_polytope(*args, **kwargs)
+        finally:
+            certifying.pop()
+
+    for name in ("lattice_hull", "support_map"):
+        monkeypatch.setattr(hull_mod, name, recorder(name, getattr(hull_mod, name)))
+    monkeypatch.setattr(decide_mod, "certify_polytope", certify)
+    models = suite5_models() + [sierpinski_model(), diag_model(), twin_dragon_model()]
+    verdicts = {decide_polytope(model)[0].verdict for model in models}
+    assert VERDICT_POLYTOPE in verdicts and VERDICT_NO_STABILIZATION in verdicts
+    assert calls and set(calls) == {("lattice_hull", True)}
 
 
 def test_perturbation_rejection():

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_vertices_2d, naive_vertices_3d, rational_models
@@ -17,13 +17,15 @@ from fractalhull.errors import DegeneratePolytope
 from fractalhull.hull import (
     _dist_point_polytope,
     _dist_point_triangle,
+    _containment,
     _fvec,
-    _inside,
     contains,
     convex_hull,
     facet_normals,
     hausdorff,
+    nested_hausdorff,
 )
+from fractalhull.ifs import validate_model
 
 
 def fr(*values):
@@ -293,7 +295,10 @@ def test_hausdorff_integer_containment_matches_fraction_contains():
         assert hausdorff(q, p) == _reference_hausdorff(q, p)
         for a, b in ((p, q), (q, p)):
             if b.facets is not None:
-                assert [_inside(x, b) for x in a.vertices] == [contains(b, x) for x in a.vertices]
+                inside = _containment(a, b)
+                assert [inside(i) for i in range(len(a.vertices))] == [
+                    contains(b, x) for x in a.vertices
+                ]
 
 
 @st.composite
@@ -329,11 +334,21 @@ def test_hausdorff_bound_and_skip_is_bit_identical(dim, exact, data):
 
 @given(rational_models())
 @settings(max_examples=100, deadline=None)
+# steps that stay segments, in the plane and in space
+@example(validate_model([[F(-1, 2), 0], [0, F(-1, 2)]], [[0, 0], [1, 2], [2, 4]]))
+@example(validate_model([[F(1, 2), 0, 0], [0, F(1, 3), 0], [0, 0, F(1, 5)]], [[0, 0, 0], [1, 1, 1]]))
+# a polygon inside 3D, then solids
+@example(validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+@example(validate_model([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 def test_hausdorff_bit_identical_on_nested_steps(model):
+    """hausdorff on the first 6 steps, and the one-pass delta decide and iterate read."""
     assume(model.dim > 1)  # on a line hausdorff compares the interval ends directly
-    polys = [poly for _ledger, poly in islice(hull_steps(model), 6)]
+    polys = [poly for _ledger, poly in islice(hull_steps(model), 7)]
     for a, b in zip(polys, polys[1:]):
-        assert float.hex(hausdorff(a, b)) == float.hex(_reference_hausdorff(a, b))
+        delta = float.hex(nested_hausdorff(a, b))
+        assert delta == float.hex(hausdorff(a, b)) == float.hex(_reference_hausdorff(a, b))
         assert float.hex(hausdorff(b, a)) == float.hex(_reference_hausdorff(b, a))
 
 

@@ -177,6 +177,15 @@ def _fraction_step(model, ledger):
 @given(rational_models())
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]))
 @example(validate_model([[F(1, 3), 0, 0], [0, F(1, 3), 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 1, 1]]))
+# planar edge merge: det T < 0, in a rotation-reflection and on a segment
+@example(validate_model([[F(1, 3), F(1, 2)], [F(1, 2), F(-1, 4)]], [[0, 0], [1, 0], [0, 1], [1, 1]]))
+@example(validate_model([[F(-1, 2), 0], [0, F(1, 3)]], [[0, 0], [1, 0], [F(1, 3), 0]]))
+# collinear digits on a line that T keeps: every step is a segment
+@example(validate_model([[F(-1, 2), 0], [0, F(-1, 2)]], [[0, 0], [1, 2], [2, 4]]))
+# a digit strictly inside conv(D)
+@example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [2, 0], [0, 2], [F(1, 2), F(1, 2)]]))
+# every edge of T P_k parallel to an edge of T conv(D)
+@example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [1, 1], [0, 1]]))
 def test_lattice_step_matches_fraction_step(model):
     """The integer step returns the ledger and Polytope of the Fraction step."""
     steps = 6 if model.dim < 3 else 4
@@ -191,7 +200,11 @@ def test_lattice_step_matches_fraction_step(model):
 
 
 def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
-    """Each step's scale s is at most the lcm of its ledger's denominators."""
+    """Each step's scale s is at most the lcm of its ledger's denominators.
+
+    The planar step merges at scale delta*e*s with s its ledger's den, which
+    the gcd cut keeps equal to that lcm; a 3D step hulls at that scale.
+    """
     twin_dragon, _opts = parse_model(str(MODELS / "twindragon.json"))
     homothety = validate_model(
         [[F(2, 3), 0, 0], [0, F(2, 3), 0], [0, 0, F(2, 3)]],
@@ -212,10 +225,15 @@ def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
         ledger, _ = next(steps)
         for _ in range(30):
             ledger_lcm = math.lcm(*(c.denominator for p in ledger.points for c in p))
+            if model.dim == 2:
+                assert ledger.lattice[1] == ledger_lcm
+                ledger, _ = next(steps)
+                continue
             ledger, _ = next(steps)
             s, rest = divmod(dens[-1], delta * e)
             assert rest == 0
             assert s <= ledger_lcm
+    assert len(dens) == 30
 
 
 def _fraction_evaluate(model, ep):
