@@ -40,6 +40,7 @@ from .ifs import (
     attractor_radius_bound,
     brute_force_vertices,
     evaluate_ep_address,
+    evaluate_ep_addresses,
     evaluate_finite_address,
     initial_ledger,
     tail_error_bound,
@@ -69,6 +70,7 @@ __all__ = [
     "cross_check",
     "decide_polytope",
     "evaluate_ep_address",
+    "evaluate_ep_addresses",
     "evaluate_finite_address",
     "exact_angle_order_2x2",
     "extract_ep_addresses",

@@ -170,17 +170,6 @@ def decision_to_dict(decision: decide_mod.Decision):
     }
 
 
-def decision_from_dict(data) -> decide_mod.Decision:
-    """Inverse of decision_to_dict for the fields a report carries."""
-    return decide_mod.Decision(
-        verdict=data["verdict"],
-        certified=data["certified"],
-        stabilization_index=data["stabilization_index"],
-        vertices=None,
-        reason=data["reason"],
-    )
-
-
 def report_to_dict(report: decide_mod.Report, model: IfsModel):
     """The machine-readable report document (deterministic, no timing)."""
     bound = report.bound

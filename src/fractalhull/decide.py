@@ -17,14 +17,22 @@ candidates are exactly the vertices of their own hull P*; (c) every image
 T(v + d_j) of a vertex stays inside P*, hence the attractor map sends P*
 into itself and F is trapped inside P*.  Together: P* <= conv(F) <= P*.
 In rational mode certification reads only the model and the candidates and
-runs on integers: (a) is an exact fixed-point test, not a second evaluation,
-and (c) tests the lattice images against integer facet rows.
+runs on integers, with the images of candidate x_k written T(x_k + d_j) =
+y_k + z_j.  (a) uses shift closure: a candidate whose address ep has its
+shift ep.shift() among the candidates, as candidate k, must equal
+T(x_k + d_head), and only the others take the fixed-point test
+ifs.is_address_value; that suffices, because the errors e = x - value(ep)
+satisfy e_i = T e_k, so following k ends at a tested candidate (e = 0) or at
+a cycle with e = T^m e, and I - T^m is nonsingular.  (c) tests
+max_k n.y_k + max_j n.z_j <= c once per integer facet row, and scans the
+images in order only to name the first one that escapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice, pairwise
+from operator import mul
 from typing import Optional
 
 from . import hull as hull_mod
@@ -32,7 +40,13 @@ from . import linalg, spectral
 from ._version import __version__
 from .errors import ExtractionFailure
 from .ifs import (
-    EpAddress, IfsModel, evaluate_ep_address, initial_ledger, is_address_value, lattice_images
+    EpAddress,
+    IfsModel,
+    evaluate_ep_address,
+    evaluate_ep_addresses,
+    initial_ledger,
+    is_address_value,
+    lattice_images,
 )
 
 # The one private import across modules: the benchmark tracer wraps
@@ -181,7 +195,18 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
         eps = model.geom_eps()
     points = [point for _, point in candidates]
     if exact:
-        evaluated = [is_address_value(model, ep, point) for ep, point in candidates]
+        # image j of candidate k is ys[k] + zs[j - 1] over den = scale * s
+        xs, s = linalg.to_lattice(points)
+        ys, zs, den = lattice_images(model, xs, s)
+        scale = den // s
+        index = {ep: k for k, (ep, _) in enumerate(candidates)}
+        evaluated = []
+        for (ep, point), x in zip(candidates, xs):
+            k, j = index.get(ep.shift()), ep.head
+            if k is None or not 1 <= j <= model.digit_count:
+                evaluated.append(is_address_value(model, ep, point))
+            else:
+                evaluated.append(linalg.vec_scale(scale, x) == vec_add(ys[k], zs[j - 1]))
     else:
         evaluated = [
             linalg.norm2(linalg.vec_sub(evaluate_ep_address(model, ep), point)) <= eps
@@ -197,7 +222,8 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
 
     poly = hull_mod.convex_hull(points, eps=model.geom_eps())
     if exact:
-        extremal_ok = poly.vertex_set == frozenset(points) and len(set(points)) == len(points)
+        distinct = frozenset(points)
+        extremal_ok = poly.vertex_set == distinct and len(distinct) == len(points)
     else:
         extremal_ok = len(poly.vertex_set) == len(points)
     checks.append(
@@ -209,8 +235,15 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     )
 
     if exact and poly.facets is not None:
-        rows, den = lattice_images(model, *linalg.to_lattice(points))
-        inside = hull_mod.lattice_contains(poly, den)
+        # n.(y_k + z_j) <= c for all k, j iff max_k n.y_k + max_j n.z_j <= c;
+        # only a failure scans the images in order, to name the first escape
+        facets = hull_mod.lattice_facets(poly, den)
+        fits = all(
+            max(sum(map(mul, n, y)) for y in ys) + max(sum(map(mul, n, z)) for z in zs) <= c
+            for n, c in facets
+        )
+        rows = [] if fits else [[vec_add(y, z) for z in zs] for y in ys]
+        inside = lambda y: all(sum(map(mul, n, y)) <= c for n, c in facets)
     else:
         rows = [[linalg.mat_vec(model.matrix, vec_add(x, d)) for d in model.digits] for x in points]
         inside = lambda y: hull_mod.contains(poly, y, eps=eps)
@@ -238,7 +271,8 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
 
     The stabilization search performs at most k+1 hull steps and no step
     follows it: the addresses are read off the vertex map of the stable pair
-    of steps (extract_ep_addresses), evaluated exactly and certified once.
+    of steps (extract_ep_addresses), evaluated exactly (as one batch in
+    rational mode, evaluate_ep_addresses) and certified once.
     An extraction or certification failure gives an inconclusive verdict.
     """
     warnings = [*model.warnings, NOTE_VERTEX_SETS, NOTE_DECISION_RULE]
@@ -282,7 +316,11 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     except ExtractionFailure as exc:
         failure = f"address extraction failed: {exc}"
     else:
-        candidates = [(ep, evaluate_ep_address(model, ep)) for ep in addresses]
+        if model.mode == RATIONAL:
+            points = evaluate_ep_addresses(model, addresses)
+        else:
+            points = [evaluate_ep_address(model, ep) for ep in addresses]
+        candidates = list(zip(addresses, points))
         cert = certify_polytope(model, candidates)
         failure = f"certification failed on check {cert.failure!r}"
     if cert is None or not cert.ok:

@@ -772,18 +772,17 @@ def _dist_point_polytope(xf, pieces, inside):
     return min(dist(xf, *a) for a in args)
 
 
-def lattice_contains(poly: Polytope, den):
-    """Test n.X <= c*den for integer points X over den, in an exact poly with facets."""
+def lattice_facets(poly: Polytope, den):
+    """Integer rows (n, c) of an exact poly with facets: X/den lies in poly iff n.X <= c for all."""
     rows, _ = to_lattice([normal + (offset,) for normal, offset in poly.facets])
-    facets = [(row[:-1], row[-1] * den) for row in rows]
-    return lambda x: all(dot(n, x) <= c for n, c in facets)
+    return [(row[:-1], row[-1] * den) for row in rows]
 
 
 def _containment(p, q):
     """inside(i): whether vertex i of p lies in q; None unless q has facets.
 
     Exact data runs on integers: a planar q tests cross products against its
-    integer cycle, any other q the rows n.X <= c*den of lattice_contains.
+    integer cycle, any other q the rows n.X <= c*den of lattice_facets.
     """
     if q.affine_dim < q.ambient_dim:
         return None
@@ -791,8 +790,8 @@ def _containment(p, q):
         return lambda i: contains(q, p.vertices[i])
     xs, den = p.lattice
     if q.ambient_dim != 2:
-        test = lattice_contains(q, den)
-        return lambda i: test(xs[i])
+        facets = lattice_facets(q, den)
+        return lambda i: all(dot(n, xs[i]) <= c for n, c in facets)
     ys, e = q.lattice
     edges = [
         (ax * den, ay * den, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(ys, ys[1:] + ys[:1])

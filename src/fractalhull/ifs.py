@@ -7,6 +7,10 @@ induced shift of the attractor is recorded, so results can be mapped back).
 Points of the attractor are digit-index sequences: the finite address
 (j_1, .., j_k) denotes sum_{s=1..k} T^s d_{j_s}, with j_1 the outermost map.
 Eventually periodic addresses evaluate in closed form through (I - T^p)^{-1}.
+The value of an address is T(d_j + v), with j its first digit and v the value
+of its shift (the address with that digit dropped), so evaluate_ep_addresses
+evaluates a batch with one closed-form solve per cycle of shifts and one
+integer map for every other address.
 
 One hull-recursion step, `_step`, takes the vertex ledger of conv(A_k) to that
 of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.  With
@@ -22,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from . import hull as hull_mod
@@ -95,6 +100,17 @@ class EpAddress:
             out.append(self.period[i % len(self.period)])
             i += 1
         return tuple(out)
+
+    @property
+    def head(self):
+        """The first digit of the sequence."""
+        return (self.prefix or self.period)[0]
+
+    def shift(self):
+        """The address with the first digit dropped: its value v solves value = T(d_head + v)."""
+        if self.prefix:
+            return EpAddress(self.prefix[1:], self.period)
+        return EpAddress((), self.period[1:] + self.period[:1])
 
 
 def _primitive_word(word):
@@ -202,12 +218,19 @@ def lattice_images(model: IfsModel, points, s):
     """Images T(x + d_j) of the points x = X/s under every digit, on integers.
 
     With T = M/delta and digits E_j/e, image j of X is M(eX) + s(M E_j) over
-    delta*e*s.  Returns (rows, delta*e*s), one row of q images per point.
+    delta*e*s.  Returns the two summands and the scale, (ys, zs, delta*e*s):
+    image j of point k is ys[k] + zs[j - 1].
     """
     matrix, delta, shifts, e = model.lattice
-    images = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
-    shifts = [linalg.vec_scale(s, z) for z in shifts]
-    return [[linalg.vec_add(y, z) for z in shifts] for y in images], delta * e * s
+    ys = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
+    return ys, [linalg.vec_scale(s, z) for z in shifts], delta * e * s
+
+
+def _lattice_map(model, x, s, j):
+    """The one image T(x + d_j) of x = X/s, as (integer vector, delta*e*s)."""
+    matrix, delta, shifts, e = model.lattice
+    image = (e * sum(map(mul, row, x)) + s * z for row, z in zip(matrix, shifts[j - 1]))
+    return tuple(image), delta * e * s
 
 
 def evaluate_finite_address(model: IfsModel, address):
@@ -220,33 +243,73 @@ def evaluate_finite_address(model: IfsModel, address):
     return acc
 
 
+def _periodic_value(model, period):
+    """Value of the purely periodic address `period` on integers, as (X, den).
+
+    It solves y = T^p y + g with g the one-block sum, nonsingular because the
+    spectral radius of T is below 1: g is an integer Horner sum A over
+    e*delta^p, and (delta^p I - M^p) y = A/e is solved by Cramer's rule.
+    """
+    matrix, _, _, e = model.lattice
+    block, s = (0,) * model.dim, e
+    for j in reversed(period):
+        row, s = _lattice_map(model, block, s, j)
+        block, s = tuple(c // e for c in row), s // e
+    mp = linalg.mat_pow(matrix, len(period))
+    b = [[s // e * (i == k) - mp[i][k] for k in range(model.dim)] for i in range(model.dim)]
+    cols = ([r[:i] + [a] + r[i + 1 :] for r, a in zip(b, block)] for i in range(model.dim))
+    return tuple(linalg.det(c) for c in cols), linalg.det(b) * e
+
+
+def evaluate_ep_addresses(model: IfsModel, eps):
+    """Exact values of a batch of eventually periodic addresses, in batch order.
+
+    The value of ep is T(d_head + v) for v the value of ep.shift().  So each
+    address is walked through its shifts until it meets a value already known:
+    one closed-form solve (_periodic_value) serves each cycle of shifts inside
+    the batch and each chain of shifts that leaves it, and every other value
+    is one integer map from the value of its shift.  Fractions are built once,
+    at the end.  In float mode each address is evaluated alone.
+    """
+    eps = list(eps)
+    if model.mode != RATIONAL:
+        return [evaluate_ep_address(model, ep) for ep in eps]
+    for ep in eps:
+        _check_indices(model, ep.prefix + ep.period)
+    batch = set(eps)
+    values = {}  # EpAddress -> (X, den)
+    for ep in eps:
+        chain = {}  # address -> its shift, in walk order
+        while ep not in values:
+            if ep in chain:  # a cycle of shifts: ep is purely periodic
+                del chain[ep]
+                values[ep] = _periodic_value(model, ep.period)
+                break
+            shifted = ep.shift()
+            if not (ep.prefix or shifted in batch):  # the chain leaves the batch
+                values[ep] = _periodic_value(model, ep.period)
+                break
+            chain[ep] = shifted
+            ep = shifted
+        for ep, shifted in reversed(chain.items()):
+            values[ep] = _lattice_map(model, *values[shifted], ep.head)
+    return [tuple(Fraction(c, den) for c in x) for x, den in map(values.__getitem__, eps)]
+
+
 def evaluate_ep_address(model: IfsModel, ep: EpAddress):
     """Exact value of an eventually periodic address.
 
-    The periodic tail solves y = T^p y + g with g the one-block sum, which is
-    nonsingular because the spectral radius of T is below 1; the prefix is
-    then folded around the tail.  In rational mode g is an integer Horner sum
-    A over e*delta^p, and (delta^p I - M^p) y = A/e is solved on ints by
-    Cramer's rule; Fractions are built only for y.
+    In rational mode it is the batch of one, evaluate_ep_addresses([ep]).  In
+    float mode the periodic tail solves y = T^p y + g with g the one-block sum
+    by Gaussian elimination, and the prefix is then folded around the tail.
     """
-    _check_indices(model, ep.prefix + ep.period)
-    p = len(ep.period)
     if model.mode == RATIONAL:
-        matrix, _, _, e = model.lattice
-        block, s = (0,) * model.dim, e
-        for j in reversed(ep.period):
-            (row,), s = lattice_images(model, [block], s)
-            block, s = tuple(c // e for c in row[j - 1]), s // e
-        mp = linalg.mat_pow(matrix, p)
-        b = [[s // e * (i == k) - mp[i][k] for k in range(model.dim)] for i in range(model.dim)]
-        cols = ([r[:i] + [a] + r[i + 1 :] for r, a in zip(b, block)] for i in range(model.dim))
-        y = tuple(Fraction(linalg.det(c), linalg.det(b) * e) for c in cols)
-    else:
-        block = evaluate_finite_address(model, ep.period)
-        eye = linalg.identity(model.dim, model.mode)
-        tp = linalg.mat_pow(model.matrix, p)
-        y = linalg.solve(linalg.mat_sub(eye, tp), block, eps=model.geom_eps())
-    acc = y
+        return evaluate_ep_addresses(model, [ep])[0]
+    _check_indices(model, ep.prefix + ep.period)
+    block = evaluate_finite_address(model, ep.period)
+    eye = linalg.identity(model.dim, model.mode)
+    tp = linalg.mat_pow(model.matrix, len(ep.period))
+    acc = linalg.solve(linalg.mat_sub(eye, tp), block, eps=model.geom_eps())
     for j in reversed(ep.prefix):
         acc = linalg.mat_vec(model.matrix, linalg.vec_add(model.digits[j - 1], acc))
     return acc
@@ -265,8 +328,7 @@ def is_address_value(model: IfsModel, ep: EpAddress, point):
     (y,), s = linalg.to_lattice([point])
     image, t = y, s
     for j in reversed(ep.period):
-        (row,), t = lattice_images(model, [image], t)
-        image = row[j - 1]
+        image, t = _lattice_map(model, image, t, j)
     return linalg.vec_scale(t, y) == linalg.vec_scale(s, image)
 
 
@@ -314,7 +376,8 @@ def _step(model: IfsModel, ledger: VertexLedger):
         return out, hull_mod.lattice_polygon(cycle, scale // g)
     exact = model.mode == RATIONAL
     if exact:
-        rows, den = lattice_images(model, *linalg.to_lattice(ledger.points))
+        ys, zs, den = lattice_images(model, *linalg.to_lattice(ledger.points))
+        rows = ([linalg.vec_add(y, z) for z in zs] for y in ys)
     else:
         rows = (
             [linalg.mat_vec(model.matrix, linalg.vec_add(x, d)) for d in model.digits]

@@ -423,20 +423,6 @@ def eigenvalues(matrix, *, eps_eig=1e-10):
     return sorted(polished, key=lambda z: (z.real, z.imag))
 
 
-def char_residual(matrix, lam):
-    """|det(matrix - lam I)| evaluated in complex floats (test diagnostic)."""
-    n = len(matrix)
-    rows = [[complex(float(v), 0.0) for v in row] for row in matrix]
-    for i in range(n):
-        rows[i][i] -= lam
-    if n == 1:
-        return abs(rows[0][0])
-    if n == 2:
-        return abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-
-
 def spectral_radius(matrix):
     return max(abs(z) for z in eigenvalues(matrix))
 
@@ -446,10 +432,6 @@ def operator_norm(matrix):
     gram = mat_mul(transpose(matrix), matrix)
     top = max(z.real for z in eigenvalues(gram))
     return math.sqrt(max(top, 0.0))
-
-
-def inf_norm(matrix):
-    return max(sum(abs(float(v)) for v in row) for row in matrix)
 
 
 def norm2(v):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -105,6 +106,32 @@ def rational_models(draw):
     else:
         digits = [tuple(draw(_coord) for _ in range(dim)) for _ in range(draw(st.integers(2, 4)))]
     return validate_model(matrix, digits)
+
+
+def stable_candidates(model, k_max=16):
+    """(EpAddress, value) of each vertex of the first stable pair of steps, uncertified.
+
+    Empty when the bound k exceeds k_max, no pair is stable or extraction fails.
+    """
+    from fractalhull.decide import extract_ep_addresses, hull_steps, inverse_eigenvalue_classes
+    from fractalhull.errors import ExtractionFailure
+    from fractalhull.ifs import evaluate_ep_addresses
+    from fractalhull.spectral import compute_step_bound
+
+    bound = compute_step_bound(inverse_eigenvalue_classes(model))
+    if bound is None or bound.k > k_max:
+        return []
+    steps = islice(hull_steps(model), bound.k + 2)
+    prev = next(steps)
+    for ledger, poly in steps:
+        if ledger.step >= 2 and prev[0].count == ledger.count:
+            try:
+                addresses = extract_ep_addresses(*prev, ledger, poly)
+            except ExtractionFailure:
+                return []
+            return list(zip(addresses, evaluate_ep_addresses(model, addresses)))
+        prev = ledger, poly
+    return []
 
 
 # --- exact membership oracles (independent of the hull implementation) ---

@@ -10,20 +10,7 @@ from pathlib import Path
 import pytest
 
 from fractalhull import cli
-from fractalhull.cli import (
-    ModelFileError,
-    decision_from_dict,
-    decision_to_dict,
-    parse_entry,
-    parse_model,
-)
-from fractalhull.decide import (
-    VERDICT_EMPTY_U,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_NO_STABILIZATION,
-    VERDICT_POLYTOPE,
-    Decision,
-)
+from fractalhull.cli import ModelFileError, parse_entry, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -266,22 +253,6 @@ def test_render_matches_benchmark_digest(name, tmp_path, capsys):
     assert cli.main(["render", str(MODELS / name), "--points", "2000", "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"render:{name}"]["sha256"]
-
-
-def test_decision_dict_roundtrip():
-    variants = [
-        Decision(VERDICT_POLYTOPE, True, 1, ((None, None),), None),
-        Decision(VERDICT_EMPTY_U, reason="no rational-angle eigenvalue up to denominator 64"),
-        Decision(VERDICT_NO_STABILIZATION, reason="vertex counts grew strictly for every i <= 2"),
-        Decision(VERDICT_INCONCLUSIVE, reason="criteria disagree"),
-    ]
-    for original in variants:
-        data = json.loads(json.dumps(decision_to_dict(original)))
-        parsed = decision_from_dict(data)
-        assert parsed.verdict == original.verdict
-        assert parsed.certified == original.certified
-        assert parsed.stabilization_index == original.stabilization_index
-        assert parsed.reason == original.reason
 
 
 def test_certify_subcommand(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 from pathlib import Path
@@ -15,6 +16,7 @@ from conftest import (
     rational_models,
     rot1_model,
     sierpinski_model,
+    stable_candidates,
     suite5_models,
     twin_dragon_model,
 )
@@ -35,16 +37,18 @@ from fractalhull.decide import (
 )
 from fractalhull.errors import ExtractionFailure
 from fractalhull import hull as hull_mod
+from fractalhull import ifs as ifs_mod
 from fractalhull.hull import contains, convex_hull, support_map
 from fractalhull.ifs import (
     EpAddress,
     VertexLedger,
     brute_force_vertices,
     evaluate_ep_address,
+    is_address_value,
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import RATIONAL, mat_vec, vec_add, vec_scale, vec_sub
+from fractalhull.linalg import RATIONAL, mat_vec, to_lattice, vec_add, vec_scale, vec_sub
 from fractalhull.spectral import compute_step_bound
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -299,42 +303,103 @@ def _reference_self_mapping(model, points):
                         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), None)
 def test_integer_self_mapping_matches_fraction_contains(model, data):
     """Check (c) on integer facets gives the ok flag and detail of per-image contains()."""
-    sets = []
-    bound = compute_step_bound(inverse_eigenvalue_classes(model))
-    if bound is not None and bound.k <= 16:
-        decision, _ = decide_polytope(model)
-        if decision.vertices:
-            sets.append([(ep, point) for point, ep in decision.vertices])
-    step = data.draw(st.integers(1, 4)) if data else 3
-    ledger, _ = next(islice(hull_steps(model), step, None))
-    sets.append([(EpAddress(address, (1,)), point) for point, address in ledger.entries])
-    for candidates in list(sets):
-        if len(candidates) > 1:
-            drop = data.draw(st.integers(0, len(candidates) - 1)) if data else 0
-            sets.append(candidates[:drop] + candidates[drop + 1 :])
-    for candidates in sets:
+    for candidates in _candidate_sets(model, data):
         check = certify_polytope(model, candidates).checks[2]
         points = [point for _, point in candidates]
         assert (check.ok, check.detail) == _reference_self_mapping(model, points)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rational_models(), st.data())
+@example(twin_dragon_model(), None)
+@example(sierpinski_model(), None)
+@example(validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 2)]],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), None)
+def test_shift_closure_check_matches_fixed_point_tests(model, data):
+    """Check (a) holds exactly when every candidate passes is_address_value."""
+    for candidates in _candidate_sets(model, data):
+        check = certify_polytope(model, candidates).checks[0]
+        assert check.ok == all(is_address_value(model, ep, point) for ep, point in candidates)
+
+
+def _candidate_sets(model, data):
+    """Candidate lists for certification, each also mutated.
+
+    The vertices of a stable pair of steps and the ledger of a few steps (each
+    point the value of its address followed by digit 1), then every list with
+    one point moved by 1/den, with the addresses of two candidates swapped and
+    with one dropped.
+    """
+    stable = stable_candidates(model)
+    sets = [stable] if stable else []
+    step = data.draw(st.integers(1, 4)) if data else 3
+    ledger, _ = next(islice(hull_steps(model), step, None))
+    sets.append([(EpAddress(address, (1,)), point) for point, address in ledger.entries])
+
+    def draw(strategy, default):
+        return data.draw(strategy) if data else default
+
+    for candidates in list(sets):
+        n = len(candidates)
+        i = draw(st.integers(0, n - 1), 0)
+        axis = draw(st.integers(0, model.dim - 1), 0)
+        nudge = F(draw(st.sampled_from((1, -1)), 1), to_lattice([p for _, p in candidates])[1])
+        ep, point = candidates[i]
+        moved = tuple(c + nudge if a == axis else c for a, c in enumerate(point))
+        sets.append(candidates[:i] + [(ep, moved)] + candidates[i + 1 :])
+        if n > 1:
+            j = (i + draw(st.integers(1, n - 1), 1)) % n
+            swapped = list(candidates)
+            swapped[i], swapped[j] = (candidates[j][0], point), (ep, candidates[j][1])
+            sets.append(swapped)
+            sets.append(candidates[:i] + candidates[i + 1 :])
+    return sets
+
+
 def test_decide_evaluates_each_address_once(monkeypatch):
-    """Certification re-evaluates no address and calls no Fraction contains()."""
+    """Rational decide solves once per cycle of shifts and certifies on integers alone.
+
+    The 8 twin dragon vertices form one cycle under the shift, so one
+    closed-form solve gives all their values, check (a) needs no fallback
+    fixed-point test and check (c) no Fraction contains().
+    """
     model, _opts = parse_model(str(MODELS / "twindragon.json"))
+    solve, fixed_point = ifs_mod._periodic_value, decide_mod.is_address_value
+    solves, fallbacks, contains_calls = [], [], []
+
+    def counting_solve(model, period):
+        solves.append(period)
+        return solve(model, period)
+
+    def counting_fixed_point(model, ep, point):
+        fallbacks.append(ep)
+        return fixed_point(model, ep, point)
+
+    monkeypatch.setattr(ifs_mod, "_periodic_value", counting_solve)
+    monkeypatch.setattr(decide_mod, "is_address_value", counting_fixed_point)
+    monkeypatch.setattr(hull_mod, "contains", lambda *args, **kw: contains_calls.append(args))
+    decision, _ = decide_polytope(model)
+    assert decision.certified
+    assert len(decision.vertices) == 8
+    assert len(solves) == 1
+    assert fallbacks == contains_calls == []
+
+
+def test_float_decide_evaluates_each_address_twice(monkeypatch):
+    """Float decide evaluates each address alone, once to decide and once in check (a)."""
+    model = validate_model([[0.5, -0.5], [0.5, 0.5]], [[0, 0], [1, 0]], mode="float")
     evaluate = decide_mod.evaluate_ep_address
-    evaluated, contains_calls = [], []
+    evaluated = []
 
     def counting_evaluate(model, ep):
         evaluated.append(ep)
         return evaluate(model, ep)
 
     monkeypatch.setattr(decide_mod, "evaluate_ep_address", counting_evaluate)
-    monkeypatch.setattr(hull_mod, "contains", lambda *args, **kw: contains_calls.append(args))
     decision, _ = decide_polytope(model)
-    assert decision.certified
-    assert len(evaluated) == len(decision.vertices) == 8
-    assert set(evaluated) == {ep for _, ep in decision.vertices}
-    assert contains_calls == []
+    assert decision.verdict == VERDICT_POLYTOPE and not decision.certified
+    assert len(decision.vertices) == 8
+    assert Counter(evaluated) == Counter(2 * [ep for _, ep in decision.vertices])
 
 
 def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):

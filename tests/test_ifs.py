@@ -16,6 +16,7 @@ from conftest import (
     diag_model,
     rational_models,
     sierpinski_model,
+    stable_candidates,
     suite5_models,
     twin_dragon_model,
 )
@@ -36,6 +37,7 @@ from fractalhull.ifs import (
     attractor_radius_bound,
     brute_force_vertices,
     evaluate_ep_address,
+    evaluate_ep_addresses,
     evaluate_finite_address,
     initial_ledger,
     is_address_value,
@@ -267,6 +269,54 @@ def test_lattice_evaluate_matches_fraction_evaluator(data):
         value = evaluate_ep_address(model, ep)
         reference = _fraction_evaluate(model, ep)
         assert value == reference and repr(value) == repr(reference)
+
+
+def _shift_closure(eps):
+    """The addresses with all their shifts, each shift checked against truncate()."""
+    out = dict.fromkeys(eps)
+    todo = list(eps)
+    while todo:
+        ep = todo.pop()
+        shifted = ep.shift()
+        assert (ep.head,) + shifted.truncate(20) == ep.truncate(21)
+        if shifted not in out:
+            out[shifted] = None
+            todo.append(shifted)
+    return list(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+@example(None)
+def test_batch_evaluation_matches_per_address(data):
+    """evaluate_ep_addresses gives every address of a batch its value alone.
+
+    The batches: the vertices of a stable pair of steps (closed under the
+    shift), the shift closure of drawn addresses, random sub-batches of it
+    with repeats, the closure with extra prefixed addresses, and repeated
+    periods.
+    """
+    if data is None:
+        model, drawn = twin_dragon_model(), [EpAddress((2, 2), (1, 2, 1, 2))]
+    else:
+        model = data.draw(rational_models())
+        drawn = data.draw(st.lists(_addresses(model), min_size=1, max_size=4))
+    closed = _shift_closure(drawn)
+    batches = [closed, drawn]
+    vertices = [ep for ep, _ in stable_candidates(model)]
+    if vertices:
+        batches.append(vertices)
+        closed += vertices
+    q = model.digit_count
+    pick = st.lists(st.sampled_from(closed), min_size=1, max_size=len(closed) + 2)
+    batches.append(data.draw(pick) if data else closed[::2] + closed[:1])
+    batches.append([EpAddress((q,) + ep.prefix, ep.period) for ep in closed[:3]] + closed)
+    batches.append([EpAddress(ep.prefix, ep.period * 2) for ep in closed] + closed[:2])
+    for batch in batches:
+        got = evaluate_ep_addresses(model, batch)
+        assert got == [evaluate_ep_address(model, ep) for ep in batch]
+        assert got == [_fraction_evaluate(model, ep) for ep in batch]
+        assert repr(got) == repr([_fraction_evaluate(model, ep) for ep in batch])
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,10 +12,8 @@ from fractalhull.errors import DimensionMismatch, ModeMismatch, SingularMatrix
 from fractalhull.linalg import (
     RATIONAL,
     ToleranceConfig,
-    char_residual,
     eigenvalues,
     identity,
-    inf_norm,
     make_matrix,
     make_vector,
     mat_mul,
@@ -114,6 +112,23 @@ def test_eigenvalues_examples():
 
     eig = eigenvalues(frac_matrix([[1, -1], [1, 1]]))
     assert eig == [complex(1, -1), complex(1, 1)]
+
+
+def inf_norm(matrix):
+    return max(sum(abs(float(v)) for v in row) for row in matrix)
+
+
+def char_residual(matrix, lam):
+    """|det(matrix - lam I)| evaluated in complex floats."""
+    rows = [[complex(float(v), 0.0) for v in row] for row in matrix]
+    for i in range(len(rows)):
+        rows[i][i] -= lam
+    if len(rows) == 1:
+        return abs(rows[0][0])
+    if len(rows) == 2:
+        return abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
 
 
 def test_eigenvalue_residuals_random():
