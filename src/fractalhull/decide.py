@@ -3,8 +3,9 @@
 The pipeline: classify the eigenvalue angles of the inverse map matrix; if
 none is a rational multiple of pi the hull is not a polytope; otherwise the
 denominators give a hard bound k on the number of hull-recursion steps that
-can matter.  The generator hull_steps yields the steps on demand, and every
-caller of the recursion drives it.  Equal consecutive vertex counts
+can matter.  The generator hull_steps yields the steps on demand, each as
+its vertex ledger (the step's polytope and one address per vertex), and
+every caller of the recursion drives it.  Equal consecutive vertex counts
 (stabilization) within the bound signal a polytope, in which case each
 vertex's eventually periodic address is read off the vertex map between the
 two stable steps, evaluated exactly, and the resulting candidate polytope is
@@ -13,9 +14,10 @@ not-a-polytope verdict.
 
 Certification proves conv(F) = P* from three checks: (a) every candidate
 point equals the exact value of its address, hence lies in F; (b) the
-candidates are exactly the vertices of their own hull P*; (c) every image
-T(v + d_j) of a vertex stays inside P*, hence the attractor map sends P*
-into itself and F is trapped inside P*.  Together: P* <= conv(F) <= P*.
+candidates are exactly the vertices of their own hull P*, which holds when
+P* has as many vertices as there are candidates, as its vertices are among
+them; (c) every image T(v + d_j) of a vertex stays inside P*, hence the
+attractor map sends P* into itself and F is trapped inside P*.  Together: P* <= conv(F) <= P*.
 In rational mode certification reads only the model and the candidates and
 runs on integers, with the images of candidate x_k written T(x_k + d_j) =
 y_k + z_j.  (a) uses shift closure: a candidate whose address ep has its
@@ -118,58 +120,52 @@ class Report:
 
 
 def hull_steps(model: IfsModel):
-    """Yield (ledger, polytope) for steps 0, 1, 2, ... of the hull recursion.
+    """Yield (ledger, ledger.poly) for steps 0, 1, 2, ... of the hull recursion.
 
     Step 0 is the origin and its hull.  Each step is computed only when the
     caller asks for it, so islice(hull_steps(model), n) takes n - 1 steps.
     """
     ledger = initial_ledger(model)
-    poly = hull_mod.Polytope(model.dim, 0, ledger.points)
     while True:
-        yield ledger, poly
-        ledger, poly = _step(model, ledger)
+        yield ledger, ledger.poly
+        ledger, _ = _step(model, ledger)
 
 
-def extract_ep_addresses(prev_ledger, prev_poly, ledger, poly):
+def extract_ep_addresses(prev_ledger, ledger):
     """Eventually periodic address of each vertex of a stable pair of steps.
 
-    prev_ledger/prev_poly hold step i and ledger/poly step i+1.  A vertex
-    (j,) + a of step i+1 goes to the support match in poly of its parent a
-    and is labelled j; walking this vertex map until a vertex repeats gives
-    the labels of the prefix, then of the period (one EpAddress per ledger
-    entry).  A tied or non-bijective match raises ExtractionFailure.
+    prev_ledger holds step i and ledger step i+1.  The vertex of step i+1
+    with address (j,) + a is labelled j and goes to the vertex of step i+1
+    that matches its parent, the vertex of step i with address a, by
+    support direction; walking this map on vertex indices until one repeats
+    gives the labels of the prefix, then of the period.  The EpAddresses
+    come in ledger.entries order.  A tied or non-bijective match raises
+    ExtractionFailure.
 
-    When both ledgers hold the integer cycles of their planar polytopes and
-    hull.parallel_cycles holds, the match keeps each vertex's cycle index, so
-    the map is read off the addresses alone; a stable pair of planar rational
-    steps always has parallel cycles.
+    When both polytopes are exact planar ones and hull.parallel_cycles holds,
+    vertex i of one matches vertex i of the other, so the map is read off the
+    addresses alone; a stable pair of planar rational steps always has
+    parallel cycles.
     """
-    planar = poly.ambient_dim == 2 and poly.lattice is not None and prev_poly.lattice is not None
-    if (
-        planar
-        and ledger.lattice[:2] == poly.lattice
-        and prev_ledger.lattice[:2] == prev_poly.lattice
-        and hull_mod.parallel_cycles(prev_poly, poly)
-    ):
-        xs, _, addresses = ledger.lattice
-        parent = {address: i for i, address in enumerate(prev_ledger.lattice[2])}
-        succ = [parent[address[1:]] for address in addresses]
-        order = sorted(range(len(xs)), key=xs.__getitem__)
+    prev, poly = prev_ledger.poly, ledger.poly
+    addresses = ledger.addresses
+    planar = poly.ambient_dim == 2 and poly.lattice is not None and prev.lattice is not None
+    keys = poly.lattice[0] if planar else poly.vertices
+    if planar and hull_mod.parallel_cycles(prev, poly):
+        images = range(ledger.count)
     else:
-        match = hull_mod.support_map(prev_poly, poly)
-        images = list(match.values())
-        if None in images or not len(images) == len(set(images)) == ledger.count:
-            why = "ties a vertex" if None in images else "is not a bijection"
+        match = list(hull_mod.support_map(prev, poly).values())
+        if None in match or not len(match) == len(set(match)) == ledger.count:
+            why = "ties a vertex" if None in match else "is not a bijection"
             raise ExtractionFailure(
                 f"support map from step {prev_ledger.step} to {ledger.step} {why}"
             )
-        parent = {address: point for point, address in prev_ledger.entries}
-        index = {point: i for i, (point, _) in enumerate(ledger.entries)}
-        addresses = [address for _, address in ledger.entries]
-        succ = [index[match[parent[address[1:]]]] for address in addresses]
-        order = range(ledger.count)
+        index = {point: i for i, point in enumerate(poly.vertices)}
+        images = [index[point] for point in match]
+    parent = dict(zip(prev_ledger.addresses, images))
+    succ = [parent[address[1:]] for address in addresses]
     out = []
-    for start in order:
+    for start in sorted(range(ledger.count), key=keys.__getitem__):
         i, seen, labels = start, {}, []
         while i not in seen:
             seen[i] = len(labels)
@@ -221,15 +217,10 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     ]
 
     poly = hull_mod.convex_hull(points, eps=model.geom_eps())
-    if exact:
-        distinct = frozenset(points)
-        extremal_ok = poly.vertex_set == distinct and len(distinct) == len(points)
-    else:
-        extremal_ok = len(poly.vertex_set) == len(points)
     checks.append(
         CertCheck(
             "extremality",
-            extremal_ok,
+            len(poly.vertex_set) == len(points),
             "the candidates are exactly the vertices of their own hull",
         )
     )
@@ -260,7 +251,7 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
 
 
 def inverse_eigenvalue_classes(model: IfsModel):
-    eig_t = linalg.eigenvalues(model.matrix, eps_eig=model.tol.eps_eig)
+    eig_t = linalg.eigenvalues(model.matrix)
     inverse_eigs = [1.0 / z for z in eig_t]
     distinct = spectral.distinct_eigenvalues(inverse_eigs)
     return [spectral.classify_angle(z, model.tol) for z in distinct]
@@ -312,7 +303,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     # read the addresses off the stable pair of steps, evaluate exactly, certify
     cert = None
     try:
-        addresses = extract_ep_addresses(prev_ledger, prev_poly, ledger, poly)
+        addresses = extract_ep_addresses(prev_ledger, ledger)
     except ExtractionFailure as exc:
         failure = f"address extraction failed: {exc}"
     else:

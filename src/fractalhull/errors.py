@@ -42,4 +42,4 @@ class EnumerationBudgetExceeded(FractalHullError):
 
 
 class ExtractionFailure(FractalHullError):
-    """No eventually-periodic pattern found in a vertex address."""
+    """The support map between a stable pair of steps ties a vertex or is not a bijection."""

@@ -12,12 +12,15 @@ of its shift (the address with that digit dropped), so evaluate_ep_addresses
 evaluates a batch with one closed-form solve per cycle of shifts and one
 integer map for every other address.
 
-One hull-recursion step, `_step`, takes the vertex ledger of conv(A_k) to that
-of conv(A_{k+1}); its one driver is the generator `decide.hull_steps`.  With
-Delta = conv(D) the step is conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski
-sum.  A planar rational step computes it as an edge merge of two integer
-vertex cycles and makes no hull call; its ledger and Polytope keep that
-integer form and build their Fractions only when a caller reads them.
+The vertex ledger of step k is the Polytope conv(A_k) with one length-k
+address per vertex, in the polytope's own vertex order.  One hull-recursion
+step, `_step`, takes the ledger of conv(A_k) to that of conv(A_{k+1}); its one
+driver is the generator `decide.hull_steps`.  With Delta = conv(D) the step is
+conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A planar rational step
+computes it as an edge merge of two integer vertex cycles and makes no hull
+call; its Polytope keeps that integer cycle and builds its Fractions only when
+a caller reads them.  A rational step starts from poly.lattice, the integer
+form of the polytope before it.
 """
 
 from __future__ import annotations
@@ -123,48 +126,29 @@ def _primitive_word(word):
 
 @dataclass(frozen=True)
 class VertexLedger:
-    """Vertex set of conv(A_k) with one length-k address per vertex.
+    """Vertex set of conv(A_k): its polytope and one length-k address per vertex.
 
-    A planar rational ledger from _step holds only its integer form `lattice`
-    and builds its Fraction entries when they are read.
+    addresses[i] is the address of poly's vertex i, in the polytope's own
+    vertex order; entries and points, sorted by point, are built from poly
+    when first read.
     """
 
     step: int
-    entries: tuple  # ((point, address), ...) sorted by point
+    poly: hull_mod.Polytope
+    addresses: tuple
+
+    @property
+    def count(self):
+        return len(self.addresses)
+
+    @functools.cached_property
+    def entries(self):
+        """((point, address), ...) sorted by point."""
+        return tuple(sorted(zip(self.poly.vertices, self.addresses)))
 
     @property
     def points(self):
         return tuple(point for point, _ in self.entries)
-
-    @property
-    def count(self):
-        entries = vars(self).get("entries")
-        return len(self.lattice[0]) if entries is None else len(entries)
-
-    @functools.cached_property
-    def lattice(self):
-        """(cycle, den, addresses) of a planar rational ledger.
-
-        Its vertices are the integer points X/den of cycle, counterclockwise
-        from the lexicographic minimum, and addresses[i] is that of cycle[i].
-        """
-        xs, den = linalg.to_lattice(self.points)
-        address_of = dict(zip(xs, (address for _, address in self.entries)))
-        cycle = hull_mod.lattice_cycle(xs)
-        return cycle, den, [address_of[x] for x in cycle]
-
-
-def _lattice_entries(ledger):
-    cycle, den, addresses = ledger.lattice
-    return tuple(
-        (tuple(Fraction(c, den) for c in x), address) for x, address in sorted(zip(cycle, addresses))
-    )
-
-
-# Set after @dataclass, as hull does for Polytope: a ledger from _step leaves
-# entries out of its __dict__ and this builds them when first read.
-VertexLedger.entries = functools.cached_property(_lattice_entries)
-VertexLedger.entries.__set_name__(VertexLedger, "entries")
 
 
 def validate_model(matrix, digits, mode=RATIONAL, tol: Optional[ToleranceConfig] = None) -> IfsModel:
@@ -333,15 +317,17 @@ def is_address_value(model: IfsModel, ep: EpAddress, point):
 
 
 def initial_ledger(model: IfsModel) -> VertexLedger:
-    return VertexLedger(0, ((linalg.zero_vector(model.dim, model.mode), ()),))
+    """Step 0: the origin, its hull, and its empty address."""
+    origin = linalg.zero_vector(model.dim, model.mode)
+    return VertexLedger(0, hull_mod.Polytope(model.dim, 0, (origin,)), ((),))
 
 
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
     A planar rational step is the Minkowski sum T(P_k + Delta) = T P_k + T Delta,
-    taken by hull.minkowski_cycle on integers: the image e M X of the ledger's
-    cycle over delta*e*den (reversed when det M < 0, so it stays
+    taken by hull.minkowski_cycle on integers: the image e M X of the
+    polytope's cycle over delta*e*den (reversed when det M < 0, so it stays
     counterclockwise) merged with den times the cycle of conv{M E_j}.  The
     vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits into
     its summands in one way only, so no two candidates tie.  The scale is
@@ -352,12 +338,12 @@ def _step(model: IfsModel, ledger: VertexLedger):
     vertices only; that is sufficient because extreme points of a union of
     affine images of a hull are images of extreme points.  Coincident
     candidates keep the lexicographically smallest address.  In rational
-    mode they run on integers (lattice_images), with the ledger points X/s
-    over the lcm s of their denominators, so the integers grow no faster
-    than the ledger's Fractions.
+    mode they run on integers (lattice_images), with the vertices X/s of the
+    polytope's lattice over the lcm s of their denominators, so the integers
+    grow no faster than the vertices' Fractions.
     """
     if model.mode == RATIONAL and model.dim == 2:
-        cycle, den, addresses = ledger.lattice
+        cycle, den = ledger.poly.lattice
         ((a, b), (c, d)), delta, _, e = model.lattice
         ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in cycle]
         n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
@@ -370,36 +356,33 @@ def _step(model: IfsModel, ledger: VertexLedger):
         scale = delta * e * den
         g = math.gcd(scale, *(c for point, _, _ in merged for c in point))
         cycle = [(x // g, y // g) for (x, y), _, _ in merged]
-        addresses = [(digit_of[j],) + addresses[order[i]] for _, i, j in merged]
-        out = object.__new__(VertexLedger)
-        vars(out).update(step=ledger.step + 1, lattice=(cycle, scale // g, addresses))
-        return out, hull_mod.lattice_polygon(cycle, scale // g)
+        addresses = tuple((digit_of[j],) + ledger.addresses[order[i]] for _, i, j in merged)
+        poly = hull_mod.lattice_polygon(cycle, scale // g)
+        return VertexLedger(ledger.step + 1, poly, addresses), poly
     exact = model.mode == RATIONAL
     if exact:
-        ys, zs, den = lattice_images(model, *linalg.to_lattice(ledger.points))
+        ys, zs, den = lattice_images(model, *ledger.poly.lattice)
         rows = ([linalg.vec_add(y, z) for z in zs] for y in ys)
     else:
         rows = (
             [linalg.mat_vec(model.matrix, linalg.vec_add(x, d)) for d in model.digits]
-            for x in ledger.points
+            for x in ledger.poly.vertices
         )
     candidates = {}
-    for row, (_, address) in zip(rows, ledger.entries):
+    for row, address in zip(rows, ledger.addresses):
         for j, new_point in enumerate(row, start=1):
             new_address = (j,) + address
             old = candidates.get(new_point)
             if old is None or new_address < old:
                 candidates[new_point] = new_address
-    if not exact:
+    if exact:
+        poly = hull_mod.lattice_hull(sorted(candidates), den)
+        xs, s = poly.lattice
+        keys = (tuple(c * (den // s) for c in x) for x in xs)
+    else:
         poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
-        entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
-        return VertexLedger(ledger.step + 1, entries), poly
-    poly = hull_mod.lattice_hull(sorted(candidates), den)
-    lattice = sorted(
-        (tuple(c.numerator * (den // c.denominator) for c in pt), pt) for pt in poly.vertices
-    )
-    entries = tuple((pt, candidates[x]) for x, pt in lattice)
-    return VertexLedger(ledger.step + 1, entries), poly
+        keys = poly.vertices
+    return VertexLedger(ledger.step + 1, poly, tuple(map(candidates.__getitem__, keys))), poly
 
 
 def brute_force_vertices(model: IfsModel, k: int, budget: int = 10**6):

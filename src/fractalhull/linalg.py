@@ -29,12 +29,11 @@ class ToleranceConfig:
     """Numeric tolerances used by float-mode predicates and angle search."""
 
     eps_geom: float = 1e-9
-    eps_eig: float = 1e-10
     angle_tol: float = 1e-9
     denom_max: int = 64
 
     def __post_init__(self):
-        if not (self.eps_geom > 0 and self.eps_eig > 0 and self.angle_tol > 0):
+        if not (self.eps_geom > 0 and self.angle_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.denom_max < 1:
             raise ValueError("denom_max must be at least 1")
@@ -375,7 +374,7 @@ def _polish_root(z, coeffs):
     return z
 
 
-def eigenvalues(matrix, *, eps_eig=1e-10):
+def eigenvalues(matrix):
     """All eigenvalues (with algebraic multiplicity) as complex floats.
 
     n = 1 is trivial, n = 2 uses the quadratic formula (exact discriminant

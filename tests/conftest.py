@@ -122,15 +122,15 @@ def stable_candidates(model, k_max=16):
     if bound is None or bound.k > k_max:
         return []
     steps = islice(hull_steps(model), bound.k + 2)
-    prev = next(steps)
-    for ledger, poly in steps:
-        if ledger.step >= 2 and prev[0].count == ledger.count:
+    prev, _ = next(steps)
+    for ledger, _ in steps:
+        if ledger.step >= 2 and prev.count == ledger.count:
             try:
-                addresses = extract_ep_addresses(*prev, ledger, poly)
+                addresses = extract_ep_addresses(prev, ledger)
             except ExtractionFailure:
                 return []
             return list(zip(addresses, evaluate_ep_addresses(model, addresses)))
-        prev = ledger, poly
+        prev = ledger
     return []
 
 

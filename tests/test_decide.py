@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 from pathlib import Path
@@ -63,16 +64,14 @@ def _stable_pair(labels, parents):
     """
     square = convex_hull([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))])
     double = convex_hull([vec_scale(F(2), v) for v in square.vertices])
-    prev = VertexLedger(1, tuple(sorted((v, (i + 1,)) for i, v in enumerate(square.vertices))))
-    entries = ((v, (labels[i], parents[i] + 1)) for i, v in enumerate(double.vertices))
-    ledger = VertexLedger(2, tuple(sorted(entries)))
-    return prev, square, ledger, double
+    prev = VertexLedger(1, square, tuple((i + 1,) for i in range(4)))
+    return prev, VertexLedger(2, double, tuple(zip(labels, (p + 1 for p in parents))))
 
 
 def _addresses_by_corner(labels, parents):
-    prev, square, ledger, double = _stable_pair(labels, parents)
-    by_point = dict(zip(ledger.points, extract_ep_addresses(prev, square, ledger, double)))
-    return [by_point[v] for v in double.vertices]
+    prev, ledger = _stable_pair(labels, parents)
+    by_point = dict(zip(ledger.points, extract_ep_addresses(prev, ledger)))
+    return [by_point[v] for v in ledger.poly.vertices]
 
 
 def test_extraction_examples():
@@ -92,16 +91,16 @@ def test_extraction_examples():
 
 
 def test_extraction_failure():
-    prev, square, ledger, _ = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
+    prev, ledger = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
     # every diagonal support direction of the square ties two diamond vertices
     diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
     with pytest.raises(ExtractionFailure, match="ties a vertex"):
-        extract_ep_addresses(prev, square, ledger, diamond)
+        extract_ep_addresses(prev, replace(ledger, poly=diamond))
     # two square corners are supported by the same kite vertex
     kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
-    assert len(set(support_map(square, kite).values())) < 4
+    assert len(set(support_map(prev.poly, kite).values())) < 4
     with pytest.raises(ExtractionFailure, match="not a bijection"):
-        extract_ep_addresses(prev, square, ledger, kite)
+        extract_ep_addresses(prev, replace(ledger, poly=kite))
 
 
 def test_hull_steps_computes_only_the_steps_consumed(monkeypatch):
@@ -131,8 +130,7 @@ def test_non_bijective_vertex_map_is_inconclusive(monkeypatch):
     def step(model, ledger):
         if ledger.step == 0:
             return real_step(model, ledger)
-        entries = zip(fake.vertices, ((1, 1), (2, 2), (3, 3)))
-        return VertexLedger(2, tuple(sorted(entries))), fake
+        return VertexLedger(2, fake, ((1, 1), (2, 2), (3, 3))), fake
 
     monkeypatch.setattr(decide_mod, "_step", step)
     decision, report = decide_polytope(model)

@@ -45,6 +45,7 @@ from fractalhull.ifs import (
     validate_model,
 )
 from fractalhull.linalg import (
+    RATIONAL,
     identity,
     mat_pow,
     mat_sub,
@@ -160,6 +161,40 @@ def test_address_consistency():
             assert evaluate_finite_address(model, address) == point
 
 
+def _float_mirror(model):
+    return validate_model(
+        [[float(c) for c in row] for row in model.matrix],
+        [[float(c) for c in d] for d in model.digits],
+        mode="float",
+    )
+
+
+def test_ledger_addresses_follow_the_polytope_vertices():
+    """A step's ledger is its polytope with the address of vertex i at index i."""
+    planar = suite5_models()
+    others = [
+        validate_model([[F(-1, 2)]], [[0], [1], [F(1, 3)]]),
+        validate_model(
+            [[F(2, 3), 0, 0], [0, F(2, 3), 0], [0, 0, F(2, 3)]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [F(1, 2), F(1, 2), F(1, 2)]],
+        ),
+        validate_model(
+            [[F(1, 2), F(1, 4), 0], [F(-1, 4), F(1, 3), F(1, 5)], [0, F(1, 6), F(-1, 2)]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
+        ),
+    ]
+    for model in [*planar, *map(_float_mirror, planar), *others]:
+        for ledger, poly in islice(hull_steps(model), 6):
+            assert ledger.poly is poly
+            assert len(ledger.addresses) == len(poly.vertices)
+            values = [evaluate_finite_address(model, a) for a in ledger.addresses]
+            if model.mode == RATIONAL:
+                assert values == list(poly.vertices)
+                assert ledger.entries == tuple(sorted(zip(poly.vertices, ledger.addresses)))
+            else:
+                assert all(norm2(vec_sub(x, v)) < 1e-9 for x, v in zip(values, poly.vertices))
+
+
 def _fraction_step(model, ledger):
     """Reference hull step on Fraction candidates: mat_vec + convex_hull."""
     candidates = {}
@@ -171,8 +206,8 @@ def _fraction_step(model, ledger):
             if old is None or new_address < old:
                 candidates[new_point] = new_address
     poly = convex_hull(list(candidates))
-    entries = tuple(sorted((pt, candidates[pt]) for pt in poly.vertex_set))
-    return VertexLedger(ledger.step + 1, entries), poly
+    addresses = tuple(candidates[pt] for pt in poly.vertices)
+    return VertexLedger(ledger.step + 1, poly, addresses), poly
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,7 +263,7 @@ def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
         for _ in range(30):
             ledger_lcm = math.lcm(*(c.denominator for p in ledger.points for c in p))
             if model.dim == 2:
-                assert ledger.lattice[1] == ledger_lcm
+                assert ledger.poly.lattice[1] == ledger_lcm
                 ledger, _ = next(steps)
                 continue
             ledger, _ = next(steps)
