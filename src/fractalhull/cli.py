@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -58,40 +59,32 @@ def parse_entry(raw, mode):
     Rational mode accepts only exactly-representable inputs: JSON integers
     and integer or "p/q" strings.  Decimal notation is rejected there because
     the matching binary float would not equal the intended rational (write
-    "1/10", not "0.1").
+    "1/10", not "0.1").  Float mode rejects a zero denominator and any entry
+    that is not a finite float (nan, inf, or an integer past the float range).
     """
     if isinstance(raw, bool):
         raise ModelFileError(f"entry {raw!r} is not a number")
+    text = raw.strip() if isinstance(raw, str) else raw
+    if isinstance(text, str) and _FRACTION_RE.match(text):
+        num, den = map(int, text.split("/"))
+        if den == 0:
+            raise ModelFileError(f"zero denominator in entry {raw!r}")
+        text = Fraction(num, den)
     if mode == RATIONAL:
-        if isinstance(raw, int):
-            return Fraction(raw)
-        if isinstance(raw, str):
-            text = raw.strip()
-            if _INT_RE.match(text):
-                return Fraction(int(text))
-            if _FRACTION_RE.match(text):
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ModelFileError(f"zero denominator in entry {raw!r}")
-                return Fraction(int(num), int(den))
-            raise ModelFileError(
-                f"rational mode rejects entry {raw!r}: use an integer or a 'p/q' string"
-            )
+        if isinstance(text, (int, Fraction)) or isinstance(text, str) and _INT_RE.match(text):
+            return Fraction(text)
         raise ModelFileError(
             f"rational mode rejects entry {raw!r}: use an integer or a 'p/q' string"
         )
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
-        text = raw.strip()
-        if _FRACTION_RE.match(text):
-            num, den = text.split("/")
-            return int(num) / int(den)
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ModelFileError(f"cannot parse entry {raw!r} as a number") from exc
-    raise ModelFileError(f"cannot parse entry {raw!r} as a number")
+    try:
+        value = float(text)  # float(Fraction(p, q)) is p / q, correctly rounded
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"cannot parse entry {raw!r} as a number") from exc
+    except OverflowError as exc:
+        raise ModelFileError(f"entry {raw!r} is too large for a float") from exc
+    if not math.isfinite(value):
+        raise ModelFileError(f"float mode rejects entry {raw!r}: not a finite number")
+    return value
 
 
 def parse_model(path):

@@ -142,16 +142,16 @@ def extract_ep_addresses(prev_ledger, ledger):
     come in ledger.entries order.  A tied or non-bijective match raises
     ExtractionFailure.
 
-    When both polytopes are exact planar ones and hull.parallel_cycles holds,
-    vertex i of one matches vertex i of the other, so the map is read off the
-    addresses alone; a stable pair of planar rational steps always has
-    parallel cycles.
+    Exact vertices are sorted by their integer form.  When both polytopes
+    are exact planar ones and hull.parallel_cycles holds, vertex i of one
+    matches vertex i of the other, so the map is read off the addresses
+    alone; a stable pair of planar rational steps always has parallel cycles.
     """
     prev, poly = prev_ledger.poly, ledger.poly
     addresses = ledger.addresses
-    planar = poly.ambient_dim == 2 and poly.lattice is not None and prev.lattice is not None
-    keys = poly.lattice[0] if planar else poly.vertices
-    if planar and hull_mod.parallel_cycles(prev, poly):
+    exact = poly.lattice is not None and prev.lattice is not None
+    keys = poly.lattice[0] if exact else poly.vertices
+    if exact and poly.ambient_dim == 2 and hull_mod.parallel_cycles(prev, poly):
         images = range(ledger.count)
     else:
         match = list(hull_mod.support_map(prev, poly).values())
@@ -220,15 +220,17 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     checks.append(
         CertCheck(
             "extremality",
-            len(poly.vertex_set) == len(points),
+            len(poly.lattice[0] if exact else poly.vertices) == len(points),
             "the candidates are exactly the vertices of their own hull",
         )
     )
 
-    if exact and poly.facets is not None:
-        # n.(y_k + z_j) <= c for all k, j iff max_k n.y_k + max_j n.z_j <= c;
-        # only a failure scans the images in order, to name the first escape
-        facets = hull_mod.lattice_facets(poly, den)
+    if exact and poly.rows is not None:
+        # the hull's rows n.X <= c hold over its own den, a divisor of s, so
+        # the images over den take c * (den // its den); n.(y_k + z_j) <= c for
+        # all k, j iff max_k n.y_k + max_j n.z_j <= c; only a failure scans
+        # the images in order, to name the first escape
+        facets = [(n, c * (den // poly.lattice[1])) for n, c in poly.rows]
         fits = all(
             max(sum(map(mul, n, y)) for y in ys) + max(sum(map(mul, n, z)) for z in zs) <= c
             for n, c in facets
@@ -262,8 +264,8 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
 
     The stabilization search performs at most k+1 hull steps and no step
     follows it: the addresses are read off the vertex map of the stable pair
-    of steps (extract_ep_addresses), evaluated exactly (as one batch in
-    rational mode, evaluate_ep_addresses) and certified once.
+    of steps (extract_ep_addresses), evaluated as one batch
+    (evaluate_ep_addresses) and certified once.
     An extraction or certification failure gives an inconclusive verdict.
     """
     warnings = [*model.warnings, NOTE_VERTEX_SETS, NOTE_DECISION_RULE]
@@ -307,11 +309,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
     except ExtractionFailure as exc:
         failure = f"address extraction failed: {exc}"
     else:
-        if model.mode == RATIONAL:
-            points = evaluate_ep_addresses(model, addresses)
-        else:
-            points = [evaluate_ep_address(model, ep) for ep in addresses]
-        candidates = list(zip(addresses, points))
+        candidates = list(zip(addresses, evaluate_ep_addresses(model, addresses)))
         cert = certify_polytope(model, candidates)
         failure = f"certification failed on check {cert.failure!r}"
     if cert is None or not cert.ok:

@@ -3,11 +3,12 @@
 Exact hulls run on integers.  Rational points are written as integer vectors
 over one shared positive denominator (lattice_hull takes them in that form),
 so every predicate, from the signs of 2x2 / 3x3 determinants to the direction
-and plane keys, works on Python ints; Fractions are built only for the
-returned Polytope, and a planar one builds them only when they are read.
-Float inputs use a caller-supplied eps scaled by the coordinate magnitude,
-and points within tolerance of a facet are treated as non-vertices, which
-errs toward fewer vertices.
+and plane keys, works on Python ints.  Every exact Polytope keeps only that
+integer form, its vertices over the least denominator and its integer facet
+rows (lattice_polytope); its Fraction vertices and facets are built only when
+they are read.  Float inputs use a caller-supplied eps scaled by the
+coordinate magnitude, and points within tolerance of a facet are treated as
+non-vertices, which errs toward fewer vertices.
 
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
@@ -36,8 +39,12 @@ class Polytope:
     faces (affine_dim 3).  facets holds outward unnormalized (normal, offset)
     pairs for full-dimensional hulls and is None otherwise.
 
-    A planar exact Polytope from lattice_polygon holds only its integer form
-    `lattice` and builds its Fraction vertices and facets when they are read.
+    An exact Polytope comes from lattice_polytope and holds only its integer
+    form: lattice = (X, den), the vertices X/den in order over the least
+    den, and rows, the integer facet rows (n, c) with x = X/den inside iff
+    n.X <= c for all of them (None unless full-dimensional).  Its Fraction
+    vertices and facets are built when first read.  A float Polytope has
+    lattice and rows None.
     """
 
     ambient_dim: int
@@ -45,33 +52,38 @@ class Polytope:
     vertices: tuple
     faces: Optional[tuple] = None
     facets: Optional[tuple] = None
+    lattice = None
+    rows = None
 
     @property
     def vertex_set(self):
         return frozenset(self.vertices)
 
-    @functools.cached_property
-    def lattice(self):
-        """(integer vertices, den) with the vertices X/den in order; None for floats."""
-        return to_lattice(self.vertices) if _is_exact(self.vertices[0]) else None
+
+def _fraction_facet(row, s, den):
+    """The Fraction facet (n/s, c/(s den)) of the row (n, c) over den."""
+    normal, offset = row
+    return tuple(Fraction(c, s) for c in normal), Fraction(offset, s * den)
+
+
+def _rational(p, den):
+    return tuple(Fraction(c, den) for c in p)
 
 
 def _lattice_vertices(poly):
-    cycle, den = poly.lattice
-    return tuple(_rational(p, den) for p in cycle)
+    xs, den = poly.lattice
+    return tuple(_rational(x, den) for x in xs)
 
 
 def _lattice_facets(poly):
-    cycle, den = poly.lattice
-    if len(cycle) < 3:
+    if poly.rows is None:
         return None
-    return tuple(
-        ((Fraction(nx, den), Fraction(ny, den)), Fraction(offset, den * den))
-        for (nx, ny), offset in _polygon_facets(cycle)
-    )
+    den = poly.lattice[1]
+    s = den if poly.ambient_dim == 2 else 1  # a polygon's rows are edge normals of X
+    return tuple(_fraction_facet(row, s, den) for row in poly.rows)
 
 
-# Set after @dataclass, so the fields keep their defaults: a lattice_polygon
+# Set after @dataclass, so the fields keep their defaults: a lattice_polytope
 # leaves vertices and facets out of its __dict__ and these build them when
 # first read.  (A __getattr__ hook would slow every attribute read instead.)
 Polytope.vertices = functools.cached_property(_lattice_vertices)
@@ -80,20 +92,34 @@ Polytope.facets = functools.cached_property(_lattice_facets)
 Polytope.facets.__set_name__(Polytope, "facets")
 
 
-def lattice_polygon(cycle, den):
-    """The planar Polytope of the integer cycle X/den, its Fractions built when read.
+def lattice_polytope(points, den, faces=None, rows=None):
+    """The exact Polytope of the integer vertices X/den, its Fractions built when read.
 
-    cycle runs counterclockwise from its lexicographic minimum: one point, a
-    segment's two ends, or a polygon without collinear middle vertices.
+    points are the vertices in Polytope order: a point, a segment's two ends
+    in lexicographic order, a polygon's cycle (counterclockwise from its
+    lexicographic minimum in the plane, without collinear middle vertices),
+    or a solid's sorted vertices with its triangles as faces and its facet
+    rows n.X <= c.  The scale is cut to the least den, and an interval or a
+    planar polygon gets its rows here.
     """
+    g = math.gcd(den, *(c for x in points for c in x))
+    if g > 1:
+        points = [tuple(c // g for c in x) for x in points]
+        den //= g
+        if rows is not None:
+            rows = tuple((normal, offset // g) for normal, offset in rows)
+    n = len(points[0])
+    adim = 3 if faces is not None else min(len(points) - 1, 2)
+    if adim == n == 1:
+        (lo,), (hi,) = points
+        rows = (((-1,), -lo), ((1,), hi))
+    elif adim == n == 2:
+        rows = _polygon_facets(points)
     poly = object.__new__(Polytope)
-    adim = min(len(cycle) - 1, 2)
-    vars(poly).update(ambient_dim=2, affine_dim=adim, faces=None, lattice=(cycle, den))
+    vars(poly).update(
+        ambient_dim=n, affine_dim=adim, faces=faces, lattice=(points, den), rows=rows
+    )
     return poly
-
-
-def _is_exact(p):
-    return isinstance(p[0], Fraction)
 
 
 def _coord_scale(pts):
@@ -136,8 +162,10 @@ def _affine_basis(pts, eps, scale):
     """Base point plus independent difference vectors spanning the point set.
 
     Returns (base, dirs) where dirs holds original difference vectors; their
-    count is the affine dimension.  Rank decisions are exact for Fractions and
-    eps-thresholded for floats.
+    count is the affine dimension.  Only float points reach it (convex_hull
+    sends rational ones to lattice_hull, whose _lattice_basis is exact): a
+    reduced difference is independent when an entry exceeds eps * scale, or
+    when any entry is nonzero if eps is 0.
     """
     base = pts[0]
     dirs = []
@@ -185,10 +213,6 @@ def _lattice_basis(pts):
     return base, dirs
 
 
-def _rational(p, den):
-    return tuple(Fraction(c, den) for c in p)
-
-
 def _chain2d(pts, eps_area):
     """Monotone chain on 2-tuples; CCW cycle from the lexicographic minimum.
 
@@ -211,14 +235,14 @@ def _chain2d(pts, eps_area):
 
 
 def _polygon_facets(cycle):
-    """Outward edge normals with offsets for a CCW 2D vertex cycle."""
-    facets = []
-    r = len(cycle)
-    for i in range(r):
-        a, b = cycle[i], cycle[(i + 1) % r]
-        normal = (b[1] - a[1], a[0] - b[0])
-        facets.append((normal, dot(normal, a)))
-    return tuple(facets)
+    """Outward edge normals n with offsets n.a for a CCW 2D vertex cycle.
+
+    n.a is summed as linalg.dot sums it, one rounding for two float terms.
+    """
+    return tuple(
+        ((by - ay, ax - bx), (by - ay) * ax + (ax - bx) * ay)
+        for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1])
+    )
 
 
 def _direction_key(d):
@@ -383,33 +407,42 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         facet_polys.append((key, poly))
 
     vertex_ids = sorted({t for _, poly in facet_polys for t in poly})
-    if exact:
-        vertices = tuple(_rational(pts[t], den) for t in vertex_ids)
-    else:
-        vertices = tuple(pts[t] for t in vertex_ids)
     index_of = {t: i for i, t in enumerate(vertex_ids)}
-
     triangles = []
-    facets = []
-    for key, poly in facet_polys:
-        if exact:
-            # the primitive normal is the same integer vector at any scale
-            prim_normal, offset = key
-            facets.append((tuple(Fraction(c) for c in prim_normal), Fraction(offset, den)))
-        else:
-            normal = _plane_normal([pts[t] for t in poly])
-            facets.append((normal, dot(normal, pts[poly[0]])))
+    for _, poly in facet_polys:
         mapped = [index_of[t] for t in poly]
         for i in range(1, len(mapped) - 1):
             tri = (mapped[0], mapped[i], mapped[i + 1])
             shift = tri.index(min(tri))
             triangles.append(tri[shift:] + tri[:shift])
     triangles.sort()
+    vertices = [pts[t] for t in vertex_ids]
     if exact:
-        # facets whose float keys tie stay in the repr order of their values
-        facets.sort(key=repr)
+        # a plane key is the facet row: primitive normal n and n.X on the plane
+        rows = _facet_order([key for key, _ in facet_polys], den)
+        return lattice_polytope(vertices, den, tuple(triangles), rows)
+    facets = []
+    for _, poly in facet_polys:
+        normal = _plane_normal([pts[t] for t in poly])
+        facets.append((normal, dot(normal, pts[poly[0]])))
     facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
-    return Polytope(3, 3, vertices, tuple(triangles), tuple(facets))
+    return Polytope(3, 3, tuple(vertices), tuple(triangles), tuple(facets))
+
+
+def _facet_order(rows, den):
+    """3D rows in the order of their Fraction facets' float keys (n, c/den).
+
+    c / den on ints is float(Fraction(c, den)) bit for bit, both correctly
+    rounded; rows whose float keys tie go in the repr order of their Fraction
+    facets, which are built for those rows alone.
+    """
+    def key(row):
+        return tuple(map(float, row[0])), row[1] / den
+
+    ties = Counter(map(key, rows))
+    return tuple(sorted(
+        rows, key=lambda r: (key(r), repr(_fraction_facet(r, 1, den)) if ties[key(r)] > 1 else "")
+    ))
 
 
 def _plane_cycle(pts, base, u, v, eps):
@@ -433,7 +466,7 @@ def lattice_cycle(points):
     """Counterclockwise vertex cycle of distinct integer points in the plane.
 
     It starts at the lexicographic minimum; collinear points give their two
-    ends and a single point gives itself, as lattice_polygon takes them.
+    ends and a single point gives itself, as lattice_polytope takes them.
     """
     return _chain2d(points, 0)
 
@@ -472,17 +505,17 @@ def lattice_hull(points, den):
 
     points are distinct integer vectors of one dimension (1 to 3) in
     lexicographic order, and den is a positive integer.  Every predicate runs
-    on the integers; the result holds Fractions (a planar one builds them when
-    they are read) and equals convex_hull of the rational points.
+    on the integers; the result is a lattice_polytope and equals convex_hull
+    of the rational points.
     """
     n = len(points[0])
     if n == 2:
-        return lattice_polygon(_chain2d(points, 0), den)
+        return lattice_polytope(_chain2d(points, 0), den)
     base, dirs = _lattice_basis(points)
     adim = len(dirs)
 
     if adim == 0:
-        return Polytope(n, 0, (_rational(base, den),))
+        return lattice_polytope([base], den)
 
     if adim == 1:
         u = dirs[0]
@@ -490,16 +523,10 @@ def lattice_hull(points, den):
         def along(p):
             return dot(vec_sub(p, base), u)
 
-        ends = sorted((min(points, key=along), max(points, key=along)))
-        facets = None
-        if n == 1:
-            one = Fraction(1)
-            facets = (((-one,), Fraction(-ends[0][0], den)), ((one,), Fraction(ends[1][0], den)))
-        return Polytope(n, 1, tuple(_rational(p, den) for p in ends), None, facets)
+        return lattice_polytope(sorted((min(points, key=along), max(points, key=along))), den)
 
     if adim == 2:
-        cycle = _plane_cycle(points, base, dirs[0], dirs[1], 0)
-        return Polytope(3, 2, tuple(_rational(p, den) for p in cycle))
+        return lattice_polytope(_plane_cycle(points, base, dirs[0], dirs[1], 0), den)
 
     return _hull_3d(points, den)
 
@@ -520,7 +547,7 @@ def convex_hull(points, eps=0.0):
         raise UnsupportedDimension(f"ambient dimension {n} outside 1..3")
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points have inconsistent dimensions")
-    if _is_exact(pts[0]):
+    if isinstance(pts[0][0], Fraction):
         return lattice_hull(*to_lattice(pts))
     scale = _coord_scale(pts)
     base, dirs = _affine_basis(pts, eps, scale)
@@ -772,33 +799,20 @@ def _dist_point_polytope(xf, pieces, inside):
     return min(dist(xf, *a) for a in args)
 
 
-def lattice_facets(poly: Polytope, den):
-    """Integer rows (n, c) of an exact poly with facets: X/den lies in poly iff n.X <= c for all."""
-    rows, _ = to_lattice([normal + (offset,) for normal, offset in poly.facets])
-    return [(row[:-1], row[-1] * den) for row in rows]
-
-
 def _containment(p, q):
     """inside(i): whether vertex i of p lies in q; None unless q has facets.
 
-    Exact data runs on integers: a planar q tests cross products against its
-    integer cycle, any other q the rows n.X <= c*den of lattice_facets.
+    Exact data runs on integers: X/den lies in q, whose rows n.Y <= c hold
+    over e, iff e (n.X) <= c den.
     """
     if q.affine_dim < q.ambient_dim:
         return None
     if p.lattice is None or q.lattice is None:
         return lambda i: contains(q, p.vertices[i])
     xs, den = p.lattice
-    if q.ambient_dim != 2:
-        facets = lattice_facets(q, den)
-        return lambda i: all(dot(n, xs[i]) <= c for n, c in facets)
-    ys, e = q.lattice
-    edges = [
-        (ax * den, ay * den, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(ys, ys[1:] + ys[:1])
-    ]
-    return lambda i: all(
-        dx * (xs[i][1] * e - ay) >= dy * (xs[i][0] * e - ax) for ax, ay, dx, dy in edges
-    )
+    e = q.lattice[1]
+    rows = [(normal, offset * den) for normal, offset in q.rows]
+    return lambda i: all(e * sum(map(mul, normal, xs[i])) <= c for normal, c in rows)
 
 
 def _floats(poly):
@@ -859,11 +873,9 @@ def hausdorff(p: Polytope, q: Polytope):
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient dimensions")
-    if p.ambient_dim == 1:
-        plo, phi = float(p.vertices[0][0]), float(p.vertices[-1][0])
-        qlo, qhi = float(q.vertices[0][0]), float(q.vertices[-1][0])
-        return max(abs(plo - qlo), abs(phi - qhi))
     pf, qf = _floats(p), _floats(q)
+    if p.ambient_dim == 1:
+        return max(abs(pf[0][0] - qf[0][0]), abs(pf[-1][0] - qf[-1][0]))
     best = _directed(qf, _containment(q, p), p, pf, 0.0)
     return _directed(pf, _containment(p, q), q, qf, best)
 

@@ -18,15 +18,14 @@ step, `_step`, takes the ledger of conv(A_k) to that of conv(A_{k+1}); its one
 driver is the generator `decide.hull_steps`.  With Delta = conv(D) the step is
 conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A planar rational step
 computes it as an edge merge of two integer vertex cycles and makes no hull
-call; its Polytope keeps that integer cycle and builds its Fractions only when
-a caller reads them.  A rational step starts from poly.lattice, the integer
-form of the polytope before it.
+call.  Every rational step starts from poly.lattice, the integer form of the
+polytope before it, and yields a hull.lattice_polytope, which builds its
+Fractions only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -318,8 +317,11 @@ def is_address_value(model: IfsModel, ep: EpAddress, point):
 
 def initial_ledger(model: IfsModel) -> VertexLedger:
     """Step 0: the origin, its hull, and its empty address."""
-    origin = linalg.zero_vector(model.dim, model.mode)
-    return VertexLedger(0, hull_mod.Polytope(model.dim, 0, (origin,)), ((),))
+    if model.mode == RATIONAL:
+        poly = hull_mod.lattice_polytope([(0,) * model.dim], 1)
+    else:
+        poly = hull_mod.Polytope(model.dim, 0, (linalg.zero_vector(model.dim, model.mode),))
+    return VertexLedger(0, poly, ((),))
 
 
 def _step(model: IfsModel, ledger: VertexLedger):
@@ -330,9 +332,7 @@ def _step(model: IfsModel, ledger: VertexLedger):
     polytope's cycle over delta*e*den (reversed when det M < 0, so it stays
     counterclockwise) merged with den times the cycle of conv{M E_j}.  The
     vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits into
-    its summands in one way only, so no two candidates tie.  The scale is
-    cut by the gcd of all its coordinates, which leaves den the lcm of the
-    Fraction denominators.
+    its summands in one way only, so no two candidates tie.
 
     Other steps take as candidates the images T(v + d_j) of the current
     vertices only; that is sufficient because extreme points of a union of
@@ -353,11 +353,8 @@ def _step(model: IfsModel, ledger: VertexLedger):
         merged = hull_mod.minkowski_cycle(
             [ys[i] for i in order], [(den * x, den * y) for x, y in zs]
         )
-        scale = delta * e * den
-        g = math.gcd(scale, *(c for point, _, _ in merged for c in point))
-        cycle = [(x // g, y // g) for (x, y), _, _ in merged]
         addresses = tuple((digit_of[j],) + ledger.addresses[order[i]] for _, i, j in merged)
-        poly = hull_mod.lattice_polygon(cycle, scale // g)
+        poly = hull_mod.lattice_polytope([point for point, _, _ in merged], delta * e * den)
         return VertexLedger(ledger.step + 1, poly, addresses), poly
     exact = model.mode == RATIONAL
     if exact:

@@ -204,15 +204,6 @@ def solve(A, b, *, eps=0.0):
     return tuple(x)
 
 
-def inverse(A, *, eps=0.0):
-    n = len(A)
-    cols = []
-    ident = identity(n, _mode_of(A[0][0]))
-    for j in range(n):
-        cols.append(solve(A, tuple(ident[i][j] for i in range(n)), eps=eps))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 def char_poly(A):
     """Monic characteristic polynomial coefficients of det(lambda I - A).
 

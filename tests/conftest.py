@@ -11,9 +11,15 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fractalhull import validate_model
-from fractalhull.linalg import spectral_radius, det
+from fractalhull.linalg import det, solve, spectral_radius
 
 SUITE_SEED = 20250809
+
+
+def inverse(matrix):
+    """Inverse of a nonsingular rational matrix, one exact solve per column."""
+    n = len(matrix)
+    return tuple(zip(*(solve(matrix, tuple(F(int(i == j)) for i in range(n))) for j in range(n))))
 
 
 def sierpinski_model():

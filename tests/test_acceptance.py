@@ -16,6 +16,7 @@ from itertools import islice
 from conftest import (
     SUITE_SEED,
     diag_model,
+    inverse,
     random_fraction,
     rot1_model,
     sierpinski_model,
@@ -41,7 +42,6 @@ from fractalhull.ifs import (
     validate_model,
 )
 from fractalhull.linalg import (
-    inverse,
     mat_mul,
     mat_sub,
     mat_vec,

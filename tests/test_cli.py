@@ -441,3 +441,39 @@ def test_float_model_without_a_seed_tetrahedron_is_an_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: no seed tetrahedron clears the float tolerances")
     assert "Traceback" not in captured.err
+
+
+def _float_doc(matrix_entry="1/2", digit_entry=1):
+    return {
+        "dimension": 2,
+        "matrix": [[matrix_entry, 0], [0, "1/2"]],
+        "digits": [[0, 0], [digit_entry, 0], [0, 1]],
+        "arithmetic": "float",
+    }
+
+
+def _analyze_error(tmp_path, capsys, doc):
+    """(exit code, stderr) of analyze on the model document doc."""
+    code = cli.main(["analyze", write_model(tmp_path, "bad.json", doc)])
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return code, captured.err
+
+
+def test_float_zero_denominator_is_an_error(tmp_path, capsys):
+    code, err = _analyze_error(tmp_path, capsys, _float_doc(matrix_entry="1/0"))
+    assert code == 1
+    assert err.startswith("error: zero denominator in entry '1/0'")
+
+
+def test_float_nan_entry_is_an_error(tmp_path, capsys):
+    for doc in (_float_doc(matrix_entry="nan"), _float_doc(digit_entry="nan")):
+        code, err = _analyze_error(tmp_path, capsys, doc)
+        assert code == 1
+        assert err.startswith("error: float mode rejects entry 'nan': not a finite number")
+
+
+def test_float_inf_entry_is_an_error(tmp_path, capsys):
+    code, err = _analyze_error(tmp_path, capsys, _float_doc(digit_entry="inf"))
+    assert code == 1
+    assert err.startswith("error: float mode rejects entry 'inf': not a finite number")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, pairwise
 from pathlib import Path
 
 import pytest
@@ -384,16 +384,21 @@ def test_decide_evaluates_each_address_once(monkeypatch):
 
 
 def test_float_decide_evaluates_each_address_twice(monkeypatch):
-    """Float decide evaluates each address alone, once to decide and once in check (a)."""
+    """Float decide evaluates each address alone, once to decide and once in check (a).
+
+    Deciding goes through the batch evaluate_ep_addresses, which in float mode
+    calls ifs.evaluate_ep_address once per address; check (a) calls it itself.
+    """
     model = validate_model([[0.5, -0.5], [0.5, 0.5]], [[0, 0], [1, 0]], mode="float")
-    evaluate = decide_mod.evaluate_ep_address
+    evaluate = ifs_mod.evaluate_ep_address
     evaluated = []
 
     def counting_evaluate(model, ep):
         evaluated.append(ep)
         return evaluate(model, ep)
 
-    monkeypatch.setattr(decide_mod, "evaluate_ep_address", counting_evaluate)
+    for module in (ifs_mod, decide_mod):
+        monkeypatch.setattr(module, "evaluate_ep_address", counting_evaluate)
     decision, _ = decide_polytope(model)
     assert decision.verdict == VERDICT_POLYTOPE and not decision.certified
     assert len(decision.vertices) == 8
@@ -456,6 +461,35 @@ def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
     verdicts = {decide_polytope(model)[0].verdict for model in models}
     assert VERDICT_POLYTOPE in verdicts and VERDICT_NO_STABILIZATION in verdicts
     assert calls and set(calls) == {("lattice_hull", True)}
+
+
+def test_spatial_rational_search_reads_only_integer_forms(monkeypatch):
+    """The 3D counterpart: solid rational steps, their nested_hausdorff and
+    certification's own hull never build Fraction vertices or facets."""
+    half = F(-1, 2)
+    model = validate_model(
+        [[half, 0, 0], [0, half, 0], [0, 0, half]], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    )
+    polys = []
+    for (prev, p), (ledger, q) in pairwise(hull_steps(model)):
+        hull_mod.nested_hausdorff(p, q)
+        polys.append(q)
+        if ledger.count == prev.count:
+            break
+    assert polys[-1].affine_dim == 3 and len(polys) == 3
+    hulls = []
+    real_hull = hull_mod.convex_hull
+
+    def recording_hull(*args, **kwargs):
+        hulls.append(real_hull(*args, **kwargs))
+        return hulls[-1]
+
+    monkeypatch.setattr(hull_mod, "convex_hull", recording_hull)
+    decision, _ = decide_polytope(model)
+    assert decision.certified and len(decision.vertices) == 12
+    assert len(hulls) == 1 and hulls[0].affine_dim == 3
+    for poly in polys + hulls:
+        assert not {"vertices", "facets"} & vars(poly).keys()
 
 
 def test_perturbation_rejection():

@@ -26,6 +26,7 @@ from fractalhull.hull import (
     nested_hausdorff,
 )
 from fractalhull.ifs import validate_model
+from fractalhull.linalg import to_lattice
 
 
 def fr(*values):
@@ -401,6 +402,91 @@ def test_canonical_output_exact():
         scalars = [c for v in poly.vertices for c in v]
         scalars += [c for normal, offset in poly.facets or () for c in normal + (offset,)]
         assert all(type(c) is F for c in scalars)
+
+
+def _reference_facets(poly):
+    """The Fraction facets of an exact poly, derived from its Fraction vertices and faces.
+
+    This is how the hull derived them before it kept an integer form: an
+    interval's two ends, a polygon's edge normals (b - a rotated) with
+    offsets, and a solid's primitive integer plane normals with offsets,
+    ordered by repr and then, stably, by their float values.
+    """
+    vs = poly.vertices
+    if poly.affine_dim < poly.ambient_dim:
+        return None
+    if poly.ambient_dim == 1:
+        return (((F(-1),), -vs[0][0]), ((F(1),), vs[1][0]))
+    if poly.ambient_dim == 2:
+        facets = []
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            normal = (b[1] - a[1], a[0] - b[0])
+            facets.append((normal, normal[0] * a[0] + normal[1] * a[1]))
+        return tuple(facets)
+    planes = set()
+    for i, j, k in poly.faces:
+        u = [b - a for a, b in zip(vs[i], vs[j])]
+        w = [c - a for a, c in zip(vs[i], vs[k])]
+        cross = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        scale = math.lcm(*(c.denominator for c in cross))
+        ints = [int(c * scale) for c in cross]
+        normal = tuple(F(c // math.gcd(*ints)) for c in ints)
+        planes.add((normal, sum(n * x for n, x in zip(normal, vs[i]))))
+    facets = sorted(planes, key=repr)
+    facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
+    return tuple(facets)
+
+
+def _assert_integer_form(poly):
+    """poly keeps its integer form and reads its Fractions off it, equal to the reference."""
+    assert "vertices" not in vars(poly) and "facets" not in vars(poly)
+    xs, den = poly.lattice
+    assert (list(xs), den) == to_lattice(poly.vertices)
+    assert poly.facets == _reference_facets(poly)
+    assert (poly.rows is None) == (poly.facets is None)
+
+
+def test_integer_form_matches_fraction_derivation():
+    """Rational clouds in dimensions 1 to 3, at every affine dimension, and step polytopes."""
+    rng = random.Random(71)
+    seen = set()
+    for dim in (1, 2, 3):
+        for span in range(dim + 1):
+            for _case in range(40):
+                den = rng.choice((1, 2, 3, 6, 7))
+
+                def coord():
+                    return F(rng.randint(-9, 9), den)
+
+                base, *dirs = (tuple(coord() for _ in range(dim)) for _ in range(span + 1))
+                points = [base]
+                for _ in range(rng.randint(1, 12)):
+                    coeffs = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in dirs]
+                    points.append(tuple(
+                        b + sum(c * d[i] for c, d in zip(coeffs, dirs)) for i, b in enumerate(base)
+                    ))
+                poly = convex_hull(points)
+                seen.add((dim, poly.affine_dim))
+                _assert_integer_form(poly)
+    assert seen == {(dim, adim) for dim in (1, 2, 3) for adim in range(dim + 1)}
+    models = [
+        validate_model([[F(-2, 5)]], [[0], [1], [F(1, 3)]]),
+        validate_model([[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], [[0, 0], [1, 0], [F(1, 3), 2]]),
+        # a polygon inside 3D: the digits and T keep the plane z = 0
+        validate_model(
+            [[F(1, 2), F(-1, 3), F(1, 5)], [F(1, 4), F(1, 2), 0], [0, 0, F(1, 3)]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        ),
+        validate_model(
+            [[F(-1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(-1, 2)]],
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ),
+    ]
+    for model, affine_dim in zip(models, (1, 2, 2, 3)):
+        steps = [poly for _, poly in islice(hull_steps(model), 7)]
+        assert steps[-1].affine_dim == affine_dim
+        for poly in steps:
+            _assert_integer_form(poly)
 
 
 def test_facet_order_breaks_float_ties():

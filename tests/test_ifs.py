@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     diag_model,
+    inverse,
     rational_models,
     sierpinski_model,
     stable_candidates,
@@ -440,7 +441,7 @@ def test_conjugation_invariance():
                 tuple(sum(S[i][k] * E[k][j] for k in range(2)) for j in range(2))
                 for i in range(2)
             )
-        from fractalhull.linalg import inverse, mat_mul
+        from fractalhull.linalg import mat_mul
 
         S_inv = inverse(S)
         T2 = mat_mul(mat_mul(S, model.matrix), S_inv)
