@@ -8,7 +8,10 @@ integer form, its vertices over the least denominator and its integer facet
 rows (lattice_polytope); its Fraction vertices and facets are built only when
 they are read.  Float inputs use a caller-supplied eps scaled by the
 coordinate magnitude, and points within tolerance of a facet are treated as
-non-vertices, which errs toward fewer vertices.
+non-vertices, which errs toward fewer vertices.  The float predicates that
+run many times against one polytope read data computed once per polytope:
+contains its vertex scale, facet offsets and normal lengths, and the
+Hausdorff distance of a planar polygon its scalar edge data.
 
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
@@ -58,6 +61,19 @@ class Polytope:
     @property
     def vertex_set(self):
         return frozenset(self.vertices)
+
+    @functools.cached_property
+    def _vertex_scale(self):
+        """The largest |coordinate| of the vertices (at least 1.0), for float contains."""
+        return _coord_scale(self.vertices)
+
+    @functools.cached_property
+    def _slack_rows(self):
+        """(normal, float offset, |normal|) per facet, for float contains."""
+        return tuple(
+            (normal, float(offset), math.sqrt(sum(float(c) ** 2 for c in normal)))
+            for normal, offset in self.facets
+        )
 
 
 def _fraction_facet(row, s, den):
@@ -648,22 +664,25 @@ def parallel_cycles(p: Polytope, q: Polytope):
 
 
 def contains(poly: Polytope, x, eps=0.0):
-    """Closed containment test; exact for rational data when eps is 0."""
+    """Closed containment test; exact for rational data when eps is 0.
+
+    With eps > 0 the tolerances grow with scale = max(1, the largest
+    |coordinate| of x and of poly's vertices): x passes the facet n.y <= c
+    when float(n.x) <= float(c) + eps * scale * |n|.  The vertex scale and
+    each facet's float offset and |n| are computed once per polytope.
+    """
     if len(x) != poly.ambient_dim:
         raise DimensionMismatch("point dimension differs from polytope ambient dimension")
     exact = eps == 0
     if not exact:
-        scale = max(_coord_scale([x]), _coord_scale(poly.vertices), 1.0)
+        scale = max(_coord_scale([x]), poly._vertex_scale, 1.0)
 
     if poly.facets is not None:
-        for normal, offset in poly.facets:
-            if exact:
-                if dot(normal, x) > offset:  # exact comparison, no float mixing
-                    return False
-            else:
-                slack = eps * scale * math.sqrt(sum(float(c) ** 2 for c in normal))
-                if float(dot(normal, x)) > float(offset) + slack:
-                    return False
+        if exact:  # exact comparison, no float mixing
+            return not any(sum(map(mul, normal, x)) > offset for normal, offset in poly.facets)
+        for normal, offset, length in poly._slack_rows:
+            if float(sum(map(mul, normal, x))) > offset + eps * scale * length:
+                return False
         return True
 
     if poly.affine_dim == 0:
@@ -734,6 +753,27 @@ def _dist_point_segment(x, a, d, dd):
     return math.dist(x, closest)
 
 
+def _edge2(a, b):
+    """Scalar edge data (ax, ay, dx, dy, |d|^2), d = b - a, for _dist_point_edge2."""
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    return ax, ay, dx, dy, dx * dx + dy * dy
+
+
+def _dist_point_edge2(x, ax, ay, dx, dy, dd):
+    """_dist_point_segment in the plane on scalars, bit for bit.
+
+    A two-term sum() rounds once, as a + b does, max(0.0, t) absorbs the
+    -0.0 that sum() would not give, and math.hypot of the differences is
+    math.dist.
+    """
+    px, py = x
+    if dd == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / dd))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
 def _dist_point_triangle(p, a, b, c):
     """Distance from point to triangle in R^3 (closest-point walk)."""
     ab = tuple(b[i] - a[i] for i in range(3))
@@ -775,15 +815,15 @@ def _dist_point_triangle(p, a, b, c):
 def _pieces(poly: Polytope, verts):
     """(dist, args): the distance from a float point xf outside poly is the least
     dist(xf, *a) over args.  verts are poly's vertices as floats; the pieces are
-    a point, a segment, the edges of a polygon, the fan triangles of a polygon
-    inside 3D or the faces of a solid.
+    a point, a segment, the edges of a polygon (scalar _edge2 data in the
+    plane), the fan triangles of a polygon inside 3D or the faces of a solid.
     """
     if poly.affine_dim == 0:
         return math.dist, [verts[:1]]
     if poly.affine_dim == 1:
         return _dist_point_segment, [_edge(*verts)]
     if poly.ambient_dim == 2:
-        return _dist_point_segment, list(map(_edge, verts, verts[1:] + verts[:1]))
+        return _dist_point_edge2, list(map(_edge2, verts, verts[1:] + verts[:1]))
     if poly.affine_dim == 2:
         return _dist_point_triangle, [
             (verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)

@@ -6,7 +6,8 @@ induced shift of the attractor is recorded, so results can be mapped back).
 
 Points of the attractor are digit-index sequences: the finite address
 (j_1, .., j_k) denotes sum_{s=1..k} T^s d_{j_s}, with j_1 the outermost map.
-Eventually periodic addresses evaluate in closed form through (I - T^p)^{-1}.
+Eventually periodic addresses evaluate in closed form through (I - T^p)^{-1};
+in float mode each model builds I - T^p once per period length.
 The value of an address is T(d_j + v), with j its first digit and v the value
 of its shift (the address with that digit dropped), so evaluate_ep_addresses
 evaluates a batch with one closed-form solve per cycle of shifts and one
@@ -75,6 +76,11 @@ class IfsModel:
         digit_of = {z: j for j, z in enumerate(shifts, start=1)}
         cycle = hull_mod.lattice_cycle(shifts)
         return cycle, [digit_of[z] for z in cycle]
+
+    @functools.cached_property
+    def _fixed_point_matrices(self):
+        """{p: I - T^p}, filled by float evaluate_ep_address once per period length p."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -284,15 +290,18 @@ def evaluate_ep_address(model: IfsModel, ep: EpAddress):
 
     In rational mode it is the batch of one, evaluate_ep_addresses([ep]).  In
     float mode the periodic tail solves y = T^p y + g with g the one-block sum
-    by Gaussian elimination, and the prefix is then folded around the tail.
+    by Gaussian elimination, with I - T^p built once per model and period
+    length p, and the prefix is then folded around the tail.
     """
     if model.mode == RATIONAL:
         return evaluate_ep_addresses(model, [ep])[0]
     _check_indices(model, ep.prefix + ep.period)
     block = evaluate_finite_address(model, ep.period)
-    eye = linalg.identity(model.dim, model.mode)
-    tp = linalg.mat_pow(model.matrix, len(ep.period))
-    acc = linalg.solve(linalg.mat_sub(eye, tp), block, eps=model.geom_eps())
+    p, matrices = len(ep.period), model._fixed_point_matrices
+    if p not in matrices:
+        eye = linalg.identity(model.dim, model.mode)
+        matrices[p] = linalg.mat_sub(eye, linalg.mat_pow(model.matrix, p))
+    acc = linalg.solve(matrices[p], block, eps=model.geom_eps())
     for j in reversed(ep.prefix):
         acc = linalg.mat_vec(model.matrix, linalg.vec_add(model.digits[j - 1], acc))
     return acc

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .errors import DimensionMismatch, ModeMismatch, SingularMatrix, UnsupportedDimension
 
@@ -105,20 +106,20 @@ def vec_scale(c, v):
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(A, x):
     if len(A[0]) != len(x):
         raise DimensionMismatch("matrix/vector dimensions disagree")
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in A)
+    return tuple(sum(map(mul, row, x)) for row in A)
 
 
 def mat_mul(A, B):
     if len(A[0]) != len(B):
         raise DimensionMismatch("matrix dimensions disagree")
     cols = tuple(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def mat_sub(A, B):

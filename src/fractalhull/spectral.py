@@ -212,22 +212,24 @@ def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     return SpectrumCheck(True, None, warnings)
 
 
-def _parallel(u, v, eps):
-    """True when u and v are parallel (nonzero scaling of either sign)."""
+def _norm(v):
+    return math.sqrt(sum(float(a) ** 2 for a in v))
+
+
+def _parallel(u, v, eps, nv):
+    """True when u and v are parallel (nonzero scaling of either sign); nv is _norm(v)."""
     if len(u) == 2:
         cross = u[0] * v[1] - u[1] * v[0]
         if eps == 0.0:
             return cross == 0
-        nu = math.sqrt(sum(float(a) ** 2 for a in u))
-        nv = math.sqrt(sum(float(a) ** 2 for a in v))
+        nu = _norm(u)
         return abs(float(cross)) <= eps * nu * nv
     cx = u[1] * v[2] - u[2] * v[1]
     cy = u[2] * v[0] - u[0] * v[2]
     cz = u[0] * v[1] - u[1] * v[0]
     if eps == 0.0:
         return cx == 0 and cy == 0 and cz == 0
-    nu = math.sqrt(sum(float(a) ** 2 for a in u))
-    nv = math.sqrt(sum(float(a) ** 2 for a in v))
+    nu = _norm(u)
     cross_norm = math.sqrt(float(cx) ** 2 + float(cy) ** 2 + float(cz) ** 2)
     return cross_norm <= eps * nu * nv
 
@@ -240,8 +242,10 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
     map matrix.  Inapplicable when conv(digits) is not full-dimensional.
     Normals are kept unnormalized so the parallelism test stays exact in
     rational mode.  There the recurrence runs on integers: with T^T = M^T/delta
-    and each normal scaled to an integer vector, the iterates of M^T are the
-    Fraction iterates times a positive scale, which parallelism does not see.
+    and each normal's integer facet row n (digit_hull.rows, a positive
+    multiple of the normal), the iterates of M^T are the Fraction iterates
+    times a positive scale, which parallelism does not see.  In float mode
+    the start normal's norm is taken once per normal.
     """
     n = len(matrix)
     if n not in (2, 3):
@@ -251,17 +255,20 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
         return NormalCriterionResult("inapplicable", (), k_cap)
     tmat = linalg.transpose(matrix)
     exact = eps == 0 and isinstance(matrix[0][0], Fraction)
+    normals = [normal for normal, _offset in hull_mod.facet_normals(digit_hull)]
     if exact:
         tmat = linalg.to_lattice(tmat)[0]
+        starts = [row for row, _offset in digit_hull.rows]
+    else:
+        starts = normals
     checks = []
     all_found = True
-    for normal, _offset in hull_mod.facet_normals(digit_hull):
-        start = linalg.to_lattice([normal])[0][0] if exact else normal
-        w = start
+    for normal, start in zip(normals, starts):
+        w, nv = start, _norm(start) if eps else None
         k_found = None
         for k in range(1, k_cap + 1):
             w = linalg.mat_vec(tmat, w)
-            if _parallel(w, start, eps):
+            if _parallel(w, start, eps, nv):
                 k_found = k
                 break
         if k_found is None:

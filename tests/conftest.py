@@ -41,6 +41,15 @@ def rot1_model():
     return validate_model([[c, -s], [s, c]], [[0, 0], [1, 0]], mode="float")
 
 
+def float_mirror(model):
+    """The model with every entry turned into a float, in float mode."""
+    return validate_model(
+        [[float(c) for c in row] for row in model.matrix],
+        [[float(c) for c in d] for d in model.digits],
+        mode="float",
+    )
+
+
 def random_fraction(rng, num_max=4, den_max=4):
     return F(rng.randint(-num_max, num_max), rng.randint(1, den_max))
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     diag_model,
+    float_mirror,
     rational_models,
     rot1_model,
     sierpinski_model,
@@ -39,6 +40,7 @@ from fractalhull.decide import (
 from fractalhull.errors import ExtractionFailure
 from fractalhull import hull as hull_mod
 from fractalhull import ifs as ifs_mod
+from fractalhull import linalg as linalg_mod
 from fractalhull.hull import contains, convex_hull, support_map
 from fractalhull.ifs import (
     EpAddress,
@@ -403,6 +405,43 @@ def test_float_decide_evaluates_each_address_twice(monkeypatch):
     assert decision.verdict == VERDICT_POLYTOPE and not decision.certified
     assert len(decision.vertices) == 8
     assert Counter(evaluated) == Counter(2 * [ep for _, ep in decision.vertices])
+
+
+@pytest.mark.parametrize("model", [
+    validate_model([[0.5, -0.5], [0.5, 0.5]], [[0, 0], [1, 0]], mode="float"),  # periods 8
+    float_mirror(suite5_models()[36]),  # periods 1 and 2
+])
+def test_float_decide_builds_model_and_polytope_data_once(monkeypatch, model):
+    """I - T^p is built once per period length, a hull's vertex scale once per hull.
+
+    Float decide evaluates every address twice (see above), and check (c)
+    tests every image against the one candidate hull with contains(eps > 0).
+    """
+    mat_pow, coord_scale, contains = linalg_mod.mat_pow, hull_mod._coord_scale, hull_mod.contains
+    powers, scaled, tested = [], [], []
+
+    def counting_pow(matrix, p):
+        powers.append(p)
+        return mat_pow(matrix, p)
+
+    def counting_scale(pts):
+        scaled.append(pts)
+        return coord_scale(pts)
+
+    def counting_contains(poly, x, eps=0.0):
+        if eps:
+            tested.append(poly)
+        return contains(poly, x, eps)
+
+    monkeypatch.setattr(linalg_mod, "mat_pow", counting_pow)
+    monkeypatch.setattr(hull_mod, "_coord_scale", counting_scale)
+    monkeypatch.setattr(hull_mod, "contains", counting_contains)
+    decision, _ = decide_polytope(model)
+    assert decision.verdict == VERDICT_POLYTOPE
+    assert sorted(powers) == sorted({len(ep.period) for _, ep in decision.vertices})
+    assert len(tested) == len(decision.vertices) * model.digit_count
+    assert all(poly is tested[0] for poly in tested)
+    assert sum(pts is tested[0].vertices for pts in scaled) == 1
 
 
 def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):

@@ -15,9 +15,12 @@ from conftest import naive_vertices_2d, naive_vertices_3d, rational_models
 from fractalhull.decide import hull_steps
 from fractalhull.errors import DegeneratePolytope
 from fractalhull.hull import (
+    _coord_scale,
+    _dist_point_edge2,
     _dist_point_polytope,
     _dist_point_triangle,
     _containment,
+    _edge2,
     _fvec,
     contains,
     convex_hull,
@@ -351,6 +354,61 @@ def test_hausdorff_bit_identical_on_nested_steps(model):
         delta = float.hex(nested_hausdorff(a, b))
         assert delta == float.hex(hausdorff(a, b)) == float.hex(_reference_hausdorff(a, b))
         assert float.hex(hausdorff(b, a)) == float.hex(_reference_hausdorff(b, a))
+
+
+# magnitudes from 1e-300 to 1e300, signed zeros and small plain values
+_coordinate = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.5, 9.5), st.integers(-300, 299)),
+    st.floats(-4.0, 4.0),
+)
+_point2 = st.tuples(_coordinate, _coordinate)
+
+
+@given(_point2, _point2, st.sampled_from(("free", "near", "zero")), _point2)
+@settings(max_examples=1500, deadline=None)
+@example((-0.0, -0.0), (0.0, 0.0), "free", (1.0, 1.0))  # both products -0.0: sum() gives 0.0
+@example((-0.0, 1.0), (0.0, 0.0), "free", (1.0, -0.0))
+@example((1.0, 2.0), (3.0, -0.0), "zero", (0.0, 0.0))
+@example((1e300, -1e300), (-1e300, 1e300), "free", (1e300, 1e300))  # overflow to inf and nan
+def test_planar_edge_distance_is_bit_identical(x, a, kind, other):
+    """The scalar 2D kernel gives _segment_distance's float, zero-length edges included."""
+    if kind == "zero":
+        b = a
+    elif kind == "near":
+        b = (a[0] + other[0] * 1e-3, a[1] + other[1] * 1e-3)
+    else:
+        b = other
+    assert float.hex(_dist_point_edge2(x, *_edge2(a, b))) == float.hex(_segment_distance(x, a, b))
+
+
+def _reference_float_contains(poly, x, eps):
+    """contains(poly, x, eps > 0) for a polytope with facets, everything computed per call."""
+    scale = max(_coord_scale([x]), _coord_scale(poly.vertices), 1.0)
+    for normal, offset in poly.facets:
+        slack = eps * scale * math.sqrt(sum(float(c) ** 2 for c in normal))
+        if float(sum(a * b for a, b in zip(normal, x))) > float(offset) + slack:
+            return False
+    return True
+
+
+@given(st.sampled_from((2, 3)), st.booleans(), st.sampled_from((1e-9, 1e-4, 0.25)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_float_contains_on_cached_data_is_bit_identical(dim, exact, eps, data):
+    """Polygons and solids, float and exact, tested at points on, near and off the boundary."""
+    coord = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 4, 8)))
+    scale = data.draw(st.sampled_from((F(1, 8), F(1), F(64))))
+    base = tuple(data.draw(coord) * scale for _ in range(dim))
+    simplex = [base] + [tuple(c + scale * (i == j) for j, c in enumerate(base)) for i in range(dim)]
+    extra = data.draw(st.lists(st.tuples(*[coord] * dim), max_size=8))
+    points = simplex + [tuple(c * scale for c in p) for p in extra]
+    poly = convex_hull(points) if exact else convex_hull([_fvec(p) for p in points], eps=1e-9)
+    wobble = st.sampled_from((0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 1e-6, -1e-6, 0.5))
+    tests = [_fvec(v) for v in poly.vertices]
+    tests += [tuple(c * (1 + data.draw(wobble)) for c in v) for v in tests]
+    tests += [tuple(sum(c) / len(tests) for c in zip(*tests))]
+    for x in tests + tests:  # the second round reads the cached data
+        assert contains(poly, x, eps) == _reference_float_contains(poly, x, eps)
 
 
 def test_facet_validity_random():

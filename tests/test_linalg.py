@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalhull.errors import DimensionMismatch, ModeMismatch, SingularMatrix
 from fractalhull.linalg import (
     RATIONAL,
     ToleranceConfig,
+    dot,
     eigenvalues,
     identity,
     make_matrix,
@@ -209,3 +213,35 @@ def test_tolerance_config_validation():
         ToleranceConfig(eps_geom=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(denom_max=0)
+
+
+def _sum_of_products(u, v):
+    """dot as it summed before: a generator of the products, in order."""
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _scalar(rng, kind):
+    """A Fraction, or a float: mostly uniform at a random magnitude, so that the
+    rounding depends on the order of the terms, sometimes +-0.0, inf or nan."""
+    if kind == "fraction":
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    if rng.random() < 0.1:
+        return rng.choice((0.0, -0.0, 1e308, -1e308, math.inf, math.nan))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3)
+
+
+@given(st.integers(1, 3), st.sampled_from(("float", "fraction")), st.randoms(use_true_random=True))
+@settings(max_examples=300, deadline=None)
+def test_products_sum_the_same_terms_in_order(n, kind, rng):
+    """dot, mat_vec and mat_mul give the generator sums' values, bit for bit."""
+
+    def vector():
+        return tuple(_scalar(rng, kind) for _ in range(n))
+
+    u, v = vector(), vector()
+    A, B = tuple(vector() for _ in range(n)), tuple(vector() for _ in range(n))
+    assert repr(dot(u, v)) == repr(_sum_of_products(u, v))
+    assert repr(mat_vec(A, v)) == repr(tuple(_sum_of_products(row, v) for row in A))
+    cols = tuple(zip(*B))
+    reference = tuple(tuple(_sum_of_products(row, col) for col in cols) for row in A)
+    assert repr(mat_mul(A, B)) == repr(reference)

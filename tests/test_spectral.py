@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 
 from conftest import (
     diag_model,
+    float_mirror,
     rational_models,
     rot1_model,
     sierpinski_model,
@@ -228,9 +229,12 @@ def test_normal_criterion_digit_scaling_invariance():
         assert [c.k_found for c in res2.checks] == [c.k_found for c in res.checks]
 
 
-def _fraction_criterion(matrix, digits, k_cap):
-    """(verdict, [(repr(normal), k_found)]) by w = T^T w on Fractions, the loop as it ran before."""
-    digit_hull = convex_hull(digits)
+def _fraction_criterion(matrix, digits, k_cap, eps=0.0):
+    """(verdict, [(repr(normal), k_found)]) by w = T^T w on Fractions, the loop as it ran before.
+
+    With eps > 0 (float input) both norms of the parallelism test are taken at every power.
+    """
+    digit_hull = convex_hull(digits, eps=eps)
     if digit_hull.affine_dim < len(matrix):
         return "inapplicable", []
     tmat = transpose(matrix)
@@ -247,7 +251,18 @@ def _fraction_criterion(matrix, digits, k_cap):
                     w[2] * normal[0] - w[0] * normal[2],
                     w[0] * normal[1] - w[1] * normal[0],
                 )
-            if not any(cross):
+            if eps:
+                nu = math.sqrt(sum(float(a) ** 2 for a in w))
+                nv = math.sqrt(sum(float(a) ** 2 for a in normal))
+                if len(w) == 2:
+                    size = abs(float(cross[0]))
+                else:
+                    cx, cy, cz = map(float, cross)
+                    size = math.sqrt(cx**2 + cy**2 + cz**2)
+                parallel = size <= eps * nu * nv
+            else:
+                parallel = not any(cross)
+            if parallel:
                 k_found = k
                 break
         checks.append((repr(normal), k_found))
@@ -279,6 +294,28 @@ def test_integer_normal_recurrence_matches_fractions(model):
     for k_cap in (1, 12, 64):
         res = facet_normal_criterion(model.matrix, model.digits, k_cap)
         verdict, checks = _fraction_criterion(model.matrix, model.digits, k_cap)
+        assert res.verdict == verdict
+        assert [(repr(c.normal), c.k_found) for c in res.checks] == checks
+
+
+_COS, _SIN = math.cos(5e-10), math.sin(5e-10)
+
+
+@given(rational_models())
+@example(_IRRATIONAL_3D)
+# a float rotation by 5e-10: its normals, of length 10 to 14, pass the eps
+# test at k = 1 only with the right norms
+@example(validate_model(
+    [[0.5 * _COS, -0.5 * _SIN], [0.5 * _SIN, 0.5 * _COS]], [[0, 0], [10, 0], [0, 10]], mode="float"
+))
+@settings(max_examples=100, deadline=None)
+def test_float_normal_recurrence_matches_per_power_norms(model):
+    """Float mode takes the start normal's norm once; k_found stays bit for bit."""
+    assume(model.dim > 1)
+    model = float_mirror(model)
+    for k_cap in (1, 12, 64):
+        res = facet_normal_criterion(model.matrix, model.digits, k_cap, eps=1e-9)
+        verdict, checks = _fraction_criterion(model.matrix, model.digits, k_cap, eps=1e-9)
         assert res.verdict == verdict
         assert [(repr(c.normal), c.k_found) for c in res.checks] == checks
 
