@@ -2,8 +2,8 @@
 
 Exact hulls run on integers.  Rational points are written as integer vectors
 over one shared positive denominator (lattice_hull takes them in that form),
-so every predicate, from the signs of 2x2 / 3x3 determinants to the direction
-and plane keys, works on Python ints.  Every exact Polytope keeps only that
+so every predicate, from the signs of 2x2 / 3x3 determinants to the plane
+keys, works on Python ints.  Every exact Polytope keeps only that
 integer form, its vertices over the least denominator and its integer facet
 rows (lattice_polytope); its Fraction vertices and facets are built only when
 they are read.  Float inputs use a caller-supplied eps scaled by the
@@ -15,8 +15,8 @@ Hausdorff distance of a planar polygon its scalar edge data.
 
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
-lists are sorted with a sorted triangular face list, so equal hulls compare
-equal structurally.
+lists are sorted and each facet is fanned from its smallest vertex index into
+a sorted triangular face list, so equal hulls compare equal structurally.
 """
 
 from __future__ import annotations
@@ -269,36 +269,28 @@ def _direction_key(d):
     return tuple(round(float(c) / n, 9) for c in d)
 
 
-def _remove_collinear_middles(pts, exact):
-    """Drop 3D points lying strictly between two others along a line.
+def _remove_collinear_middles(pts):
+    """Drop float 3D points lying strictly between two others along a line.
 
     Such points are never hull vertices and, once gone, no three remaining
-    points are collinear, which keeps the incremental 3D hull free of
-    degenerate (zero-area) cone faces.  Seen from each point, the others are
-    grouped by direction and all but the farthest of each group are dropped.
-    Exact points are integers: the direction is d // g with g = gcd(d), and
-    since d = g * (d // g), |d|^2 = g^2 |d // g|^2 within a group, so g orders
-    a group as the squared norm does.
+    points are collinear, which keeps the float incremental 3D hull, whose
+    visibility test has a tolerance, free of degenerate (zero-area) cone
+    faces.  Seen from each point, the others are grouped by rounded direction
+    and all but the farthest of each group are dropped.  Exact points need no
+    such pass: see _hull_3d.
     """
     m = len(pts)
     if m <= 4:
         return pts
     removed = [False] * m
-    gcd = math.gcd
     for xi, yi, zi in pts:
         groups = {}
         for j, (xj, yj, zj) in enumerate(pts):
             dx, dy, dz = xj - xi, yj - yi, zj - zi
-            if exact:
-                size = gcd(dx, dy, dz)
-                if not size:
-                    continue
-                key = (dx // size, dy // size, dz // size)
-            else:
-                key = _direction_key((dx, dy, dz))
-                if key is None:
-                    continue
-                size = sum((dx * dx, dy * dy, dz * dz))
+            key = _direction_key((dx, dy, dz))
+            if key is None:
+                continue
+            size = sum((dx * dx, dy * dy, dz * dz))
             prev = groups.get(key)
             if prev is None or size > prev[0]:
                 if prev is not None:
@@ -338,11 +330,18 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     floats with compensation and a + b + c would round differently.
     Coplanar input points are legal: faces sharing a supporting plane are
     merged afterwards and each merged facet is re-hulled in 2D, which
-    removes facet-interior points from the vertex set.  Float points on
-    which no seed tetrahedron clears the tolerances raise DegeneratePolytope.
+    removes facet-interior points and collinear middles from the vertex set,
+    and fanned from its smallest vertex index.  Exact input needs no
+    collinear prefilter: a point on the line of an edge lies on the planes of
+    both faces at it, sees neither, and so makes no zero-area cone face.
+    Float input, whose visibility has a tolerance, goes through
+    _remove_collinear_middles first.  It raises DegeneratePolytope where the
+    tolerances leave no seed tetrahedron, faces that no longer pair up along
+    their edges, or a facet of fewer than three vertices.
     """
     exact = den is not None
-    pts = _remove_collinear_middles(pts, exact)
+    if not exact:
+        pts = _remove_collinear_middles(pts)
     m = len(pts)
     tol2, tol3 = (0, 0) if exact else (eps * scale**2, eps * scale**3)
 
@@ -387,6 +386,16 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         ]
         if not visible:
             continue
+        if not exact:
+            # tolerant visibility can leave an edge in two faces or in none;
+            # the steps below need each edge of a visible face once, its twin too
+            edges = [e for tri in visible for e in _tri_edges(tri)]
+            if len(set(edges)) < len(edges) or any(
+                e not in edge_map or e[::-1] not in edge_map for e in edges
+            ):
+                raise DegeneratePolytope(
+                    f"the faces seen beyond eps*scale**3 = {tol3:g} no longer close up"
+                )
         visible_set = set(visible)
         horizon = []
         for tri in visible:
@@ -419,6 +428,10 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
             coord_of[(sum((x * ux, y * uy, z * uz)), sum((x * wx, y * wy, z * wz)))] = t
         eps_area = 0 if exact else eps * _coord_scale(list(coord_of)) ** 2
         cycle = _chain2d(list(coord_of), eps_area)
+        if len(cycle) < 3:  # only a float eps_area drops a facet's vertices
+            raise DegeneratePolytope(
+                f"a facet re-hulled at eps*scale**2 = {eps_area:g} keeps under three vertices"
+            )
         poly = [coord_of[c] for c in cycle]
         facet_polys.append((key, poly))
 
@@ -427,10 +440,9 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     triangles = []
     for _, poly in facet_polys:
         mapped = [index_of[t] for t in poly]
-        for i in range(1, len(mapped) - 1):
-            tri = (mapped[0], mapped[i], mapped[i + 1])
-            shift = tri.index(min(tri))
-            triangles.append(tri[shift:] + tri[:shift])
+        s = mapped.index(min(mapped))
+        fan = mapped[s:] + mapped[:s]
+        triangles.extend((fan[0], fan[i], fan[i + 1]) for i in range(1, len(fan) - 1))
     triangles.sort()
     vertices = [pts[t] for t in vertex_ids]
     if exact:
@@ -775,41 +787,49 @@ def _dist_point_edge2(x, ax, ay, dx, dy, dd):
 
 
 def _dist_point_triangle(p, a, b, c):
-    """Distance from point to triangle in R^3 (closest-point walk)."""
-    ab = tuple(b[i] - a[i] for i in range(3))
-    ac = tuple(c[i] - a[i] for i in range(3))
-    ap = tuple(p[i] - a[i] for i in range(3))
-    d1 = sum(ab[i] * ap[i] for i in range(3))
-    d2 = sum(ac[i] * ap[i] for i in range(3))
-    if d1 <= 0.0 and d2 <= 0.0:
-        return math.dist(p, a)
-    bp = tuple(p[i] - b[i] for i in range(3))
-    d3 = sum(ab[i] * bp[i] for i in range(3))
-    d4 = sum(ac[i] * bp[i] for i in range(3))
-    if d3 >= 0.0 and d4 <= d3:
-        return math.dist(p, b)
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        t = d1 / (d1 - d3)
-        return math.dist(p, tuple(a[i] + t * ab[i] for i in range(3)))
-    cp = tuple(p[i] - c[i] for i in range(3))
-    d5 = sum(ab[i] * cp[i] for i in range(3))
-    d6 = sum(ac[i] * cp[i] for i in range(3))
-    if d6 >= 0.0 and d5 <= d6:
-        return math.dist(p, c)
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        t = d2 / (d2 - d6)
-        return math.dist(p, tuple(a[i] + t * ac[i] for i in range(3)))
-    va = d3 * d6 - d5 * d4
-    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return math.dist(p, tuple(b[i] + t * (c[i] - b[i]) for i in range(3)))
-    denom = 1.0 / (va + vb + vc)
-    v = vb * denom
-    w = vc * denom
-    closest = tuple(a[i] + ab[i] * v + ac[i] * w for i in range(3))
-    return math.dist(p, closest)
+    """Distance from point to triangle in R^3 (closest-point walk).
+
+    The walk divides by zero only on a triangle that is flat in floats: an
+    edge or the area rounds to zero, as when distinct exact vertices round to
+    one float.  Such a triangle is measured as the union of its three edges.
+    """
+    try:
+        ab = tuple(b[i] - a[i] for i in range(3))
+        ac = tuple(c[i] - a[i] for i in range(3))
+        ap = tuple(p[i] - a[i] for i in range(3))
+        d1 = sum(ab[i] * ap[i] for i in range(3))
+        d2 = sum(ac[i] * ap[i] for i in range(3))
+        if d1 <= 0.0 and d2 <= 0.0:
+            return math.dist(p, a)
+        bp = tuple(p[i] - b[i] for i in range(3))
+        d3 = sum(ab[i] * bp[i] for i in range(3))
+        d4 = sum(ac[i] * bp[i] for i in range(3))
+        if d3 >= 0.0 and d4 <= d3:
+            return math.dist(p, b)
+        vc = d1 * d4 - d3 * d2
+        if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+            t = d1 / (d1 - d3)
+            return math.dist(p, tuple(a[i] + t * ab[i] for i in range(3)))
+        cp = tuple(p[i] - c[i] for i in range(3))
+        d5 = sum(ab[i] * cp[i] for i in range(3))
+        d6 = sum(ac[i] * cp[i] for i in range(3))
+        if d6 >= 0.0 and d5 <= d6:
+            return math.dist(p, c)
+        vb = d5 * d2 - d1 * d6
+        if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+            t = d2 / (d2 - d6)
+            return math.dist(p, tuple(a[i] + t * ac[i] for i in range(3)))
+        va = d3 * d6 - d5 * d4
+        if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+            t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+            return math.dist(p, tuple(b[i] + t * (c[i] - b[i]) for i in range(3)))
+        denom = 1.0 / (va + vb + vc)
+        v = vb * denom
+        w = vc * denom
+        closest = tuple(a[i] + ab[i] * v + ac[i] * w for i in range(3))
+        return math.dist(p, closest)
+    except ZeroDivisionError:
+        return min(_dist_point_segment(p, *_edge(u, v)) for u, v in ((a, b), (b, c), (c, a)))
 
 
 def _pieces(poly: Polytope, verts):

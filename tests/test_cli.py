@@ -460,6 +460,20 @@ def _analyze_error(tmp_path, capsys, doc):
     return code, captured.err
 
 
+def test_float_3d_model_whose_facets_collapse_is_an_error(tmp_path, capsys):
+    """The float mirror of spatial benchmark model s002: a facet of an early
+    hull step re-hulls to fewer than three vertices at the float tolerance."""
+    doc = {
+        "dimension": 3,
+        "matrix": [["0", "1/4", "1/8"], ["-1/4", "-1/4", "-1/4"], ["0", "-1/4", "1/8"]],
+        "digits": [[0, 0, 0], [2, 2, 3], ["1/4", "-1/4", -1], [2, 0, "-3/4"]],
+        "arithmetic": "float",
+    }
+    code, err = _analyze_error(tmp_path, capsys, doc)
+    assert code == 1
+    assert err.startswith("error: a facet re-hulled at eps*scale**2 = ")
+
+
 def test_float_zero_denominator_is_an_error(tmp_path, capsys):
     code, err = _analyze_error(tmp_path, capsys, _float_doc(matrix_entry="1/0"))
     assert code == 1

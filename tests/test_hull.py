@@ -248,6 +248,25 @@ def test_hausdorff_3d():
     assert abs(hausdorff(unit, bigger) - 3 ** 0.5) < 1e-12
 
 
+def test_distance_to_a_flat_float_triangle():
+    """Two corners coincide: the walk would divide 0/0 on the edge a-b."""
+    a, c = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    assert _dist_point_triangle((0.5, 1.0, 0.0), a, a, c) == 1.0
+
+
+def test_hausdorff_of_solids_whose_floats_coincide():
+    """(1 + e, 1 - e, 0) and (1 - e, 1 + e, 0) both round to (1, 1, 0), a vertex
+    of both tetrahedra, whose float faces then have two equal corners."""
+    e = F(1, 2**60)
+    base = [fr(1, 1, 0), fr(3, 3, 0), fr(2, 2, 1)]
+    p = convex_hull(base + [(1 + e, 1 - e, F(0))])
+    q = convex_hull(base + [(1 - e, 1 + e, F(0))])
+    assert p.affine_dim == q.affine_dim == 3 and p.vertices != q.vertices
+    assert hausdorff(p, q) == hausdorff(q, p) == nested_hausdorff(p, q) == 0.0
+    apex = convex_hull(base + [fr(2, 2, 2)])
+    assert hausdorff(apex, p) == nested_hausdorff(p, apex) == 1.0
+
+
 def _segment_distance(x, a, b):
     """The float point-segment distance as it ran before edge data was precomputed."""
     d = tuple(bb - aa for aa, bb in zip(a, b))

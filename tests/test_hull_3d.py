@@ -5,7 +5,14 @@ were cached and the collinear prefilter ran on scalars: every visibility test
 recomputes the face's cross product through the generic vector helpers, and
 collinear points are grouped by gcd-reduced direction and ordered by squared
 norm.  The current hull must give the same Polytope, repr for repr, on exact
-and on float input.
+and on float input.  Both fan each facet from its smallest vertex index, but
+only the reference drops collinear middles from exact input first, so the
+comparison also shows that exact input needs no such prefilter.
+
+The property tests below pin the triangulation to the vertices and facets
+alone, check that collinear middles, facet-interior and interior points leave
+an exact hull unchanged, and that a float hull either succeeds or raises
+DegeneratePolytope.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from fractalhull.hull import (
     _rational,
     _tri_edges,
     convex_hull,
+    lattice_cycle,
     lattice_hull,
 )
 from fractalhull.linalg import dot, vec_sub
@@ -207,6 +215,8 @@ def _reference_hull_3d(pts, den=None, eps=0.0, scale=1.0):
             normal = _plane_normal([pts[t] for t in poly])
             facets.append((normal, dot(normal, pts[poly[0]])))
         mapped = [index_of[t] for t in poly]
+        shift = mapped.index(min(mapped))
+        mapped = mapped[shift:] + mapped[:shift]
         for i in range(1, len(mapped) - 1):
             tri = (mapped[0], mapped[i], mapped[i + 1])
             shift = tri.index(min(tri))
@@ -264,3 +274,59 @@ def test_3d_hull_matches_reference(case):
             _reference_hull_3d, floats, eps=1e-9, scale=scale
         )
 
+
+def _fanned_faces(poly):
+    """The faces of an exact solid rebuilt from its rows alone.
+
+    Each facet's vertices, projected along the largest entry k of its normal,
+    give a counterclockwise lattice_cycle; it is reversed when that entry is
+    negative, so it runs counterclockwise seen from outside, and then fanned
+    from its smallest vertex index.
+    """
+    xs = poly.lattice[0]
+    faces = []
+    for normal, offset in poly.rows:
+        k = max(range(3), key=lambda i: abs(normal[i]))
+        flat = {
+            (x[(k + 1) % 3], x[(k + 2) % 3]): i
+            for i, x in enumerate(xs) if dot(normal, x) == offset
+        }
+        cycle = [flat[c] for c in lattice_cycle(list(flat))]
+        if normal[k] < 0:
+            cycle.reverse()
+        s = cycle.index(min(cycle))
+        cycle = cycle[s:] + cycle[:s]
+        faces += [(cycle[0], cycle[i], cycle[i + 1]) for i in range(1, len(cycle) - 1)]
+    return tuple(sorted(faces))
+
+
+@given(_lattice_sets())
+@settings(max_examples=150, deadline=None)
+def test_faces_fan_each_facet_from_its_smallest_vertex(case):
+    poly = lattice_hull(*case)
+    if poly.affine_dim == 3:
+        assert poly.faces == _fanned_faces(poly)
+
+
+@given(_lattice_sets())
+@settings(max_examples=100, deadline=None)
+def test_midpoints_leave_the_exact_hull_unchanged(case):
+    """The midpoints X_a + X_b over 2 den hold collinear middles, facet-interior
+    and interior points; 2X over 2 den are the points themselves."""
+    points, den = case
+    mids = sorted({tuple(a + b for a, b in zip(x, y)) for x in points for y in points})
+    assert repr(lattice_hull(mids, 2 * den)) == repr(lattice_hull(points, den))
+
+
+@given(_lattice_sets(), st.integers(-24, 24), st.sampled_from((1e-9, 1e-6, 1e-4)))
+@settings(max_examples=200, deadline=None)
+def test_float_3d_hull_returns_or_raises_degenerate_polytope(case, power, eps):
+    """Scaled dyadic sets meet tolerances that are too coarse or too fine for
+    them; the float hull then raises DegeneratePolytope, never another error."""
+    points, _ = case
+    floats = [tuple(c * 2.0**power for c in p) for p in points]
+    try:
+        poly = convex_hull(floats, eps=eps)
+    except DegeneratePolytope:
+        return
+    assert poly.ambient_dim == 3

@@ -426,6 +426,19 @@ def test_oracle_equivalence_random_models():
             assert set(ledger.points) == oracle.vertex_set, (model.matrix, k)
 
 
+def test_oracle_at_step_6_of_a_3d_model_with_step_bound_72():
+    """A complex pair at angle pi/6 and a real eigenvalue give k = 72, the
+    largest product bound in 3D; its hull steps grow at every step."""
+    model = validate_model(
+        [[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]],
+    )
+    _, poly = next(islice(hull_steps(model), 6, None))
+    oracle = brute_force_vertices(model, 6)
+    assert len(poly.vertices) == 84
+    assert repr(poly) == repr(oracle)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
