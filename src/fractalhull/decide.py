@@ -253,8 +253,7 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
 
 
 def inverse_eigenvalue_classes(model: IfsModel):
-    eig_t = linalg.eigenvalues(model.matrix)
-    inverse_eigs = [1.0 / z for z in eig_t]
+    inverse_eigs = [1.0 / z for z in model.eigenvalues]
     distinct = spectral.distinct_eigenvalues(inverse_eigs)
     return [spectral.classify_angle(z, model.tol) for z in distinct]
 

@@ -11,7 +11,14 @@ coordinate magnitude, and points within tolerance of a facet are treated as
 non-vertices, which errs toward fewer vertices.  The float predicates that
 run many times against one polytope read data computed once per polytope:
 contains its vertex scale, facet offsets and normal lengths, and the
-Hausdorff distance of a planar polygon its scalar edge data.
+Hausdorff distance the scalar data of each polygon edge in the plane and of
+each triangle in space.
+
+The 3D hull is incremental.  Exact input keeps conflict lists, so that an
+insertion tests again only the points waiting on the faces it deletes;
+float input, whose tolerance makes the result depend on the insertion
+order, scans every face for each point in input order.  Coplanar faces are
+merged into facets, a lone exact triangle being its own facet.
 
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
@@ -26,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Optional
 
@@ -325,19 +333,31 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     at the coordinate magnitude scale.  Each face caches its plane when it
     is made, normal n = (b - a) x (c - a) and anchor a, so a point p sees a
     face when the three-term dot product n . (p - a) exceeds the tolerance;
-    the coplanar merge reads the same normals.  Such three-term sums go
+    the coplanar merge reads the same normals.  Float three-term sums go
     through sum(), as in linalg.dot, because from Python 3.12 on sum() adds
     floats with compensation and a + b + c would round differently.
+
+    Exact input keeps conflict lists: each point not yet inserted waits on
+    one face it sees, an insertion finds the faces it sees by walking the
+    edges from that face, and only the points waiting on the faces it
+    deletes are tested again, against the new cone faces alone.  A point
+    that sees none of them lies in the new hull and is dropped: it sees a
+    deleted face, and were it outside, its visible faces would cross the
+    horizon and it would see a cone face there.  Float input, whose
+    tolerance makes the result depend on the insertion order, scans every
+    face for each point in input order.
+
     Coplanar input points are legal: faces sharing a supporting plane are
-    merged afterwards and each merged facet is re-hulled in 2D, which
-    removes facet-interior points and collinear middles from the vertex set,
-    and fanned from its smallest vertex index.  Exact input needs no
-    collinear prefilter: a point on the line of an edge lies on the planes of
-    both faces at it, sees neither, and so makes no zero-area cone face.
-    Float input, whose visibility has a tolerance, goes through
-    _remove_collinear_middles first.  It raises DegeneratePolytope where the
-    tolerances leave no seed tetrahedron, faces that no longer pair up along
-    their edges, or a facet of fewer than three vertices.
+    merged afterwards, each facet of two or more triangles is re-hulled in
+    2D (a lone exact triangle is its own facet cycle), which removes
+    facet-interior points and collinear middles from the vertex set, and
+    each facet is fanned from its smallest vertex index.  Exact input needs
+    no collinear prefilter: a point on the line of an edge lies on the
+    planes of both faces at it, sees neither, and so makes no zero-area cone
+    face.  Float input goes through _remove_collinear_middles first.  It
+    raises DegeneratePolytope where the tolerances leave no seed
+    tetrahedron, faces that no longer pair up along their edges, or a facet
+    of fewer than three vertices.
     """
     exact = den is not None
     if not exact:
@@ -368,6 +388,17 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         for e in _tri_edges(tri):
             edge_map[e] = tri
 
+    def insert(idx, visible, horizon):
+        """Replace the faces idx sees by its cone over their horizon; returns the cone."""
+        for tri in visible:
+            del faces[tri]
+            for e in _tri_edges(tri):
+                del edge_map[e]
+        cone = [(u, v, idx) for u, v in horizon]
+        for tri in cone:
+            add_face(tri)
+        return cone
+
     tet = (0, 1, i2, i3)
     for excl in range(4):
         a, b, c = (tet[j] for j in range(4) if j != excl)
@@ -375,39 +406,10 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
             b, c = c, b
         add_face((a, b, c))
 
-    used = set(tet)
-    for idx in range(m):
-        if idx in used:
-            continue
-        px, py, pz = pts[idx]
-        visible = [
-            tri for tri, (nx, ny, nz, ax, ay, az) in faces.items()
-            if sum((nx * (px - ax), ny * (py - ay), nz * (pz - az))) > tol3
-        ]
-        if not visible:
-            continue
-        if not exact:
-            # tolerant visibility can leave an edge in two faces or in none;
-            # the steps below need each edge of a visible face once, its twin too
-            edges = [e for tri in visible for e in _tri_edges(tri)]
-            if len(set(edges)) < len(edges) or any(
-                e not in edge_map or e[::-1] not in edge_map for e in edges
-            ):
-                raise DegeneratePolytope(
-                    f"the faces seen beyond eps*scale**3 = {tol3:g} no longer close up"
-                )
-        visible_set = set(visible)
-        horizon = []
-        for tri in visible:
-            for (u, v) in _tri_edges(tri):
-                if edge_map[(v, u)] not in visible_set:
-                    horizon.append((u, v))
-        for tri in visible:
-            del faces[tri]
-            for e in _tri_edges(tri):
-                del edge_map[e]
-        for (u, v) in horizon:
-            add_face((u, v, idx))
+    if exact:
+        _insert_exact(pts, tet, faces, edge_map, insert)
+    else:
+        _insert_float(pts, tet, faces, edge_map, insert, tol3)
 
     # merge coplanar triangles into facets and purify the vertex set
     groups = {}
@@ -415,8 +417,11 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         groups.setdefault(_plane_key(plane[:3], plane[3:], exact, scale), []).append(tri)
 
     facet_polys = []
-    for key in sorted(groups, key=repr):
+    for key in groups if exact else sorted(groups, key=repr):
         tris = groups[key]
+        if exact and len(tris) == 1:
+            facet_polys.append((key, tris[0]))
+            continue
         ids = sorted({t for tri in tris for t in tri})
         ax, ay, az = a = pts[tris[0][0]]
         ux, uy, uz = u = vec_sub(pts[tris[0][1]], a)
@@ -455,6 +460,78 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         facets.append((normal, dot(normal, pts[poly[0]])))
     facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
     return Polytope(3, 3, tuple(vertices), tuple(triangles), tuple(facets))
+
+
+def _insert_exact(pts, tet, faces, edge_map, insert):
+    """Insert the integer points around the seed tetrahedron tet, with conflict lists.
+
+    waiting maps a face to the (height, point) pairs of the points waiting
+    on it; a point waits on the first face it sees in the order tried.  Each
+    insertion takes the point highest above the oldest face that has any
+    waiting, as quickhull does, so that interior points drop out early.
+    """
+    waiting = {}
+
+    def wait(qs, tris):
+        planes = [(tri, faces[tri]) for tri in tris]
+        for q in qs:
+            qx, qy, qz = pts[q]
+            for tri, (nx, ny, nz, ax, ay, az) in planes:
+                height = nx * (qx - ax) + ny * (qy - ay) + nz * (qz - az)
+                if height > 0:
+                    waiting.setdefault(tri, []).append((height, q))
+                    break
+
+    wait([q for q in range(len(pts)) if q not in tet], list(faces))
+    while waiting:
+        start = next(iter(waiting))
+        idx = max(waiting[start])[1]
+        px, py, pz = pts[idx]
+        visible, hidden, horizon, stack = {start}, set(), [], [start]
+        while stack:
+            for u, v in _tri_edges(stack.pop()):
+                tri = edge_map[(v, u)]
+                if tri in visible:
+                    continue
+                if tri not in hidden:
+                    nx, ny, nz, ax, ay, az = faces[tri]
+                    if nx * (px - ax) + ny * (py - ay) + nz * (pz - az) > 0:
+                        visible.add(tri)
+                        stack.append(tri)
+                        continue
+                    hidden.add(tri)
+                horizon.append((u, v))
+        cone = insert(idx, visible, horizon)
+        wait([q for tri in visible for _, q in waiting.pop(tri, ()) if q != idx], cone)
+
+
+def _insert_float(pts, tet, faces, edge_map, insert, tol3):
+    """Insert the float points in input order, each tested against every face."""
+    for idx in range(len(pts)):
+        if idx in tet:
+            continue
+        px, py, pz = pts[idx]
+        visible = [
+            tri for tri, (nx, ny, nz, ax, ay, az) in faces.items()
+            if sum((nx * (px - ax), ny * (py - ay), nz * (pz - az))) > tol3
+        ]
+        if not visible:
+            continue
+        # tolerant visibility can leave an edge in two faces or in none;
+        # the steps below need each edge of a visible face once, its twin too
+        edges = [e for tri in visible for e in _tri_edges(tri)]
+        if len(set(edges)) < len(edges) or any(
+            e not in edge_map or e[::-1] not in edge_map for e in edges
+        ):
+            raise DegeneratePolytope(
+                f"the faces seen beyond eps*scale**3 = {tol3:g} no longer close up"
+            )
+        visible_set = set(visible)
+        horizon = [
+            (u, v) for tri in visible for u, v in _tri_edges(tri)
+            if edge_map[(v, u)] not in visible_set
+        ]
+        insert(idx, visible, horizon)
 
 
 def _facet_order(rows, den):
@@ -786,57 +863,72 @@ def _dist_point_edge2(x, ax, ay, dx, dy, dd):
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _dist_point_triangle(p, a, b, c):
-    """Distance from point to triangle in R^3 (closest-point walk).
+def _triangle3(a, b, c):
+    """Scalar triangle data (a, b, c, b - a, c - a), 15 floats, for _dist_point_triangle."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    return (
+        ax, ay, az, bx, by, bz, cx, cy, cz,
+        bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az,
+    )
 
-    The walk divides by zero only on a triangle that is flat in floats: an
-    edge or the area rounds to zero, as when distinct exact vertices round to
-    one float.  Such a triangle is measured as the union of its three edges.
+
+def _dist_point_triangle(p, ax, ay, az, bx, by, bz, cx, cy, cz, ux, uy, uz, vx, vy, vz):
+    """Distance from a float point to a triangle in R^3, on _triangle3 data.
+
+    The closest-point walk through the vertex, edge and face regions, with
+    u = b - a and v = c - a; every three-term dot product is one sum() of a
+    tuple and every distance math.hypot of the differences (math.dist).  The
+    walk divides by zero only on a triangle that is flat in floats: an edge
+    or the area rounds to zero, as when distinct exact vertices round to one
+    float.  Such a triangle is measured as the union of its three edges.
     """
+    px, py, pz = p
     try:
-        ab = tuple(b[i] - a[i] for i in range(3))
-        ac = tuple(c[i] - a[i] for i in range(3))
-        ap = tuple(p[i] - a[i] for i in range(3))
-        d1 = sum(ab[i] * ap[i] for i in range(3))
-        d2 = sum(ac[i] * ap[i] for i in range(3))
+        qx, qy, qz = px - ax, py - ay, pz - az
+        d1 = sum((ux * qx, uy * qy, uz * qz))
+        d2 = sum((vx * qx, vy * qy, vz * qz))
         if d1 <= 0.0 and d2 <= 0.0:
-            return math.dist(p, a)
-        bp = tuple(p[i] - b[i] for i in range(3))
-        d3 = sum(ab[i] * bp[i] for i in range(3))
-        d4 = sum(ac[i] * bp[i] for i in range(3))
+            return math.hypot(qx, qy, qz)
+        qx, qy, qz = px - bx, py - by, pz - bz
+        d3 = sum((ux * qx, uy * qy, uz * qz))
+        d4 = sum((vx * qx, vy * qy, vz * qz))
         if d3 >= 0.0 and d4 <= d3:
-            return math.dist(p, b)
+            return math.hypot(qx, qy, qz)
         vc = d1 * d4 - d3 * d2
         if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
             t = d1 / (d1 - d3)
-            return math.dist(p, tuple(a[i] + t * ab[i] for i in range(3)))
-        cp = tuple(p[i] - c[i] for i in range(3))
-        d5 = sum(ab[i] * cp[i] for i in range(3))
-        d6 = sum(ac[i] * cp[i] for i in range(3))
+            return math.hypot(px - (ax + t * ux), py - (ay + t * uy), pz - (az + t * uz))
+        qx, qy, qz = px - cx, py - cy, pz - cz
+        d5 = sum((ux * qx, uy * qy, uz * qz))
+        d6 = sum((vx * qx, vy * qy, vz * qz))
         if d6 >= 0.0 and d5 <= d6:
-            return math.dist(p, c)
+            return math.hypot(qx, qy, qz)
         vb = d5 * d2 - d1 * d6
         if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
             t = d2 / (d2 - d6)
-            return math.dist(p, tuple(a[i] + t * ac[i] for i in range(3)))
+            return math.hypot(px - (ax + t * vx), py - (ay + t * vy), pz - (az + t * vz))
         va = d3 * d6 - d5 * d4
         if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
             t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-            return math.dist(p, tuple(b[i] + t * (c[i] - b[i]) for i in range(3)))
+            return math.hypot(
+                px - (bx + t * (cx - bx)), py - (by + t * (cy - by)), pz - (bz + t * (cz - bz))
+            )
         denom = 1.0 / (va + vb + vc)
-        v = vb * denom
-        w = vc * denom
-        closest = tuple(a[i] + ab[i] * v + ac[i] * w for i in range(3))
-        return math.dist(p, closest)
+        s, t = vb * denom, vc * denom
+        return math.hypot(
+            px - (ax + ux * s + vx * t), py - (ay + uy * s + vy * t), pz - (az + uz * s + vz * t)
+        )
     except ZeroDivisionError:
-        return min(_dist_point_segment(p, *_edge(u, v)) for u, v in ((a, b), (b, c), (c, a)))
+        a, b, c = (ax, ay, az), (bx, by, bz), (cx, cy, cz)
+        return min(_dist_point_segment(p, *_edge(e, f)) for e, f in ((a, b), (b, c), (c, a)))
 
 
 def _pieces(poly: Polytope, verts):
     """(dist, args): the distance from a float point xf outside poly is the least
     dist(xf, *a) over args.  verts are poly's vertices as floats; the pieces are
-    a point, a segment, the edges of a polygon (scalar _edge2 data in the
-    plane), the fan triangles of a polygon inside 3D or the faces of a solid.
+    a point, a segment, the edges of a polygon in the plane (scalar _edge2
+    data), or the fan triangles of a polygon inside 3D or the faces of a solid
+    (scalar _triangle3 data).
     """
     if poly.affine_dim == 0:
         return math.dist, [verts[:1]]
@@ -846,9 +938,9 @@ def _pieces(poly: Polytope, verts):
         return _dist_point_edge2, list(map(_edge2, verts, verts[1:] + verts[:1]))
     if poly.affine_dim == 2:
         return _dist_point_triangle, [
-            (verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)
+            _triangle3(verts[0], verts[i], verts[i + 1]) for i in range(1, len(verts) - 1)
         ]
-    return _dist_point_triangle, [(verts[a], verts[b], verts[c]) for a, b, c in poly.faces]
+    return _dist_point_triangle, [_triangle3(verts[a], verts[b], verts[c]) for a, b, c in poly.faces]
 
 
 def _dist_point_polytope(xf, pieces, inside):
@@ -905,7 +997,8 @@ def _directed(xf, inside, poly, verts, best):
     j = 0
     for x in xf:
         if face_at:
-            j = face_at[min(range(len(verts)), key=lambda t: math.dist(x, verts[t]))]
+            near = list(map(math.dist, repeat(x), verts))
+            j = face_at[near.index(min(near))]
         d = dist(x, *args[j])
         for _ in range(r - 1):
             k = j + 1 if j + 1 < r else 0

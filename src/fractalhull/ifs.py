@@ -63,6 +63,11 @@ class IfsModel:
         return 0.0 if self.mode == RATIONAL else self.tol.eps_geom
 
     @functools.cached_property
+    def eigenvalues(self):
+        """The eigenvalues of T, sorted (linalg.eigenvalues); validate_model keeps its own."""
+        return tuple(linalg.eigenvalues(self.matrix))
+
+    @functools.cached_property
     def lattice(self):
         """(M, delta, (M E_j), e) for T = M/delta and digits E_j/e (rational mode)."""
         matrix, delta = linalg.to_lattice(self.matrix)
@@ -194,7 +199,9 @@ def validate_model(matrix, digits, mode=RATIONAL, tol: Optional[ToleranceConfig]
         deduped = [linalg.vec_sub(d, d1) for d in deduped]
     else:
         shift = linalg.zero_vector(n, mode)
-    return IfsModel(n, T, tuple(deduped), mode, tol, shift, tuple(warnings))
+    model = IfsModel(n, T, tuple(deduped), mode, tol, shift, tuple(warnings))
+    vars(model)["eigenvalues"] = check.eigenvalues
+    return model
 
 
 def _check_indices(model, indices):

@@ -252,40 +252,27 @@ def _divisors(n):
 def _rational_root(coeffs):
     """One exact root of a monic cubic with Fraction coefficients, or None.
 
-    Candidates are +-p/q with p dividing the constant term and q the leading
-    coefficient after clearing denominators; skipped when the cleared integers
-    are too large to factor cheaply.
+    After clearing denominators to integers a, b, c, d, the candidates are
+    +-p/q in lowest terms with p dividing d and q dividing a, tried in the
+    order (q, p, + before -); x/q is a root iff a x^3 + b x^2 q + c x q^2 +
+    d q^3 = 0 on the integers.  Skipped when a or d is too large to factor
+    cheaply.
     """
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
+    a, b, c, d = (int(x * lcm) for x in coeffs)
+    if d == 0:
         return Fraction(0)
-    if abs(const) > 10**12 or abs(lead) > 10**12:
+    if abs(d) > 10**12 or abs(a) > 10**12:
         return None
-
-    def value(x):
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    candidates = []
-    for q in _divisors(lead):
-        for p in _divisors(const):
-            cand = Fraction(p, q)
-            candidates.append(cand)
-            candidates.append(-cand)
-    candidates.sort(key=lambda f: (f.denominator, abs(f.numerator), f < 0))
-    seen = set()
-    for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if value(cand) == 0:
-            return cand
+    nums = _divisors(d)
+    for q in _divisors(a):
+        for p in nums:
+            if math.gcd(p, q) == 1:
+                for x in (p, -p):
+                    if ((a * x + b * q) * x + c * q * q) * x + d * q**3 == 0:
+                        return Fraction(x, q)
     return None
 
 

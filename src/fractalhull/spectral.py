@@ -55,6 +55,7 @@ class SpectrumCheck:
     ok: bool
     violation: Optional[str]
     warnings: tuple[str, ...]
+    eigenvalues: tuple = ()  # linalg.eigenvalues of a nonsingular matrix
 
 
 @dataclass(frozen=True)
@@ -199,17 +200,22 @@ def compute_step_bound(classes, bound_mode="product") -> Optional[StepBound]:
 
 
 def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
-    """Check nonsingularity and spectral radius < 1 for a map matrix."""
+    """Check nonsingularity and spectral radius < 1 for a map matrix.
+
+    The eigenvalues computed for the radius come back with the check, so the
+    model keeps them and nothing computes them again.
+    """
     d = linalg.det(matrix)
     if d == 0:
         return SpectrumCheck(False, "nonsingularity_failed", ())
-    rho = linalg.spectral_radius(matrix)
+    eigenvalues = tuple(linalg.eigenvalues(matrix))
+    rho = max(abs(z) for z in eigenvalues)
     if rho >= 1.0:
-        return SpectrumCheck(False, "not_contracting", ())
+        return SpectrumCheck(False, "not_contracting", (), eigenvalues)
     warnings = ()
     if mode != RATIONAL and 1.0 - rho < 1e-9:
         warnings = (f"spectral radius {rho!r} is within 1e-9 of 1; results may be unreliable",)
-    return SpectrumCheck(True, None, warnings)
+    return SpectrumCheck(True, None, warnings, eigenvalues)
 
 
 def _norm(v):

@@ -709,3 +709,14 @@ def test_vertex_map_matches_deepening_reference():
         assert got == _reference_decide(model)
         polytopes += decision.verdict == VERDICT_POLYTOPE
     assert polytopes >= 30
+
+
+def test_one_spectrum_per_model(monkeypatch):
+    """validate_model computes the eigenvalues once; classification reads them off the model."""
+    calls = []
+    inner = linalg_mod.eigenvalues
+    monkeypatch.setattr(linalg_mod, "eigenvalues", lambda m: calls.append(m) or inner(m))
+    model = validate_model([[0, F(-1, 2)], [F(1, 2), 0]], [[0, 0], [1, 0], [0, 1]])
+    decide_polytope(model)
+    assert len(calls) == 1
+    assert model.eigenvalues == tuple(inner(model.matrix))

@@ -22,6 +22,7 @@ from fractalhull.hull import (
     _containment,
     _edge2,
     _fvec,
+    _triangle3,
     contains,
     convex_hull,
     facet_normals,
@@ -251,7 +252,7 @@ def test_hausdorff_3d():
 def test_distance_to_a_flat_float_triangle():
     """Two corners coincide: the walk would divide 0/0 on the edge a-b."""
     a, c = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
-    assert _dist_point_triangle((0.5, 1.0, 0.0), a, a, c) == 1.0
+    assert _dist_point_triangle((0.5, 1.0, 0.0), *_triangle3(a, a, c)) == 1.0
 
 
 def test_hausdorff_of_solids_whose_floats_coincide():
@@ -277,8 +278,49 @@ def _segment_distance(x, a, b):
     return math.dist(x, tuple(aa + t * c for aa, c in zip(a, d)))
 
 
+def _triangle_distance(p, a, b, c):
+    """The float point-triangle distance as it ran before triangle data was precomputed:
+    the closest-point walk on corner tuples, a flat triangle measured by its edges."""
+    try:
+        ab = tuple(b[i] - a[i] for i in range(3))
+        ac = tuple(c[i] - a[i] for i in range(3))
+        ap = tuple(p[i] - a[i] for i in range(3))
+        d1 = sum(ab[i] * ap[i] for i in range(3))
+        d2 = sum(ac[i] * ap[i] for i in range(3))
+        if d1 <= 0.0 and d2 <= 0.0:
+            return math.dist(p, a)
+        bp = tuple(p[i] - b[i] for i in range(3))
+        d3 = sum(ab[i] * bp[i] for i in range(3))
+        d4 = sum(ac[i] * bp[i] for i in range(3))
+        if d3 >= 0.0 and d4 <= d3:
+            return math.dist(p, b)
+        vc = d1 * d4 - d3 * d2
+        if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+            t = d1 / (d1 - d3)
+            return math.dist(p, tuple(a[i] + t * ab[i] for i in range(3)))
+        cp = tuple(p[i] - c[i] for i in range(3))
+        d5 = sum(ab[i] * cp[i] for i in range(3))
+        d6 = sum(ac[i] * cp[i] for i in range(3))
+        if d6 >= 0.0 and d5 <= d6:
+            return math.dist(p, c)
+        vb = d5 * d2 - d1 * d6
+        if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+            t = d2 / (d2 - d6)
+            return math.dist(p, tuple(a[i] + t * ac[i] for i in range(3)))
+        va = d3 * d6 - d5 * d4
+        if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+            t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+            return math.dist(p, tuple(b[i] + t * (c[i] - b[i]) for i in range(3)))
+        denom = 1.0 / (va + vb + vc)
+        v = vb * denom
+        w = vc * denom
+        return math.dist(p, tuple(a[i] + ab[i] * v + ac[i] * w for i in range(3)))
+    except ZeroDivisionError:
+        return min(_segment_distance(p, u, v) for u, v in ((a, b), (b, c), (c, a)))
+
+
 def _reference_pieces(poly, verts):
-    """The pieces of _pieces, built independently, with the segment distance above."""
+    """The pieces of _pieces, built independently, with the distances above."""
     if poly.affine_dim == 0:
         return math.dist, [verts[:1]]
     if poly.affine_dim == 1:
@@ -286,7 +328,7 @@ def _reference_pieces(poly, verts):
     if poly.ambient_dim == 2:
         return _segment_distance, list(zip(verts, verts[1:] + verts[:1]))
     faces = poly.faces or [(0, i, i + 1) for i in range(1, len(verts) - 1)]
-    return _dist_point_triangle, [[verts[t] for t in face] for face in faces]
+    return _triangle_distance, [[verts[t] for t in face] for face in faces]
 
 
 def _reference_hausdorff(p, q):
@@ -399,6 +441,75 @@ def test_planar_edge_distance_is_bit_identical(x, a, kind, other):
     else:
         b = other
     assert float.hex(_dist_point_edge2(x, *_edge2(a, b))) == float.hex(_segment_distance(x, a, b))
+
+
+_point3 = st.tuples(_coordinate, _coordinate, _coordinate)
+# (s, t) of a + s (b - a) + t (c - a): with s and t from -1, 1/4 and 2 the point
+# falls in each of the seven closest-feature regions of a right triangle
+_WEIGHTS = (-1.0, 0.25, 2.0)
+
+
+def _triangle_point(a, b, c, s, t, h):
+    """a + s (b - a) + t (c - a) + h ((b - a) x (c - a))."""
+    u = [bb - aa for aa, bb in zip(a, b)]
+    v = [cc - aa for aa, cc in zip(a, c)]
+    n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return tuple(aa + s * uu + t * vv + h * nn for aa, uu, vv, nn in zip(a, u, v, n))
+
+
+def _assert_triangle_kernel(p, a, b, c):
+    assert float.hex(_dist_point_triangle(p, *_triangle3(a, b, c))) == float.hex(
+        _triangle_distance(p, a, b, c)
+    )
+
+
+def test_triangle_distance_in_every_region_and_on_flat_triangles():
+    """The scalar kernel equals the walk in all seven regions of proper triangles,
+    and on triangles with coincident or collinear corners (the ZeroDivisionError
+    branch and the plain walk on a flat triangle)."""
+    o, x, y, z = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    triangles = [
+        (o, x, y),
+        (x, y, z),
+        ((0.1, -2.3, 0.7), (3.9, 0.2, -1.1), (-0.6, 1.7, 2.5)),
+        (o, o, x),  # two corners coincide
+        (x, o, o),
+        (o, x, o),
+        (x, x, x),  # all three coincide
+        (o, x, (2.0, 0.0, 0.0)),  # collinear corners
+        (o, (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),
+    ]
+    for a, b, c in triangles:
+        for s in _WEIGHTS:
+            for t in _WEIGHTS:
+                for h in (-0.5, 0.0, 1.0):
+                    _assert_triangle_kernel(_triangle_point(a, b, c, s, t, h), a, b, c)
+        _assert_triangle_kernel((0.3, 0.7, -0.4), a, b, c)
+
+
+@given(
+    _point3, _point3, _point3,
+    st.sampled_from(("free", "a=b", "b=c", "c=a", "collinear")),
+    st.one_of(st.sampled_from(_WEIGHTS), st.floats(-3.0, 3.0)),
+    st.one_of(st.sampled_from(_WEIGHTS), st.floats(-3.0, 3.0)),
+    st.floats(-2.0, 2.0),
+    st.one_of(st.none(), _point3),
+)
+@settings(max_examples=600, deadline=None)
+def test_triangle_distance_is_bit_identical(a, b, c, kind, s, t, h, free):
+    """The scalar 3D kernel gives the frozen walk's float: points placed by their
+    weights in every closest-feature region, or drawn freely, and triangles with
+    coincident or collinear corners among them."""
+    if kind == "a=b":
+        b = a
+    elif kind == "b=c":
+        c = b
+    elif kind == "c=a":
+        a = c
+    elif kind == "collinear":
+        c = tuple(aa + 0.5 * (bb - aa) for aa, bb in zip(a, b))
+    p = free if free is not None else _triangle_point(a, b, c, s, t, h)
+    _assert_triangle_kernel(p, a, b, c)
 
 
 def _reference_float_contains(poly, x, eps):

@@ -7,7 +7,10 @@ collinear points are grouped by gcd-reduced direction and ordered by squared
 norm.  The current hull must give the same Polytope, repr for repr, on exact
 and on float input.  Both fan each facet from its smallest vertex index, but
 only the reference drops collinear middles from exact input first, so the
-comparison also shows that exact input needs no such prefilter.
+comparison also shows that exact input needs no such prefilter.  The current
+hull inserts exact points through conflict lists, in an order of its own, and
+takes a lone triangle as its own facet, so the comparison also shows that
+neither can be seen in the result.
 
 The property tests below pin the triangulation to the vertices and facets
 alone, check that collinear middles, facet-interior and interior points leave
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalhull.decide import hull_steps
 from fractalhull.errors import DegeneratePolytope
 from fractalhull.hull import (
     Polytope,
@@ -35,7 +40,8 @@ from fractalhull.hull import (
     lattice_cycle,
     lattice_hull,
 )
-from fractalhull.linalg import dot, vec_sub
+from fractalhull.ifs import lattice_images, validate_model
+from fractalhull.linalg import dot, vec_add, vec_sub
 
 
 def _cross3(u, v):
@@ -330,3 +336,18 @@ def test_float_3d_hull_returns_or_raises_degenerate_polytope(case, power, eps):
     except DegeneratePolytope:
         return
     assert poly.ambient_dim == 3
+
+
+def test_conflict_lists_on_the_candidates_of_a_k72_step():
+    """The images T(v + d_j) of the 136 vertices v of step 8 of the k = 72
+    model: 544 candidates of which 164 are vertices, so the conflict lists
+    drop most points, in another order than the reference's input order."""
+    model = validate_model(
+        [[0, Fraction(-3, 4), 0], [Fraction(1, 4), Fraction(3, 4), 0], [0, 0, Fraction(-1, 3)]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [Fraction(1, 3), Fraction(2, 3), 1]],
+    )
+    _, poly = next(islice(hull_steps(model), 8, None))
+    ys, zs, den = lattice_images(model, *poly.lattice)
+    points = sorted({vec_add(y, z) for y in ys for z in zs})
+    assert len(poly.vertices) == 136 and len(points) == 544
+    assert repr(lattice_hull(points, den)) == repr(_reference_hull_3d(points, den))

@@ -15,6 +15,9 @@ from fractalhull.errors import DimensionMismatch, ModeMismatch, SingularMatrix
 from fractalhull.linalg import (
     RATIONAL,
     ToleranceConfig,
+    _divisors,
+    _rational_root,
+    char_poly,
     dot,
     eigenvalues,
     identity,
@@ -152,6 +155,40 @@ def test_eigenvalue_residuals_random():
         np_eigs = sorted(np.linalg.eigvals(np.array(T, dtype=float)), key=lambda z: (z.real, z.imag))
         for mine, ref in zip(eigs, np_eigs):
             assert abs(mine - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
+def _fraction_rational_root(coeffs):
+    """The rational root test as it ran on Fractions: every +-p/q built and sorted
+    by (denominator, |numerator|, sign), the cubic evaluated on each."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    if ints[-1] == 0:
+        return F(0)
+    if abs(ints[-1]) > 10**12 or abs(ints[0]) > 10**12:
+        return None
+    candidates = {s * F(p, q) for q in _divisors(ints[0]) for p in _divisors(ints[-1]) for s in (1, -1)}
+    for cand in sorted(candidates, key=lambda f: (f.denominator, abs(f.numerator), f < 0)):
+        acc = F(0)
+        for c in coeffs:
+            acc = acc * cand + c
+        if acc == 0:
+            return cand
+    return None
+
+
+_entry = st.one_of(
+    st.sampled_from((F(0), F(1), F(-1))),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@given(st.lists(st.lists(_entry, min_size=3, max_size=3), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_rational_root_on_integers_finds_the_fraction_root(rows):
+    """The integer test finds the root the Fraction test found first, the one
+    the eigenvalues deflate, so they stay bit-identical."""
+    coeffs = char_poly(frac_matrix(rows))
+    assert _rational_root(coeffs) == _fraction_rational_root(coeffs)
 
 
 def test_spectral_radius_examples():
