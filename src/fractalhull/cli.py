@@ -25,10 +25,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import islice
 
 from . import decide as decide_mod
-from . import hull as hull_mod
 from ._version import __version__
 from .errors import FractalHullError
 from .ifs import EpAddress, IfsModel, brute_force_vertices, validate_model
@@ -122,19 +121,22 @@ def parse_model(path):
     unknown = set(options) - _KNOWN_OPTIONS
     if unknown:
         raise ModelFileError(f"unknown option keys: {sorted(unknown)}")
-    tol = ToleranceConfig(
-        eps_geom=float(options.get("eps_geom", 1e-9)),
-        angle_tol=float(options.get("angle_tol", 1e-9)),
-        denom_max=int(options.get("denom_max", 64)),
-    )
     bound_mode = options.get("bound_mode", "product")
     if bound_mode not in ("product", "lcm"):
         raise ModelFileError(f"unknown bound_mode {bound_mode!r}")
-    opts = ModelOptions(
-        bound_mode=bound_mode,
-        enum_budget=int(options.get("enum_budget", 10**6)),
-        seed=int(options.get("seed", 0)),
-    )
+    try:
+        tol = ToleranceConfig(
+            eps_geom=float(options.get("eps_geom", 1e-9)),
+            angle_tol=float(options.get("angle_tol", 1e-9)),
+            denom_max=int(options.get("denom_max", 64)),
+        )
+        opts = ModelOptions(
+            bound_mode=bound_mode,
+            enum_budget=int(options.get("enum_budget", 10**6)),
+            seed=int(options.get("seed", 0)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFileError(f"invalid option value: {exc}") from exc
 
     parsed_matrix = [[parse_entry(v, mode) for v in row] for row in matrix]
     parsed_digits = [[parse_entry(v, mode) for v in d] for d in digits]
@@ -289,10 +291,8 @@ def _cmd_bound(args):
 def _cmd_iterate(args):
     model, _opts = parse_model(args.model)
     print("i\tcount\thausdorff_delta")
-    steps = islice(decide_mod.hull_steps(model), args.steps + 1)
-    for (_, prev_poly), (ledger, poly) in pairwise(steps):
-        delta = hull_mod.nested_hausdorff(prev_poly, poly)
-        print(f"{ledger.step}\t{ledger.count}\t{delta!r}")
+    for _, _, row in islice(decide_mod.search_rows(model), args.steps):
+        print(f"{row.i}\t{row.count}\t{row.hausdorff_delta!r}")
     return 0
 
 
@@ -447,9 +447,6 @@ def main(argv=None):
         return 1
     except FractalHullError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
         return 1
 
 

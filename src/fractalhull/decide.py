@@ -5,12 +5,13 @@ none is a rational multiple of pi the hull is not a polytope; otherwise the
 denominators give a hard bound k on the number of hull-recursion steps that
 can matter.  The generator hull_steps yields the steps on demand, each as
 its vertex ledger (the step's polytope and one address per vertex), and
-every caller of the recursion drives it.  Equal consecutive vertex counts
-(stabilization) within the bound signal a polytope, in which case each
-vertex's eventually periodic address is read off the vertex map between the
-two stable steps, evaluated exactly, and the resulting candidate polytope is
-certified; strict count growth at every step up to the bound yields the
-not-a-polytope verdict.
+search_rows pairs them into count rows with their Hausdorff deltas, the one
+loop that deciding and the iterate command both drive.  Equal consecutive
+vertex counts (stabilization) within the bound signal a polytope, in which
+case each vertex's eventually periodic address is read off hull.vertex_map
+between the two stable steps, evaluated exactly, and the resulting candidate
+polytope is certified; strict count growth at every step up to the bound
+yields the not-a-polytope verdict.
 
 Certification proves conv(F) = P* from three checks: (a) every candidate
 point equals the exact value of its address, hence lies in F; (b) the
@@ -18,16 +19,17 @@ candidates are exactly the vertices of their own hull P*, which holds when
 P* has as many vertices as there are candidates, as its vertices are among
 them; (c) every image T(v + d_j) of a vertex stays inside P*, hence the
 attractor map sends P* into itself and F is trapped inside P*.  Together: P* <= conv(F) <= P*.
-In rational mode certification reads only the model and the candidates and
-runs on integers, with the images of candidate x_k written T(x_k + d_j) =
-y_k + z_j.  (a) uses shift closure: a candidate whose address ep has its
-shift ep.shift() among the candidates, as candidate k, must equal
-T(x_k + d_head), and only the others take the fixed-point test
-ifs.is_address_value; that suffices, because the errors e = x - value(ep)
-satisfy e_i = T e_k, so following k ends at a tested candidate (e = 0) or at
-a cycle with e = T^m e, and I - T^m is nonsingular.  (c) tests
-max_k n.y_k + max_j n.z_j <= c once per integer facet row, and scans the
-images in order only to name the first one that escapes.
+Certification reads only the model and the candidates.  (a) uses shift
+closure: a candidate whose address ep has its shift ep.shift() among the
+candidates, as candidate k, must equal T(x_k + d_head), and only the others
+are evaluated (ifs.is_address_value, in float mode evaluate_ep_address);
+that suffices, because the errors e = x - value(ep) satisfy e_i = T e_k, so
+following k ends at a tested candidate (e = 0) or at a cycle with
+e = T^m e, and I - T^m is nonsingular.  Float mode holds each link and each
+evaluation to eps.  (c) tests max_k n.y_k + max_j n.z_j <= c once per
+integer facet row of a full-dimensional rational hull, the images being
+T(x_k + d_j) = y_k + z_j on integers; every other case scans the images in
+order with hull.contains and names the first one that escapes.
 """
 
 from __future__ import annotations
@@ -131,39 +133,37 @@ def hull_steps(model: IfsModel):
         ledger, _ = _step(model, ledger)
 
 
+def search_rows(model: IfsModel):
+    """Yield (prev_ledger, ledger, CountRow) for steps 1, 2, ... of the recursion.
+
+    Each row pairs two consecutive hull_steps and carries the nested_hausdorff
+    delta between their polytopes; a step is computed only when its row is
+    asked for, so islice(search_rows(model), n) takes n steps.
+    """
+    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(hull_steps(model)):
+        delta = hull_mod.nested_hausdorff(prev_poly, poly)
+        yield prev_ledger, ledger, CountRow(ledger.step, ledger.count, delta)
+
+
 def extract_ep_addresses(prev_ledger, ledger):
     """Eventually periodic address of each vertex of a stable pair of steps.
 
     prev_ledger holds step i and ledger step i+1.  The vertex of step i+1
     with address (j,) + a is labelled j and goes to the vertex of step i+1
     that matches its parent, the vertex of step i with address a, by
-    support direction; walking this map on vertex indices until one repeats
-    gives the labels of the prefix, then of the period.  The EpAddresses
-    come in ledger.entries order.  A tied or non-bijective match raises
-    ExtractionFailure.
-
-    Exact vertices are sorted by their integer form.  When both polytopes
-    are exact planar ones and hull.parallel_cycles holds, vertex i of one
-    matches vertex i of the other, so the map is read off the addresses
-    alone; a stable pair of planar rational steps always has parallel cycles.
+    support direction (hull.vertex_map); walking this map on vertex indices
+    until one repeats gives the labels of the prefix, then of the period.
+    The EpAddresses come in ledger.entries order.  A tied or non-bijective
+    match raises ExtractionFailure.
     """
-    prev, poly = prev_ledger.poly, ledger.poly
-    addresses = ledger.addresses
-    exact = poly.lattice is not None and prev.lattice is not None
-    keys = poly.lattice[0] if exact else poly.vertices
-    if exact and poly.ambient_dim == 2 and hull_mod.parallel_cycles(prev, poly):
-        images = range(ledger.count)
-    else:
-        match = list(hull_mod.support_map(prev, poly).values())
-        if None in match or not len(match) == len(set(match)) == ledger.count:
-            why = "ties a vertex" if None in match else "is not a bijection"
-            raise ExtractionFailure(
-                f"support map from step {prev_ledger.step} to {ledger.step} {why}"
-            )
-        index = {point: i for i, point in enumerate(poly.vertices)}
-        images = [index[point] for point in match]
+    poly, addresses = ledger.poly, ledger.addresses
+    images = hull_mod.vertex_map(prev_ledger.poly, poly)
+    if None in images or not len(images) == len(set(images)) == ledger.count:
+        why = "ties a vertex" if None in images else "is not a bijection"
+        raise ExtractionFailure(f"support map from step {prev_ledger.step} to {ledger.step} {why}")
     parent = dict(zip(prev_ledger.addresses, images))
     succ = [parent[address[1:]] for address in addresses]
+    keys = poly.vertices if poly.lattice is None else poly.lattice[0]
     out = []
     for start in sorted(range(ledger.count), key=keys.__getitem__):
         i, seen, labels = start, {}, []
@@ -190,24 +190,30 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
     if eps is None:
         eps = model.geom_eps()
     points = [point for _, point in candidates]
+
+    def image_rows():  # image j of candidate k is image_rows()[k][j - 1]
+        return [[linalg.mat_vec(model.matrix, vec_add(x, d)) for d in model.digits] for x in points]
+
     if exact:
-        # image j of candidate k is ys[k] + zs[j - 1] over den = scale * s
+        # image j of candidate k is also ys[k] + zs[j - 1] over den = scale * s
         xs, s = linalg.to_lattice(points)
         ys, zs, den = lattice_images(model, xs, s)
         scale = den // s
-        index = {ep: k for k, (ep, _) in enumerate(candidates)}
-        evaluated = []
-        for (ep, point), x in zip(candidates, xs):
-            k, j = index.get(ep.shift()), ep.head
-            if k is None or not 1 <= j <= model.digit_count:
-                evaluated.append(is_address_value(model, ep, point))
-            else:
-                evaluated.append(linalg.vec_scale(scale, x) == vec_add(ys[k], zs[j - 1]))
+        link = lambda i, k, j: linalg.vec_scale(scale, xs[i]) == vec_add(ys[k], zs[j - 1])
     else:
-        evaluated = [
-            linalg.norm2(linalg.vec_sub(evaluate_ep_address(model, ep), point)) <= eps
-            for ep, point in candidates
-        ]
+        images = image_rows()
+        link = lambda i, k, j: linalg.norm2(linalg.vec_sub(points[i], images[k][j - 1])) <= eps
+    index = {ep: k for k, (ep, _) in enumerate(candidates)}
+    evaluated = []
+    for i, (ep, point) in enumerate(candidates):
+        k, j = index.get(ep.shift()), ep.head
+        if k is not None and 1 <= j <= model.digit_count:
+            evaluated.append(link(i, k, j))
+        elif exact:
+            evaluated.append(is_address_value(model, ep, point))
+        else:
+            value = evaluate_ep_address(model, ep)
+            evaluated.append(linalg.norm2(linalg.vec_sub(value, point)) <= eps)
     checks = [
         CertCheck(
             "address_evaluation",
@@ -225,23 +231,25 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
         )
     )
 
-    if exact and poly.rows is not None:
-        # the hull's rows n.X <= c hold over its own den, a divisor of s, so
-        # the images over den take c * (den // its den); n.(y_k + z_j) <= c for
-        # all k, j iff max_k n.y_k + max_j n.z_j <= c; only a failure scans
-        # the images in order, to name the first escape
-        facets = [(n, c * (den // poly.lattice[1])) for n, c in poly.rows]
-        fits = all(
-            max(sum(map(mul, n, y)) for y in ys) + max(sum(map(mul, n, z)) for z in zs) <= c
-            for n, c in facets
+    # the hull's rows n.X <= c hold over its own den, a divisor of s, so the
+    # images over den take c * (den // its den); n.(y_k + z_j) <= c for all
+    # k, j iff max_k n.y_k + max_j n.z_j <= c.  Any other case, a failure
+    # included, scans the images in order and names the first that escapes.
+    fits = exact and poly.rows is not None and all(
+        max(sum(map(mul, n, y)) for y in ys) + max(sum(map(mul, n, z)) for z in zs)
+        <= c * (den // poly.lattice[1])
+        for n, c in poly.rows
+    )
+    violation = None
+    if not fits:
+        rows = image_rows() if exact else images
+        escapes = (
+            (x, j)
+            for x, row in zip(points, rows)
+            for j, y in enumerate(row, start=1)
+            if not hull_mod.contains(poly, y, eps=eps)
         )
-        rows = [] if fits else [[vec_add(y, z) for z in zs] for y in ys]
-        inside = lambda y: all(sum(map(mul, n, y)) <= c for n, c in facets)
-    else:
-        rows = [[linalg.mat_vec(model.matrix, vec_add(x, d)) for d in model.digits] for x in points]
-        inside = lambda y: hull_mod.contains(poly, y, eps=eps)
-    images = ((x, j, y) for x, row in zip(points, rows) for j, y in enumerate(row, start=1))
-    violation = next(((x, j) for x, j, y in images if not inside(y)), None)
+        violation = next(escapes, None)
     detail = "every image T(v + d_j) of a candidate vertex lies in the hull"
     if violation is not None:
         detail = f"image of vertex {violation[0]} under digit {violation[1]} escapes the hull"
@@ -289,10 +297,9 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
             reason=f"no rational-angle eigenvalue up to denominator {model.tol.denom_max}",
         ))
 
-    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(islice(hull_steps(model), bound.k + 2)):
-        delta = hull_mod.nested_hausdorff(prev_poly, poly)
-        counts.append(CountRow(ledger.step, ledger.count, delta))
-        if ledger.step >= 2 and counts[-2].count == counts[-1].count:
+    for prev_ledger, ledger, row in islice(search_rows(model), bound.k + 1):
+        counts.append(row)
+        if ledger.step >= 2 and counts[-2].count == row.count:
             break
     else:
         return finish(Decision(

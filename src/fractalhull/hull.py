@@ -719,37 +719,32 @@ def _normal_sums(poly, pts):
     return [vec_add(normals[i - 1], normals[i]) for i in range(len(pts))]
 
 
-def support_map(p: Polytope, q: Polytope):
-    """{vertex v of p: the vertex of q with the same support direction}.
+def vertex_map(p: Polytope, q: Polytope):
+    """[index of q's vertex with the same support direction, per vertex index of p].
 
     That is the unique vertex of q maximising <u, .>, u the sum of p's outward
-    normals at v, or None where the maximum is tied.  Exact polytopes are
-    compared on integers.
+    normals at the vertex, or None where the maximum is tied.  Exact
+    polytopes are compared on their integer vertices (lattice[0]), float ones
+    on their vertices.  Two exact polygons in the plane with equally many
+    vertices and parallel, equally oriented edges i from vertex i to i + 1
+    have the same normal fan, so there vertex i maps to vertex i with no dot
+    product.
     """
     p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
-    out = {}
-    for v, u in zip(p.vertices, _normal_sums(p, p_pts)):
+    if p.lattice and q.lattice and p.ambient_dim == 2 and len(p_pts) == len(q_pts):
+        edges = zip(p_pts, p_pts[1:] + p_pts[:1], q_pts, q_pts[1:] + q_pts[:1])
+        if all(
+            (bx - ax) * (dy - cy) == (by - ay) * (dx - cx)
+            and (bx - ax) * (dx - cx) + (by - ay) * (dy - cy) >= 0
+            for (ax, ay), (bx, by), (cx, cy), (dx, dy) in edges
+        ):
+            return list(range(len(q_pts)))
+    out = []
+    for u in _normal_sums(p, p_pts):
         values = [dot(u, x) for x in q_pts]
         best = max(values)
-        out[v] = q.vertices[values.index(best)] if values.count(best) == 1 else None
+        out.append(values.index(best) if values.count(best) == 1 else None)
     return out
-
-
-def parallel_cycles(p: Polytope, q: Polytope):
-    """Whether the exact planar p and q have equally many vertices and parallel,
-    equally oriented edges i from vertex i to vertex i + 1 of their cycles.
-
-    Their normal fans then agree, so vertex i of q is the support_map match
-    of vertex i of p; the test runs on integers and reads no Fraction.
-    """
-    (ps, _), (qs, _) = p.lattice, q.lattice
-    if len(ps) != len(qs):
-        return False
-    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in zip(ps, ps[1:] + ps[:1], qs, qs[1:] + qs[:1]):
-        ux, uy, wx, wy = bx - ax, by - ay, dx - cx, dy - cy
-        if ux * wy != uy * wx or ux * wx + uy * wy < 0:
-            return False
-    return True
 
 
 def contains(poly: Polytope, x, eps=0.0):

@@ -80,6 +80,25 @@ def test_parse_rejects_unknown_option(tmp_path):
         parse_model(write_model(tmp_path, "m.json", doc))
 
 
+@pytest.mark.parametrize("options", [{"denom_max": "x"}, {"eps_geom": -1}, {"seed": "x"}])
+def test_malformed_option_values_are_model_file_errors(options, tmp_path, capsys):
+    doc = sierpinski_doc()
+    doc["options"] = options
+    assert cli.main(["analyze", write_model(tmp_path, "m.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid option value: ")
+
+
+def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch):
+    """A KeyError raised inside the pipeline is a bug, so it leaves cli.main as it is."""
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.decide_mod, "analyze_model", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["analyze", str(MODELS / "sierpinski.json")])
+
+
 def test_analyze_sierpinski(capsys):
     code = cli.main(["analyze", str(MODELS / "sierpinski.json")])
     out = capsys.readouterr().out

@@ -41,7 +41,7 @@ from fractalhull.errors import ExtractionFailure
 from fractalhull import hull as hull_mod
 from fractalhull import ifs as ifs_mod
 from fractalhull import linalg as linalg_mod
-from fractalhull.hull import contains, convex_hull, support_map
+from fractalhull.hull import contains, convex_hull, vertex_map
 from fractalhull.ifs import (
     EpAddress,
     VertexLedger,
@@ -51,7 +51,7 @@ from fractalhull.ifs import (
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import RATIONAL, mat_vec, to_lattice, vec_add, vec_scale, vec_sub
+from fractalhull.linalg import RATIONAL, dot, mat_vec, to_lattice, vec_add, vec_scale, vec_sub
 from fractalhull.spectral import compute_step_bound
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -100,7 +100,7 @@ def test_extraction_failure():
         extract_ep_addresses(prev, replace(ledger, poly=diamond))
     # two square corners are supported by the same kite vertex
     kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
-    assert len(set(support_map(prev.poly, kite).values())) < 4
+    assert len(set(vertex_map(prev.poly, kite))) < 4
     with pytest.raises(ExtractionFailure, match="not a bijection"):
         extract_ep_addresses(prev, replace(ledger, poly=kite))
 
@@ -168,12 +168,78 @@ def test_vertex_map_polygon_in_3d():
     )
     polys = [convex_hull(ledger.points) for ledger, _ in islice(hull_steps(model), 1, 6)]
     assert polys[-2].affine_dim == 2 and polys[-2].ambient_dim == 3
-    assert set(support_map(polys[-2], polys[-1]).values()) == polys[-1].vertex_set
+    assert sorted(vertex_map(polys[-2], polys[-1])) == list(range(len(polys[-1].vertices)))
     decision, _ = decide_polytope(model)
     assert decision.verdict == VERDICT_POLYTOPE and decision.certified
     assert decision.stabilization_index == 4
     assert len(decision.vertices) == 8
     assert all(p[2] == 0 and len(ep.period) == 4 for p, ep in decision.vertices)
+
+
+# --- reference: the vertex map as extraction built it before hull.vertex_map ---
+
+
+def _reference_support_map(p, q):
+    """{vertex v of p: the vertex of q with the same support direction, or None on a tie}."""
+    p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
+    out = {}
+    for v, u in zip(p.vertices, hull_mod._normal_sums(p, p_pts)):
+        values = [dot(u, x) for x in q_pts]
+        best = max(values)
+        out[v] = q.vertices[values.index(best)] if values.count(best) == 1 else None
+    return out
+
+
+def _reference_parallel_cycles(p, q):
+    """Whether exact planar p and q have parallel, equally oriented edges i."""
+    (ps, _), (qs, _) = p.lattice, q.lattice
+    if len(ps) != len(qs):
+        return False
+    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in zip(ps, ps[1:] + ps[:1], qs, qs[1:] + qs[:1]):
+        ux, uy, wx, wy = bx - ax, by - ay, dx - cx, dy - cy
+        if ux * wy != uy * wx or ux * wx + uy * wy < 0:
+            return False
+    return True
+
+
+def _reference_vertex_map(prev, poly):
+    """Index of poly's matching vertex per vertex of prev: parallel exact planar
+    cycles map i to i, every other pair goes through the support map and a
+    point-to-index dict."""
+    exact = poly.lattice is not None and prev.lattice is not None
+    if exact and poly.ambient_dim == 2 and _reference_parallel_cycles(prev, poly):
+        return list(range(len(poly.vertices)))
+    index = {point: i for i, point in enumerate(poly.vertices)}
+    return [index.get(point) for point in _reference_support_map(prev, poly).values()]
+
+
+def _stable_polytope_pairs(model):
+    """(step i, step i + 1) polytopes of the first stable pair within the bound, if any."""
+    bound = compute_step_bound(tuple(inverse_eigenvalue_classes(model)), "product")
+    if bound is None:
+        return []
+    for (prev, p), (ledger, q) in pairwise(islice(hull_steps(model), bound.k + 2)):
+        if ledger.step >= 2 and prev.count == ledger.count:
+            return [(p, q)]
+    return []
+
+
+def test_vertex_map_matches_frozen_reference():
+    models = suite5_models()
+    models = models + [float_mirror(model) for model in models] + _spatial_models()
+    pairs = [pair for model in models for pair in _stable_polytope_pairs(model)]
+    square, double = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
+    diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
+    kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
+    pairs += [(square.poly, q) for q in (double.poly, diamond, kite)]
+    kinds = Counter()
+    for p, q in pairs:
+        got = vertex_map(p, q)
+        assert got == _reference_vertex_map(p, q)
+        kinds[p.lattice is not None, p.ambient_dim, None in got] += 1
+    # exact and float planar pairs, exact 3D pairs, and a tie among them
+    assert kinds[True, 2, False] and kinds[False, 2, False] and kinds[True, 3, False]
+    assert sum(n for (_, _, tie), n in kinds.items() if tie)
 
 
 def test_decide_sierpinski():
@@ -385,11 +451,13 @@ def test_decide_evaluates_each_address_once(monkeypatch):
     assert fallbacks == contains_calls == []
 
 
-def test_float_decide_evaluates_each_address_twice(monkeypatch):
-    """Float decide evaluates each address alone, once to decide and once in check (a).
+def test_float_decide_evaluates_each_address_once(monkeypatch):
+    """Float decide evaluates each address alone, once, to decide.
 
     Deciding goes through the batch evaluate_ep_addresses, which in float mode
-    calls ifs.evaluate_ep_address once per address; check (a) calls it itself.
+    calls ifs.evaluate_ep_address once per address.  The 8 vertices form one
+    cycle under the shift, so check (a) tests each shift link against an
+    image and evaluates none of them again.
     """
     model = validate_model([[0.5, -0.5], [0.5, 0.5]], [[0, 0], [1, 0]], mode="float")
     evaluate = ifs_mod.evaluate_ep_address
@@ -404,7 +472,38 @@ def test_float_decide_evaluates_each_address_twice(monkeypatch):
     decision, _ = decide_polytope(model)
     assert decision.verdict == VERDICT_POLYTOPE and not decision.certified
     assert len(decision.vertices) == 8
-    assert Counter(evaluated) == Counter(2 * [ep for _, ep in decision.vertices])
+    assert Counter(evaluated) == Counter(ep for _, ep in decision.vertices)
+
+
+def test_float_shift_link_off_by_1e_6_fails_address_evaluation():
+    """Float check (a) holds each shift link to eps, so one moved candidate fails it."""
+    model = validate_model([[0.5, -0.5], [0.5, 0.5]], [[0, 0], [1, 0]], mode="float")
+    decision, _ = decide_polytope(model)
+    candidates = [(ep, point) for point, ep in decision.vertices]
+    assert certify_polytope(model, candidates).ok
+    for i, (ep, (x, y)) in enumerate(candidates):
+        moved = candidates[:i] + [(ep, (x + 1e-6, y))] + candidates[i + 1 :]
+        result = certify_polytope(model, moved)
+        assert not result.ok and result.failure == "address_evaluation"
+
+
+def test_float_candidate_outside_shift_closure_is_evaluated(monkeypatch):
+    """A float candidate whose shift is not a candidate is evaluated with evaluate_ep_address."""
+    model = validate_model([[0.5, 0], [0, 0.5]], [[0, 0], [1, 0], [0, 1]], mode="float")
+    corners = [(EpAddress((), (j,)), point) for j, point in ((1, (0.0, 0.0)), (2, (1.0, 0.0)))]
+    outside = EpAddress((2, 3), (1,))  # value (1/2, 1/4); its shift ((3,), (1,)) is no candidate
+    evaluate = decide_mod.evaluate_ep_address
+    evaluated = []
+
+    def counting_evaluate(model, ep):
+        evaluated.append(ep)
+        return evaluate(model, ep)
+
+    monkeypatch.setattr(decide_mod, "evaluate_ep_address", counting_evaluate)
+    for point, ok in (((0.5, 0.25), True), ((0.5, 0.25 + 1e-6), False)):
+        result = certify_polytope(model, corners + [(outside, point)])
+        assert result.checks[0].ok == ok
+    assert evaluated == [outside, outside]
 
 
 @pytest.mark.parametrize("model", [
@@ -414,7 +513,7 @@ def test_float_decide_evaluates_each_address_twice(monkeypatch):
 def test_float_decide_builds_model_and_polytope_data_once(monkeypatch, model):
     """I - T^p is built once per period length, a hull's vertex scale once per hull.
 
-    Float decide evaluates every address twice (see above), and check (c)
+    Float decide evaluates every address once (see above), and check (c)
     tests every image against the one candidate hull with contains(eps > 0).
     """
     mat_pow, coord_scale, contains = linalg_mod.mat_pow, hull_mod._coord_scale, hull_mod.contains
@@ -471,10 +570,12 @@ def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):
 
 
 def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
-    """The planar rational search and extraction call neither lattice_hull nor support_map.
+    """The planar rational search and extraction take no hull and no support direction.
 
-    Certification hulls the candidates itself, independent of the search, so
-    its one convex_hull call is the only lattice_hull call left.
+    vertex_map matches parallel planar cycles index for index, with no sum of
+    the normals at a vertex (hull._normal_sums).  Certification hulls the
+    candidates itself, independent of the search, so its one convex_hull call
+    is the only lattice_hull call left.
     """
     calls = []
     certifying = []
@@ -493,7 +594,7 @@ def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
         finally:
             certifying.pop()
 
-    for name in ("lattice_hull", "support_map"):
+    for name in ("lattice_hull", "_normal_sums"):
         monkeypatch.setattr(hull_mod, name, recorder(name, getattr(hull_mod, name)))
     monkeypatch.setattr(decide_mod, "certify_polytope", certify)
     models = suite5_models() + [sierpinski_model(), diag_model(), twin_dragon_model()]
