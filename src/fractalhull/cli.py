@@ -362,7 +362,7 @@ def _cmd_certify(args):
 def _cmd_render(args):
     model, opts = parse_model(args.model)
     seed = opts.seed if args.seed is None else args.seed
-    render_svg(model, args.steps, args.points, seed, args.out)
+    render_svg(model, args.steps, args.points, seed, args.out, opts.bound_mode)
     print(f"wrote {args.out}")
     return 0
 

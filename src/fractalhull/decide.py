@@ -133,14 +133,17 @@ def hull_steps(model: IfsModel):
         ledger, _ = _step(model, ledger)
 
 
-def search_rows(model: IfsModel):
+def search_rows(model: IfsModel, steps=None):
     """Yield (prev_ledger, ledger, CountRow) for steps 1, 2, ... of the recursion.
 
-    Each row pairs two consecutive hull_steps and carries the nested_hausdorff
-    delta between their polytopes; a step is computed only when its row is
-    asked for, so islice(search_rows(model), n) takes n steps.
+    Each row pairs two consecutive items of `steps`, by default a fresh
+    hull_steps(model), and carries the nested_hausdorff delta between their
+    polytopes; a step is computed only when its row is asked for, so
+    islice(search_rows(model), n) takes n steps.
     """
-    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(hull_steps(model)):
+    if steps is None:
+        steps = hull_steps(model)
+    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(steps):
         delta = hull_mod.nested_hausdorff(prev_poly, poly)
         yield prev_ledger, ledger, CountRow(ledger.step, ledger.count, delta)
 
@@ -266,13 +269,14 @@ def inverse_eigenvalue_classes(model: IfsModel):
     return [spectral.classify_angle(z, model.tol) for z in distinct]
 
 
-def decide_polytope(model: IfsModel, bound_mode: str = "product"):
+def decide_polytope(model: IfsModel, bound_mode: str = "product", steps=None):
     """Run the bounded decision pipeline; returns (Decision, Report).
 
-    The stabilization search performs at most k+1 hull steps and no step
-    follows it: the addresses are read off the vertex map of the stable pair
-    of steps (extract_ep_addresses), evaluated as one batch
-    (evaluate_ep_addresses) and certified once.
+    The stabilization search reads at most k+1 hull steps past step 0 from
+    `steps`, by default a fresh hull_steps(model), and no step follows it:
+    the addresses are read off the vertex map of the stable pair of steps
+    (extract_ep_addresses), evaluated as one batch (evaluate_ep_addresses)
+    and certified once.
     An extraction or certification failure gives an inconclusive verdict.
     """
     warnings = [*model.warnings, NOTE_VERTEX_SETS, NOTE_DECISION_RULE]
@@ -297,7 +301,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product"):
             reason=f"no rational-angle eigenvalue up to denominator {model.tol.denom_max}",
         ))
 
-    for prev_ledger, ledger, row in islice(search_rows(model), bound.k + 1):
+    for prev_ledger, ledger, row in islice(search_rows(model, steps), bound.k + 1):
         counts.append(row)
         if ledger.step >= 2 and counts[-2].count == row.count:
             break
