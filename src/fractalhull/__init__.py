@@ -52,7 +52,6 @@ from .spectral import (
     StepBound,
     classify_angle,
     compute_step_bound,
-    exact_angle_order_2x2,
     facet_normal_criterion,
     validate_spectrum,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "evaluate_ep_address",
     "evaluate_ep_addresses",
     "evaluate_finite_address",
-    "exact_angle_order_2x2",
     "extract_ep_addresses",
     "facet_normal_criterion",
     "facet_normals",

@@ -264,9 +264,14 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
 
 
 def inverse_eigenvalue_classes(model: IfsModel):
-    inverse_eigs = [1.0 / z for z in model.eigenvalues]
-    distinct = spectral.distinct_eigenvalues(inverse_eigs)
-    return [spectral.classify_angle(z, model.tol) for z in distinct]
+    """The distinct eigenvalues of T^{-1}, classified exactly (rational input) or by the float scan."""
+    distinct = spectral.distinct_eigenvalues([1.0 / z for z in model.eigenvalues])
+    if model.mode != RATIONAL:
+        return [spectral.classify_angle(z, model.tol) for z in distinct]
+    denominator = None
+    if any(z.imag for z in distinct):
+        denominator = spectral.exact_angle_denominator(model.lattice[0], model.tol.denom_max)
+    return [spectral.classify_exact(z, denominator) for z in distinct]
 
 
 def decide_polytope(model: IfsModel, bound_mode: str = "product", steps=None):

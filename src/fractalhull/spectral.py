@@ -5,7 +5,8 @@ matrix point along rational multiples of pi.  Those eigenvalues determine the
 maximal number of hull-recursion steps that can ever be needed; if none
 qualifies, the hull is known not to be a polytope at all (this forces the
 ambient dimension to be even, since it requires every eigenvalue to be
-non-real).  A separate facet-normal recurrence criterion on the digit hull
+non-real).  Rational input gets its denominators and contraction test
+exactly.  A separate facet-normal recurrence criterion on the digit hull
 serves as an independent cross-check.
 """
 
@@ -18,7 +19,7 @@ from typing import Optional
 
 from . import hull as hull_mod
 from . import linalg
-from .errors import FractalHullError, UnsupportedDimension
+from .errors import UnsupportedDimension
 from .linalg import RATIONAL, ToleranceConfig
 
 
@@ -26,9 +27,9 @@ from .linalg import RATIONAL, ToleranceConfig
 class EigenvalueClass:
     """One eigenvalue with its polar data and optional rational angle.
 
-    rational_angle is (p, n) in lowest terms with angle close to pi*p/n and
-    n bounded by the configured denominator cap; None when no such fraction
-    fits within the angle tolerance.
+    rational_angle is (p, n) in lowest terms with angle equal to pi*p/n
+    (within angle_tol for float input) and n bounded by the configured
+    denominator cap; None when no such fraction exists.
     """
 
     value: complex
@@ -73,106 +74,80 @@ class NormalCriterionResult:
     k_cap: int
 
 
-@dataclass(frozen=True)
-class ExactAngleResult:
-    """Exact smallest power k with lambda**k real, for a 2x2 rational matrix.
-
-    found is False when no such k <= 2 * denom_max exists; power_value is the
-    exact rational value of lambda**k when found (its sign tells whether the
-    angle numerator is even or odd).
-    """
-
-    found: bool
-    k: Optional[int]
-    power_value: Optional[Fraction]
+# The only denominators n of a rational angle of an eigenvalue of a rational
+# matrix of size at most 3: those with phi(n) <= 2.
+EXACT_DENOMINATORS = (1, 2, 3, 4, 6)
+# Eigenvalues closer than this, relative to the larger modulus, are one class.
+DISTINCT_REL_TOL = 1e-9
 
 
-def _convergents(x, max_den):
-    """Continued-fraction convergents p/q of x with q <= max_den."""
-    out = []
-    h_prev, h = 1, int(math.floor(x))
-    k_prev, k = 0, 1
-    out.append((h, k))
-    frac = x - math.floor(x)
-    for _ in range(64):
-        if frac <= 1e-17:
-            break
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        frac = x - a
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if k > max_den:
-            break
-        out.append((h, k))
-    return out
+def _polar(lam):
+    """(modulus, angle); `or` reads -0.0 as 0.0, so negative reals land on +pi."""
+    return abs(lam), math.atan2(lam.imag or 0.0, lam.real)
 
 
 def classify_angle(lam, tol: ToleranceConfig) -> EigenvalueClass:
-    """Classify one eigenvalue's argument as a rational multiple of pi.
+    """Classify one eigenvalue's argument as a rational multiple of pi (float input).
 
-    Candidate fractions come from continued-fraction convergents of angle/pi
-    plus an exhaustive scan of denominators up to min(denom_max, 16); the
-    qualifying candidate with the smallest denominator wins.  Positive reals
-    classify as (0, 1) and negative reals as (1, 1).
+    Scans the denominators n = 1 .. denom_max and takes the first n whose
+    nearest numerator p = round(n * angle / pi) lies within angle_tol: the
+    smallest denominator wins.  Only p/n in lowest terms is tested, as float
+    rounding may put pi*kp/kn within angle_tol where pi*p/n missed it.
+    Positive reals classify as (0, 1) and negative reals as (1, 1).
     """
-    re = lam.real
-    im = lam.imag
-    if im == 0.0:
-        im = 0.0  # normalize -0.0 so negative reals land on +pi
-    modulus = abs(lam)
-    angle = math.atan2(im, re)
+    modulus, angle = _polar(lam)
     if modulus == 0.0:
         return EigenvalueClass(lam, 0.0, 0.0, (0, 1))
     x = angle / math.pi
-    candidates = set(_convergents(x, tol.denom_max))
-    for n in range(1, min(tol.denom_max, 16) + 1):
-        candidates.add((round(x * n), n))
-    best = None
-    for p, n in candidates:
-        if n < 1 or n > tol.denom_max:
-            continue
-        g = math.gcd(abs(p), n)
-        if g:
-            p, n = p // g, n // g
-        if n > tol.denom_max:
-            continue
-        if abs(angle - math.pi * p / n) <= tol.angle_tol:
-            key = (n, abs(p), -p)
-            if best is None or key < best[0]:
-                best = (key, (p, n))
-    rational = best[1] if best is not None else None
+    for n in range(1, tol.denom_max + 1):
+        p = round(n * x)
+        if abs(angle - math.pi * p / n) <= tol.angle_tol and math.gcd(p, n) == 1:
+            return EigenvalueClass(lam, modulus, angle, (p, n))
+    return EigenvalueClass(lam, modulus, angle, None)
+
+
+def _discriminant(a, b, c=None):
+    """Discriminant of x^2 + a x + b, or of x^3 + a x^2 + b x + c: zero exactly at a repeated root."""
+    if c is None:
+        return a * a - 4 * b
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
+def exact_angle_denominator(matrix, denom_max: int) -> Optional[int]:
+    """Angle denominator of the non-real eigenvalues of an exact 2x2 or 3x3 matrix.
+
+    Their rational angles pi*p/n have n in EXACT_DENOMINATORS, and lambda^n
+    is real exactly when the characteristic polynomial of matrix^n has a
+    repeated root: the smallest such n <= denom_max, or None.  Any nonzero
+    multiple of the matrix, such as the integer M = delta * T, gives the same n.
+    """
+    power, exponent = matrix, 1
+    for n in EXACT_DENOMINATORS:
+        if n > denom_max:
+            break
+        while exponent < n:
+            power, exponent = linalg.mat_mul(power, matrix), exponent + 1
+        if _discriminant(*linalg.char_poly(power)[1:]) == 0:
+            return n
+    return None
+
+
+def classify_exact(lam, denominator: Optional[int]) -> EigenvalueClass:
+    """Class of an eigenvalue of a rational matrix, given exact_angle_denominator.
+
+    Reals take n = 1; the numerator is rounded from the float angle.
+    """
+    modulus, angle = _polar(lam)
+    n = 1 if lam.imag == 0.0 else denominator
+    rational = None if n is None else (round(n * angle / math.pi), n)
     return EigenvalueClass(lam, modulus, angle, rational)
 
 
-def exact_angle_order_2x2(matrix, denom_max: int) -> ExactAngleResult:
-    """Exact rational-angle test for a 2x2 rational matrix with non-real spectrum.
-
-    With lambda^2 = t*lambda - d (t = trace, d = det), powers satisfy
-    lambda^k = a_k*lambda + b_k where a_1 = 1, b_1 = 0 and
-    a_{k+1} = t*a_k + b_k, b_{k+1} = -d*a_k.  Since lambda is not real,
-    lambda^k is real exactly when a_k = 0; the smallest such k is the
-    denominator of the angle as a fraction of pi.  Scans k <= 2 * denom_max.
-    """
-    if len(matrix) != 2 or not isinstance(matrix[0][0], Fraction):
-        raise FractalHullError("exact angle test requires a rational 2x2 matrix")
-    t = matrix[0][0] + matrix[1][1]
-    d = linalg.det(matrix)
-    if t * t - 4 * d >= 0:
-        raise FractalHullError("exact angle test requires a complex-conjugate pair")
-    a, b = Fraction(1), Fraction(0)  # lambda^1 = 1*lambda + 0
-    for k in range(1, 2 * denom_max + 1):
-        if a == 0:
-            return ExactAngleResult(True, k, b)
-        a, b = t * a + b, -d * a
-    return ExactAngleResult(False, None, None)
-
-
-def distinct_eigenvalues(values, rel_tol=1e-9):
+def distinct_eigenvalues(values):
     """Collapse a multiset of complex eigenvalues to distinct representatives."""
     out = []
     for z in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not any(abs(z - w) <= rel_tol * max(1.0, abs(w)) for w in out):
+        if not any(abs(z - w) <= DISTINCT_REL_TOL * max(1.0, abs(w)) for w in out):
             out.append(z)
     return out
 
@@ -199,18 +174,31 @@ def compute_step_bound(classes, bound_mode="product") -> Optional[StepBound]:
     return StepBound(members, k, bound_mode)
 
 
+def _contracting(matrix):
+    """Jury's test: every eigenvalue of the rational matrix T = M/delta has modulus < 1.
+
+    delta^n chi_T(x) has the integer coefficients A_k delta^(n-k) of chi_M;
+    roots 0 pad it to a x^3 + b x^2 + c x + d.
+    """
+    lattice, delta = linalg.to_lattice(matrix)
+    n = len(lattice)
+    coeffs = [A * delta ** (n - k) for k, A in enumerate((1, *linalg.char_poly(lattice)[1:]))]
+    a, b, c, d = coeffs + [0] * (3 - n)
+    return abs(d) < a and abs(b + d) < a + c and abs(a * c - b * d) < a * a - d * d
+
+
 def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     """Check nonsingularity and spectral radius < 1 for a map matrix.
 
-    The eigenvalues computed for the radius come back with the check, so the
-    model keeps them and nothing computes them again.
+    Rational input runs Jury's test, exactly.  The eigenvalues come back with
+    the check, so the model keeps them and nothing computes them again.
     """
     d = linalg.det(matrix)
     if d == 0:
         return SpectrumCheck(False, "nonsingularity_failed", ())
     eigenvalues = tuple(linalg.eigenvalues(matrix))
     rho = max(abs(z) for z in eigenvalues)
-    if rho >= 1.0:
+    if not (_contracting(matrix) if mode == RATIONAL else rho < 1.0):
         return SpectrumCheck(False, "not_contracting", (), eigenvalues)
     warnings = ()
     if mode != RATIONAL and 1.0 - rho < 1e-9:

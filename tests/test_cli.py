@@ -113,6 +113,32 @@ def test_analyze_rotation_empty_u(capsys):
     assert "NOT A POLYTOPE (U empty, denominators <= 64)" in out
 
 
+def test_analyze_pi_over_5_approximant_is_empty_u(tmp_path, capsys):
+    """An irrational angle 3.1e-12 from pi/5: rational input finds no rational angle, exactly."""
+    doc = {
+        "dimension": 2,
+        "matrix": [["1/2", "-46041/126740"], ["46041/126740", "1/2"]],
+        "digits": [[0, 0], [1, 0], [0, 1]],
+    }
+    report = tmp_path / "r.json"
+    code = cli.main(["analyze", write_model(tmp_path, "pi5.json", doc), "--json", str(report)])
+    assert code == 0
+    assert "NOT A POLYTOPE (U empty" in capsys.readouterr().out
+    assert json.loads(report.read_text(encoding="utf-8"))["counts"] == []
+
+
+def test_analyze_near_1_rotation_is_certified(tmp_path, capsys):
+    """rho = sqrt(1 - 1e-20) < 1: the exact contraction test accepts what the float radius rounds to 1."""
+    doc = {
+        "dimension": 2,
+        "matrix": [[0, 1], ["-99999999999999999999/100000000000000000000", 0]],
+        "digits": [[0, 0], [1, 0], [0, 1]],
+    }
+    code = cli.main(["analyze", write_model(tmp_path, "near1.json", doc)])
+    assert code == 0
+    assert "POLYTOPE (certified), 8 vertices" in capsys.readouterr().out
+
+
 def test_analyze_diagonal(capsys):
     code = cli.main(["analyze", str(MODELS / "diagonal.json")])
     out = capsys.readouterr().out

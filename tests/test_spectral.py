@@ -1,4 +1,4 @@
-"""Angle classification, exact 2x2 order test, step bound, normal criterion."""
+"""Angle classification (exact and float), contraction, step bound, normal criterion."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     diag_model,
@@ -18,8 +19,8 @@ from conftest import (
     sierpinski_model,
     twin_dragon_model,
 )
-from fractalhull import linalg
-from fractalhull.errors import FractalHullError
+from fractalhull import linalg, spectral
+from fractalhull.decide import analyze_model, inverse_eigenvalue_classes
 from fractalhull.hull import convex_hull
 from fractalhull.ifs import validate_model
 from fractalhull.linalg import RATIONAL, ToleranceConfig, make_matrix, mat_vec, transpose
@@ -27,7 +28,7 @@ from fractalhull.spectral import (
     classify_angle,
     compute_step_bound,
     distinct_eigenvalues,
-    exact_angle_order_2x2,
+    exact_angle_denominator,
     facet_normal_criterion,
     validate_spectrum,
 )
@@ -59,7 +60,7 @@ def test_irrational_angle_rejected_and_best_candidate():
     lam = 2.0 * cmath.exp(1j)
     cls = classify_angle(lam, TOL)
     assert cls.rational_angle is None
-    # with a loose tolerance the continued-fraction scan surfaces 7/22,
+    # with a loose tolerance the denominator scan first hits 7/22,
     # which misses the angle of 1 radian by about 4e-4
     loose = ToleranceConfig(angle_tol=1e-3)
     cls = classify_angle(lam, loose)
@@ -83,34 +84,155 @@ def test_conjugate_symmetry():
                 assert b.rational_angle == (-p, n)
 
 
+def test_loose_tolerance_takes_the_smallest_denominator():
+    """At angle_tol 1e-3 the first denominator within tolerance wins, up to denom_max."""
+    loose = ToleranceConfig(angle_tol=1e-3)
+    cls = classify_angle(complex(2.0135905999322103, 2.063935422233594), loose)
+    assert cls.rational_angle == (15, 59)  # 16/63 is also within 1e-3
+    cls = classify_angle(complex(0.37511590243821535, -0.1635733609016288), loose)
+    assert cls.rational_angle == (-8, 61)
+
+
+def test_float_scan_tests_fractions_in_lowest_terms():
+    """This angle misses -2*pi/3 by 1.00000008e-9, but -26*pi/39 rounds to within 1e-9."""
+    cls = classify_angle(complex(-0.10548510846328531, -0.18270556687838357), TOL)
+    assert abs(cls.angle - math.pi * -26 / 39) <= TOL.angle_tol < abs(cls.angle - math.pi * -2 / 3)
+    assert cls.rational_angle is None
+
+
+@given(st.floats(-math.pi, math.pi), st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2]))
+@settings(max_examples=300, deadline=None)
+def test_float_scan_is_the_smallest_qualifying_fraction(angle, angle_tol):
+    """classify_angle agrees with a search of every p/n in lowest terms, n <= denom_max."""
+    tol = ToleranceConfig(angle_tol=angle_tol, denom_max=40)
+    cls = classify_angle(cmath.rect(1.5, angle), tol)
+    hits = [
+        (n, p)
+        for n in range(1, tol.denom_max + 1)
+        for p in range(-n - 1, n + 2)
+        if math.gcd(p, n) == 1 and abs(cls.angle - math.pi * p / n) <= angle_tol
+    ]
+    if not hits:
+        assert cls.rational_angle is None
+        return
+    n = hits[0][0]
+    p, m = cls.rational_angle
+    assert m == n and (n, p) in hits and math.gcd(p, n) == 1
+
+
+def _order_2x2_reference(matrix, k_max):
+    """Smallest k <= k_max with lambda**k real, and that real value, for a 2x2
+    rational matrix with a complex pair lambda, conj(lambda); None if none.
+
+    With lambda^2 = t*lambda - d (t = trace, d = det), powers satisfy
+    lambda^k = a_k*lambda + b_k where a_1 = 1, b_1 = 0 and
+    a_{k+1} = t*a_k + b_k, b_{k+1} = -d*a_k.  Since lambda is not real,
+    lambda^k is real exactly when a_k = 0, and then it equals b_k.
+    """
+    t = matrix[0][0] + matrix[1][1]
+    d = linalg.det(matrix)
+    assert t * t - 4 * d < 0
+    a, b = F(1), F(0)  # lambda^1 = 1*lambda + 0
+    for k in range(1, k_max + 1):
+        if a == 0:
+            return k, b
+        a, b = t * a + b, -d * a
+    return None
+
+
 def test_exact_angle_order_quarter_turn():
     T_inv = make_matrix([[1, -1], [1, 1]], RATIONAL)  # eigenvalues 1 +- i
-    res = exact_angle_order_2x2(T_inv, 64)
-    assert res.found and res.k == 4
-    assert res.power_value == F(-4)
+    assert exact_angle_denominator(T_inv, 64) == 4
+    assert _order_2x2_reference(T_inv, 128) == (4, F(-4))
 
 
 def test_exact_angle_order_half_turn():
     T_inv = make_matrix([[0, -2], [2, 0]], RATIONAL)  # eigenvalues +-2i
-    res = exact_angle_order_2x2(T_inv, 64)
-    assert res.found and res.k == 2
-    assert res.power_value == F(-4)
+    assert exact_angle_denominator(T_inv, 64) == 2
+    assert _order_2x2_reference(T_inv, 128) == (2, F(-4))
 
 
 def test_exact_angle_order_irrational():
     T_inv = make_matrix([[1, -2], [1, 1]], RATIONAL)
-    res = exact_angle_order_2x2(T_inv, 64)
-    assert not res.found
+    assert exact_angle_denominator(T_inv, 64) is None
+    assert _order_2x2_reference(T_inv, 128) is None
 
 
-def test_exact_angle_order_preconditions():
-    with pytest.raises(FractalHullError):
-        exact_angle_order_2x2(make_matrix([[2, 0], [0, 3]], RATIONAL), 64)
+def test_exact_angle_order_preconditions(monkeypatch):
+    """The exact rule speaks of non-real eigenvalues, so it runs only when a class is non-real.
+
+    diag(1/2, -1/2) has a real spectrum whose squares collide, where the
+    discriminant test alone would report denominator 2.
+    """
+    T = make_matrix([[F(1, 2), 0], [0, F(-1, 2)]], RATIONAL)
+    assert exact_angle_denominator(T, 64) == 2
+    calls = []
+    real = spectral.exact_angle_denominator
+    monkeypatch.setattr(spectral, "exact_angle_denominator", lambda *a: calls.append(a) or real(*a))
+    classes = inverse_eigenvalue_classes(validate_model(T, [[0, 0], [1, 0], [0, 1]]))
+    assert [c.rational_angle for c in classes] == [(1, 1), (0, 1)]
+    assert calls == []
+    rotation = validate_model([[0, F(-1, 2)], [F(1, 2), 0]], [[0, 0], [1, 0], [0, 1]])
+    assert [c.rational_angle for c in inverse_eigenvalue_classes(rotation)] == [(-1, 2), (1, 2)]
+    assert len(calls) == 1
+
+
+# the closed form for a 2x2 matrix with eigenvalues r*exp(+-i*theta):
+# tr^2/det = 4*cos(theta)^2, which is 0, 1, 2, 3 at the denominators 2, 3, 4, 6
+# and 4 at a real double root (n = 1)
+_CLOSED_FORM = {F(0): 2, F(1): 3, F(2): 4, F(3): 6, F(4): 1}
+_DENOMINATOR_CASES = {
+    1: [[F(1, 2), 1], [0, F(1, 2)]],  # a Jordan block: a real double root
+    2: [[0, -1], [1, 0]],
+    3: [[0, -1], [1, 1]],
+    4: [[1, -1], [1, 1]],
+    6: [[1, -1], [1, 2]],
+}
+
+
+def _closed_form_denominator(matrix):
+    tr = matrix[0][0] + matrix[1][1]
+    return _CLOSED_FORM.get(tr * tr / linalg.det(matrix))
+
+
+def _conjugated(matrix, rng):
+    """scale * P matrix P^-1 for a random rational P and scale: the same angles."""
+    while True:
+        P = make_matrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)], RATIONAL)
+        det = linalg.det(P)
+        if det != 0:
+            break
+    (a, b), (c, d) = P
+    P_inv = ((d / det, -b / det), (-c / det, a / det))
+    scale = F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+    return tuple(tuple(scale * x for x in row) for row in linalg.mat_mul(linalg.mat_mul(P, matrix), P_inv))
+
+
+def test_exact_denominators_match_the_2x2_closed_form():
+    rng = random.Random(5)
+    for n, rows in _DENOMINATOR_CASES.items():
+        base = make_matrix(rows, RATIONAL)
+        for matrix in [base] + [_conjugated(base, rng) for _ in range(20)]:
+            assert _closed_form_denominator(matrix) == n
+            assert exact_angle_denominator(matrix, 64) == n
+            assert exact_angle_denominator(matrix, n - 1) is None  # the cap on n
+    checked = 0
+    while checked < 300:
+        matrix = make_matrix(
+            [[F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(2)] for _ in range(2)], RATIONAL
+        )
+        if linalg.det(matrix) == 0:
+            continue
+        checked += 1
+        tr, det = matrix[0][0] + matrix[1][1], linalg.det(matrix)
+        if tr * tr <= 4 * det:  # a complex pair or a double root
+            assert exact_angle_denominator(matrix, 64) == _closed_form_denominator(matrix)
 
 
 def test_exact_agrees_with_float_classification():
-    """Presence of a rational angle matches whenever the float residual is
-    clearly inside or clearly outside the tolerance band."""
+    """The exact denominator equals the 2x2 recurrence's order, and a rational
+    angle is present whenever the float residual is clearly inside the
+    tolerance band and absent whenever it is clearly outside."""
     rng = random.Random(17)
     checked = 0
     while checked < 100:
@@ -123,7 +245,9 @@ def test_exact_agrees_with_float_classification():
         if tr * tr - 4 * d >= 0:
             continue
         checked += 1
-        exact = exact_angle_order_2x2(T_inv, TOL.denom_max)
+        exact = exact_angle_denominator(T_inv, TOL.denom_max)
+        reference = _order_2x2_reference(T_inv, 2 * TOL.denom_max)
+        assert exact == (reference[0] if reference else None)
         re = float(tr) / 2.0
         im = math.sqrt(float(4 * d - tr * tr)) / 2.0
         cls = classify_angle(complex(re, im), TOL)
@@ -131,12 +255,47 @@ def test_exact_agrees_with_float_classification():
             residual = abs(cls.angle - math.pi * cls.rational_angle[0] / cls.rational_angle[1])
         else:
             residual = math.inf
-        clearly_in = residual < TOL.angle_tol / 10
-        clearly_out = residual > 10 * TOL.angle_tol
-        if clearly_in:
-            assert exact.found and exact.k <= TOL.denom_max
-        elif clearly_out:
-            assert not (exact.found and exact.k <= TOL.denom_max)
+        if residual < TOL.angle_tol / 10:
+            assert exact == cls.rational_angle[1]
+        elif residual > 10 * TOL.angle_tol:
+            assert exact is None
+
+
+_E2 = [[0, 0], [1, 0], [0, 1]]
+_E3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# the best approximation of tan(pi/5) with denominator up to 10^6, times 1/2:
+# an irrational angle 3.1e-12 from pi/5
+_PI_5 = F(46041, 126740)
+
+
+def test_pi_over_5_approximant_has_no_rational_angle():
+    model = validate_model([[F(1, 2), -_PI_5], [_PI_5, F(1, 2)]], _E2)
+    assert [c.rational_angle for c in inverse_eigenvalue_classes(model)] == [None, None]
+    decision, report = analyze_model(model)
+    assert decision.verdict == "NOT_POLYTOPE_EMPTY_U"
+    assert report.bound is None and report.counts == ()
+    # float input at the default tolerance still sees pi/5
+    floats = validate_model([[0.5, -float(_PI_5)], [float(_PI_5), 0.5]], _E2, mode="float")
+    assert [c.rational_angle for c in inverse_eigenvalue_classes(floats)] == [(-1, 5), (1, 5)]
+
+
+def test_irreducible_cubic_classes():
+    """x^3 = 1/2: the eigenvalues of T^{-1} are 2^(1/3) times the cube roots of unity."""
+    model = validate_model([[0, 0, F(1, 2)], [1, 0, 0], [0, 1, 0]], _E3)
+    classes = inverse_eigenvalue_classes(model)
+    assert [c.rational_angle for c in classes] == [(-2, 3), (2, 3), (0, 1)]
+    assert compute_step_bound(tuple(classes)).k == 18
+
+
+def test_k72_model_classes():
+    """A complex pair at angle pi/6 plus a negative real eigenvalue: the 3D bound k = 72."""
+    model = validate_model(
+        [[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]],
+    )
+    classes = inverse_eigenvalue_classes(model)
+    assert [c.rational_angle for c in classes] == [(1, 1), (-1, 6), (1, 6)]
+    assert compute_step_bound(tuple(classes)).k == 72
 
 
 def test_step_bound_scalar_half():
@@ -185,6 +344,50 @@ def test_validate_spectrum():
     assert bad.violation == "not_contracting"
     sing = validate_spectrum(make_matrix([[F(1, 2), 0], [F(1, 2), 0]], RATIONAL))
     assert sing.violation == "nonsingularity_failed"
+
+
+_NEAR_1 = F(1, 10**20)
+
+
+def test_validate_spectrum_is_exact_for_rational_input():
+    """Jury's test decides rho < 1 exactly, where the float radius rounds to 1."""
+    def check(rows):
+        return validate_spectrum(make_matrix(rows, RATIONAL)).violation
+
+    assert check([[0, 1], [-(1 - _NEAR_1), 0]]) is None  # rho = sqrt(1 - 1e-20)
+    assert check([[0, 0, 1 - F(1, 10**18)], [1, 0, 0], [0, 1, 0]]) is None  # x^3 = 1 - 1e-18
+    assert check([[1 - _NEAR_1]]) is None
+    for rows in (
+        [[0, 1], [-1, 0]],  # rho = 1 exactly
+        [[0, 1], [-(1 + _NEAR_1), 0]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 0, 1 + F(1, 10**18)], [1, 0, 0], [0, 1, 0]],
+        [[-1]],
+        [[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, -1]],
+    ):
+        assert check(rows) == "not_contracting"
+
+
+def test_jury_test_matches_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(23)
+    checked = 0
+    while checked < 600:
+        n = rng.randint(1, 3)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        rho = max(abs(np.linalg.eigvals(np.array(rows, dtype=float))))
+        if abs(rho - 1) <= 1e-9 or linalg.det(rows) == 0:
+            continue
+        checked += 1
+        assert (validate_spectrum(make_matrix(rows, RATIONAL)).violation is None) == (rho < 1)
+
+
+def test_near_1_rotation_is_certified():
+    model = validate_model([[0, 1], [-(1 - _NEAR_1), 0]], _E2)
+    decision, report = analyze_model(model)
+    assert decision.verdict == "POLYTOPE" and decision.certified
+    assert len(decision.vertices) == 8
+    assert decision.stabilization_index == 4 and report.bound.k == 8
 
 
 def test_validate_spectrum_near_contraction_warning():
