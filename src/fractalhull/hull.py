@@ -23,7 +23,13 @@ merged into facets, a lone exact triangle being its own facet.
 Output is canonical regardless of input order: 2D vertex cycles are
 counterclockwise starting at the lexicographically smallest vertex, 3D vertex
 lists are sorted and each facet is fanned from its smallest vertex index into
-a sorted triangular face list, so equal hulls compare equal structurally.
+a sorted triangular face list, so equal hulls compare equal structurally.  An
+exact solid keeps each facet's vertex cycle beside its row.
+
+Minkowski sums need no hull: minkowski_cycle merges two integer polygon
+cycles by edge direction, and minkowski_polytope overlays the normal fans of
+two exact solids, read off their facet rows and cycles, and gives the
+canonical form of the hull of all pairwise sums.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
-from .linalg import dot, to_lattice, vec_add, vec_scale, vec_sub
+from .linalg import cross, dot, to_lattice, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,11 @@ class Polytope:
     An exact Polytope comes from lattice_polytope and holds only its integer
     form: lattice = (X, den), the vertices X/den in order over the least
     den, and rows, the integer facet rows (n, c) with x = X/den inside iff
-    n.X <= c for all of them (None unless full-dimensional).  Its Fraction
-    vertices and facets are built when first read.  A float Polytope has
-    lattice and rows None.
+    n.X <= c for all of them (None unless full-dimensional).  An exact solid
+    also keeps cycles: per row, its facet's vertex indices counterclockwise
+    seen from outside, from the smallest; faces fans each from there.  Its
+    Fraction vertices and facets are built when first read.  A float
+    Polytope has lattice, rows and cycles None.
     """
 
     ambient_dim: int
@@ -65,6 +73,7 @@ class Polytope:
     facets: Optional[tuple] = None
     lattice = None
     rows = None
+    cycles = None
 
     @property
     def vertex_set(self):
@@ -116,15 +125,16 @@ Polytope.facets = functools.cached_property(_lattice_facets)
 Polytope.facets.__set_name__(Polytope, "facets")
 
 
-def lattice_polytope(points, den, faces=None, rows=None):
+def lattice_polytope(points, den, rows=None, cycles=None):
     """The exact Polytope of the integer vertices X/den, its Fractions built when read.
 
     points are the vertices in Polytope order: a point, a segment's two ends
     in lexicographic order, a polygon's cycle (counterclockwise from its
     lexicographic minimum in the plane, without collinear middle vertices),
-    or a solid's sorted vertices with its triangles as faces and its facet
-    rows n.X <= c.  The scale is cut to the least den, and an interval or a
-    planar polygon gets its rows here.
+    or a solid's sorted vertices with its facet rows n.X <= c and their
+    cycles, each from its smallest vertex index; the solid's faces fan each
+    cycle from there.  The scale is cut to the least den, and an interval or
+    a planar polygon gets its rows here.
     """
     g = math.gcd(den, *(c for x in points for c in x))
     if g > 1:
@@ -133,7 +143,7 @@ def lattice_polytope(points, den, faces=None, rows=None):
         if rows is not None:
             rows = tuple((normal, offset // g) for normal, offset in rows)
     n = len(points[0])
-    adim = 3 if faces is not None else min(len(points) - 1, 2)
+    adim = 3 if cycles is not None else min(len(points) - 1, 2)
     if adim == n == 1:
         (lo,), (hi,) = points
         rows = (((-1,), -lo), ((1,), hi))
@@ -141,9 +151,30 @@ def lattice_polytope(points, den, faces=None, rows=None):
         rows = _polygon_facets(points)
     poly = object.__new__(Polytope)
     vars(poly).update(
-        ambient_dim=n, affine_dim=adim, faces=faces, lattice=(points, den), rows=rows
+        ambient_dim=n, affine_dim=adim, faces=None if cycles is None else _fan(cycles),
+        lattice=(points, den), rows=rows, cycles=cycles,
     )
     return poly
+
+
+def _fan(cycles):
+    """The sorted triangles that fan each cycle from its first vertex."""
+    return tuple(sorted((c[0], c[i], c[i + 1]) for c in cycles for i in range(1, len(c) - 1)))
+
+
+def _from_min(cycle):
+    """The cycle rotated to start at its smallest entry, as a tuple."""
+    s = cycle.index(min(cycle))
+    return tuple(cycle[s:] + cycle[:s])
+
+
+def _solid(points, den, facets):
+    """The exact solid of the sorted integer points X/den and its (row, cycle) facets.
+
+    Each cycle holds indices into points, counterclockwise seen from outside.
+    """
+    facets = _facet_order([(row, _from_min(cycle)) for row, cycle in facets], den)
+    return lattice_polytope(points, den, *map(tuple, zip(*facets)))
 
 
 def _coord_scale(pts):
@@ -158,14 +189,6 @@ def _coord_scale(pts):
 
 def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _plane_normal(pts):
@@ -227,9 +250,9 @@ def _lattice_basis(pts):
         if not dirs:
             independent = any(d)
         elif len(dirs) == 2:
-            independent = dot(_cross3(dirs[0], dirs[1]), d) != 0
+            independent = dot(cross(dirs[0], dirs[1]), d) != 0
         else:
-            independent = any(_cross3(dirs[0], d))
+            independent = any(cross(dirs[0], d))
         if independent:
             dirs.append(d)
             if len(dirs) == n:
@@ -314,10 +337,15 @@ def _tri_edges(tri):
     return ((a, b), (b, c), (c, a))
 
 
+def _primitive(normal):
+    """The integer normal divided by the gcd of its entries."""
+    g = math.gcd(*normal)
+    return tuple(c // g for c in normal)
+
+
 def _plane_key(normal, anchor, exact, scale):
     if exact:
-        g = math.gcd(*normal)
-        prim = tuple(c // g for c in normal)
+        prim = _primitive(normal)
         return (prim, dot(prim, anchor))
     n = math.sqrt(sum(float(c) ** 2 for c in normal))
     unit = tuple(round(float(c) / n, 7) for c in normal)
@@ -425,7 +453,7 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         ids = sorted({t for tri in tris for t in tri})
         ax, ay, az = a = pts[tris[0][0]]
         ux, uy, uz = u = vec_sub(pts[tris[0][1]], a)
-        wx, wy, wz = _cross3(faces[tris[0]][:3], u)
+        wx, wy, wz = cross(faces[tris[0]][:3], u)
         coord_of = {}
         for t in ids:
             x, y, z = pts[t]
@@ -442,24 +470,18 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
 
     vertex_ids = sorted({t for _, poly in facet_polys for t in poly})
     index_of = {t: i for i, t in enumerate(vertex_ids)}
-    triangles = []
-    for _, poly in facet_polys:
-        mapped = [index_of[t] for t in poly]
-        s = mapped.index(min(mapped))
-        fan = mapped[s:] + mapped[:s]
-        triangles.extend((fan[0], fan[i], fan[i + 1]) for i in range(1, len(fan) - 1))
-    triangles.sort()
     vertices = [pts[t] for t in vertex_ids]
+    cycles = [[index_of[t] for t in poly] for _, poly in facet_polys]
     if exact:
         # a plane key is the facet row: primitive normal n and n.X on the plane
-        rows = _facet_order([key for key, _ in facet_polys], den)
-        return lattice_polytope(vertices, den, tuple(triangles), rows)
+        return _solid(vertices, den, [(key, c) for (key, _), c in zip(facet_polys, cycles)])
+    triangles = _fan(list(map(_from_min, cycles)))
     facets = []
     for _, poly in facet_polys:
         normal = _plane_normal([pts[t] for t in poly])
         facets.append((normal, dot(normal, pts[poly[0]])))
     facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
-    return Polytope(3, 3, tuple(vertices), tuple(triangles), tuple(facets))
+    return Polytope(3, 3, tuple(vertices), triangles, tuple(facets))
 
 
 def _insert_exact(pts, tet, faces, edge_map, insert):
@@ -534,20 +556,21 @@ def _insert_float(pts, tet, faces, edge_map, insert, tol3):
         insert(idx, visible, horizon)
 
 
-def _facet_order(rows, den):
-    """3D rows in the order of their Fraction facets' float keys (n, c/den).
+def _facet_order(facets, den):
+    """3D (row, cycle) facets in the order of their Fraction facets' float keys (n, c/den).
 
     c / den on ints is float(Fraction(c, den)) bit for bit, both correctly
     rounded; rows whose float keys tie go in the repr order of their Fraction
     facets, which are built for those rows alone.
     """
-    def key(row):
-        return tuple(map(float, row[0])), row[1] / den
+    keyed = [((tuple(map(float, row[0])), row[1] / den), (row, cycle)) for row, cycle in facets]
+    ties = Counter(key for key, _ in keyed)
 
-    ties = Counter(map(key, rows))
-    return tuple(sorted(
-        rows, key=lambda r: (key(r), repr(_fraction_facet(r, 1, den)) if ties[key(r)] > 1 else "")
-    ))
+    def order(item):
+        key, (row, _) = item
+        return key, repr(_fraction_facet(row, 1, den)) if ties[key] > 1 else ""
+
+    return [facet for _, facet in sorted(keyed, key=order)]
 
 
 def _plane_cycle(pts, base, u, v, eps):
@@ -603,6 +626,112 @@ def minkowski_cycle(p, q):
         if turn <= 0:
             j += 1
     return out
+
+
+def _support(n, pts):
+    """The values n.x over the points x in pts, and the indices where they peak."""
+    nx, ny, nz = n
+    values = [nx * x + ny * y + nz * z for x, y, z in pts]
+    top = max(values)
+    return values, [i for i, w in enumerate(values) if w == top]
+
+
+def _face_sum(u, p, i_face, q, j_face):
+    """The pairs (i, j) of the vertices p[i] + q[j] of the sum of two faces with outward normal u.
+
+    Each face is a vertex cycle counterclockwise seen from outside, an edge
+    or a vertex.  Unless one is a vertex, both are projected along an axis k
+    with u_k != 0, which keeps their orientation when u_k > 0 and reverses
+    it otherwise, and merged by minkowski_cycle; the pairs come
+    counterclockwise seen from outside.
+    """
+    if len(i_face) == 1 or len(j_face) == 1:
+        return [(i, j) for i in i_face for j in j_face]
+    k = next(k for k in range(3) if u[k])
+    a, b, turn = (k + 1) % 3, (k + 2) % 3, 1 if u[k] > 0 else -1
+
+    def flat(pts, ids):  # lattice_cycle's form: from the lexicographic minimum
+        ids = ids[::turn]
+        xy = [(pts[i][a], pts[i][b]) for i in ids]
+        s = xy.index(min(xy))
+        return xy[s:] + xy[:s], ids[s:] + ids[:s]
+
+    (p_xy, p_ids), (q_xy, q_ids) = flat(p, i_face), flat(q, j_face)
+    return [(p_ids[i], q_ids[j]) for _, i, j in minkowski_cycle(p_xy, q_xy)][::turn]
+
+
+def minkowski_polytope(p, q, den):
+    """The exact solid conv(p) + conv(q) over den and the pair (i, j) of each vertex p[i] + q[j].
+
+    p and q are (points, facets): integer points in space and each facet as
+    (outward normal, cycle), its vertex indices counterclockwise seen from
+    outside.  q is a solid; p is a solid or a point with no facets.  The
+    facets of the sum are read off the overlay of the two normal fans, with
+    no hull predicate:
+    (a) each facet of p plus the face of q that its normal n selects, from
+        the values n.q_j;
+    (b) each facet of q whose normal is no facet normal of p, plus the face
+        of p that it selects;
+    (c) the parallelogram e + f of each edge e of p and edge f = q_c q_d of
+        q whose arcs of normals cross inside both.  With n_1, n_2 the facet
+        normals at e, n_1 the one whose cycle runs along e from its smaller
+        end, and s_i = n_i.q_d - n_i.q_c from the values of (a), the arcs
+        cross when s_1 and s_2 have opposite signs and the normal
+        u = |s_2| n_1 + |s_1| n_2, which is orthogonal to f, selects f
+        alone.  Only an edge whose two facets select different faces of q
+        can cross an arc of q.
+    A vertex of a Minkowski sum splits into its summands in one way only,
+    so each comes with one pair.  The result is lattice_hull's canonical
+    form: sorted vertices, rows of primitive normals with their cycles in
+    _facet_order, faces fanned from each cycle's smallest index; the pairs
+    come in its vertex order.
+    """
+    (ps, p_facets), (qs, q_facets) = p, q
+    q_cycles = {_primitive(normal): cycle for normal, cycle in q_facets}
+    out = {}  # primitive outward normal -> the facet's cycle of pairs (i, j)
+    normals, values, selected = [], [], []
+    for normal, cycle in p_facets:  # (a)
+        n = _primitive(normal)
+        v, face = _support(n, qs)
+        out[n] = _face_sum(n, ps, cycle, qs, q_cycles.get(n, face))
+        normals.append(n)
+        values.append(v)
+        selected.append(face)
+    for m, cycle in q_cycles.items():  # (b)
+        if m not in out:
+            out[m] = _face_sum(m, ps, _support(m, ps)[1], qs, cycle)
+    owner = {}  # (i, i') -> the facet of p whose cycle runs from i to i'
+    for f, (_, cycle) in enumerate(p_facets):
+        owner.update(zip(zip(cycle, cycle[1:] + cycle[:1]), repeat(f)))
+    q_edges = [
+        (c, d) for cycle in q_cycles.values() for c, d in zip(cycle, cycle[1:] + cycle[:1]) if c < d
+    ]
+    for (a, b), f in owner.items():  # (c)
+        g = owner[b, a]
+        if a > b or selected[f] == selected[g]:
+            continue
+        v1, v2 = values[f], values[g]
+        for c, d in q_edges:
+            s1, s2 = v1[d] - v1[c], v2[d] - v2[c]
+            if not (s1 < 0 < s2 or s2 < 0 < s1):
+                continue
+            w1, w2 = abs(s2), abs(s1)
+            top = w1 * v1[c] + w2 * v2[c]
+            if any(w1 * x + w2 * y >= top for k, (x, y) in enumerate(zip(v1, v2)) if k != c and k != d):
+                continue
+            u = _primitive([w1 * x + w2 * y for x, y in zip(normals[f], normals[g])])
+            out[u] = [(a, c), (b, c), (b, d), (a, d)] if s1 > 0 else [(a, c), (a, d), (b, d), (b, c)]
+    points = {pair: None for cycle in out.values() for pair in cycle}
+    for i, j in points:
+        (x, y, z), (u, v, w) = ps[i], qs[j]
+        points[i, j] = x + u, y + v, z + w
+    pairs = sorted(points, key=points.__getitem__)
+    index_of = {pair: k for k, pair in enumerate(pairs)}
+    facets = [
+        ((n, sum(map(mul, n, points[cycle[0]]))), [index_of[pair] for pair in cycle])
+        for n, cycle in out.items()
+    ]
+    return _solid([points[pair] for pair in pairs], den, facets), pairs
 
 
 def lattice_hull(points, den):
@@ -715,7 +844,7 @@ def _normal_sums(poly, pts):
         normals = [normal for normal, _ in _polygon_facets(pts)]
     else:  # the cycle runs counterclockwise about the normal of its first three vertices
         plane = _plane_normal(pts)
-        normals = [_cross3(vec_sub(b, a), plane) for a, b in zip(pts, pts[1:] + pts[:1])]
+        normals = [cross(vec_sub(b, a), plane) for a, b in zip(pts, pts[1:] + pts[:1])]
     return [vec_add(normals[i - 1], normals[i]) for i in range(len(pts))]
 
 
@@ -780,13 +909,13 @@ def contains(poly: Polytope, x, eps=0.0):
         d = vec_sub(b, a)
         r = vec_sub(x, a)
         if poly.ambient_dim == 2:
-            cross = (_cross2((0,) * 2, d, r),)
+            off_line = (_cross2((0,) * 2, d, r),)
         else:
-            cross = _cross3(d, r)
+            off_line = cross(d, r)
         if exact:
-            if any(c != 0 for c in cross):
+            if any(c != 0 for c in off_line):
                 return False
-        elif math.sqrt(sum(float(c) ** 2 for c in cross)) > eps * scale * scale:
+        elif math.sqrt(sum(float(c) ** 2 for c in off_line)) > eps * scale * scale:
             return False
         t = dot(r, d) / dot(d, d)
         if exact:
@@ -803,7 +932,7 @@ def contains(poly: Polytope, x, eps=0.0):
     elif abs(float(off_plane)) > eps * scale * scale * scale:
         return False
     u = vec_sub(poly.vertices[1], a)
-    w = _cross3(normal, u)
+    w = cross(normal, u)
     coords = []
     for p in poly.vertices:
         dp = vec_sub(p, a)

@@ -17,11 +17,14 @@ The vertex ledger of step k is the Polytope conv(A_k) with one length-k
 address per vertex, in the polytope's own vertex order.  One hull-recursion
 step, `_step`, takes the ledger of conv(A_k) to that of conv(A_{k+1}); its one
 driver is the generator `decide.hull_steps`.  With Delta = conv(D) the step is
-conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A planar rational step
-computes it as an edge merge of two integer vertex cycles and makes no hull
-call.  Every rational step starts from poly.lattice, the integer form of the
-polytope before it, and yields a hull.lattice_polytope, which builds its
-Fractions only when a caller reads them.
+conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A rational step
+makes no hull call: in the plane it merges the edges of two integer vertex
+cycles, and in space, when Delta is full-dimensional, it overlays the normal
+fans of T conv(A_k) and T Delta, read off their facet rows and cycles.  Only
+T Delta is hulled, once per model.  Every rational step starts from
+poly.lattice, the integer form of the polytope before it, and yields a
+hull.lattice_polytope, which builds its Fractions only when a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -75,12 +78,15 @@ class IfsModel:
         return matrix, delta, tuple(linalg.mat_vec(matrix, d) for d in digits), e
 
     @functools.cached_property
-    def _digit_cycle(self):
-        """conv{M E_j} of a planar rational model: its integer cycle, each vertex's digit."""
+    def _digit_hull(self):
+        """conv{M E_j} of a rational model in the plane or in space, and each vertex's digit."""
         shifts = self.lattice[2]
         digit_of = {z: j for j, z in enumerate(shifts, start=1)}
-        cycle = hull_mod.lattice_cycle(shifts)
-        return cycle, [digit_of[z] for z in cycle]
+        if self.dim == 2:
+            poly = hull_mod.lattice_polytope(hull_mod.lattice_cycle(shifts), 1)
+        else:
+            poly = hull_mod.lattice_hull(sorted(shifts), 1)
+        return poly, [digit_of[z] for z in poly.lattice[0]]
 
     @functools.cached_property
     def _fixed_point_matrices(self):
@@ -218,7 +224,7 @@ def lattice_images(model: IfsModel, points, s):
     image j of point k is ys[k] + zs[j - 1].
     """
     matrix, delta, shifts, e = model.lattice
-    ys = [linalg.mat_vec(matrix, linalg.vec_scale(e, x)) for x in points]
+    ys = [tuple(e * sum(map(mul, row, x)) for row in matrix) for x in points]
     return ys, [linalg.vec_scale(s, z) for z in shifts], delta * e * s
 
 
@@ -343,36 +349,58 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
-    A planar rational step is the Minkowski sum T(P_k + Delta) = T P_k + T Delta,
-    taken by hull.minkowski_cycle on integers: the image e M X of the
-    polytope's cycle over delta*e*den (reversed when det M < 0, so it stays
-    counterclockwise) merged with den times the cycle of conv{M E_j}.  The
-    vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits into
-    its summands in one way only, so no two candidates tie.
+    A rational step in the plane or in space is the Minkowski sum
+    T(P_k + Delta) = T P_k + T Delta on integers: with T = M/delta, digits
+    E_j/e and P_k = X/den, it is Y + Z over delta*e*den for Y = e M X and
+    Z = den conv{M E_j} (IfsModel._digit_hull, hulled once per model).  In
+    the plane hull.minkowski_cycle merges the two cycles, Y's reversed when
+    det M < 0 so that it stays counterclockwise.  In space
+    hull.minkowski_polytope overlays the two normal fans: Y's facet rows n
+    map to sign(det M) C n, C the cofactor matrix of M, and its facet cycles
+    are reversed when det M < 0.  P_0 is a point, whose sum is Z shifted.
+    The vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits
+    into its summands in one way only, so no two candidates tie.
 
-    Other steps take as candidates the images T(v + d_j) of the current
-    vertices only; that is sufficient because extreme points of a union of
-    affine images of a hull are images of extreme points.  Coincident
-    candidates keep the lexicographically smallest address.  In rational
-    mode they run on integers (lattice_images), with the vertices X/s of the
-    polytope's lattice over the lcm s of their denominators, so the integers
-    grow no faster than the vertices' Fractions.
+    Other steps, in float mode, on a line, or in space where conv{M E_j} is
+    flat, take as candidates the images T(v + d_j) of the current vertices
+    only; that is sufficient because extreme points of a union of affine
+    images of a hull are images of extreme points.  Coincident candidates
+    keep the lexicographically smallest address.  In rational mode they run
+    on integers (lattice_images), with the vertices X/s of the polytope's
+    lattice over the lcm s of their denominators, so the integers grow no
+    faster than the vertices' Fractions.
     """
-    if model.mode == RATIONAL and model.dim == 2:
+    exact = model.mode == RATIONAL
+    if exact and model.dim == 2:
         cycle, den = ledger.poly.lattice
         ((a, b), (c, d)), delta, _, e = model.lattice
         ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in cycle]
         n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
         turn = 1 if a * d > b * c else -1
         order = [(k + turn * t) % n for t in range(n)]
-        zs, digit_of = model._digit_cycle
+        zpoly, digit_of = model._digit_hull
         merged = hull_mod.minkowski_cycle(
-            [ys[i] for i in order], [(den * x, den * y) for x, y in zs]
+            [ys[i] for i in order], [(den * x, den * y) for x, y in zpoly.lattice[0]]
         )
         addresses = tuple((digit_of[j],) + ledger.addresses[order[i]] for _, i, j in merged)
         poly = hull_mod.lattice_polytope([point for point, _, _ in merged], delta * e * den)
         return VertexLedger(ledger.step + 1, poly, addresses), poly
-    exact = model.mode == RATIONAL
+    if exact and model.dim == 3 and model._digit_hull[0].affine_dim == 3:
+        zpoly, digit_of = model._digit_hull
+        ys, zs, den = lattice_images(model, *ledger.poly.lattice)
+        m0, m1, m2 = model.lattice[0]
+        turn = 1 if linalg.dot(m0, linalg.cross(m1, m2)) > 0 else -1
+        cofactors = [linalg.vec_scale(turn, linalg.cross(u, v)) for u, v in ((m1, m2), (m2, m0), (m0, m1))]
+        y_facets = [
+            (tuple(sum(map(mul, row, normal)) for row in cofactors), cycle[::turn])
+            for (normal, _), cycle in zip(ledger.poly.rows or (), ledger.poly.cycles or ())
+        ]
+        z_facets = [(normal, cycle) for (normal, _), cycle in zip(zpoly.rows, zpoly.cycles)]
+        poly, pairs = hull_mod.minkowski_polytope(
+            (ys, y_facets), ([zs[j - 1] for j in digit_of], z_facets), den
+        )
+        addresses = tuple((digit_of[j],) + ledger.addresses[i] for i, j in pairs)
+        return VertexLedger(ledger.step + 1, poly, addresses), poly
     if exact:
         ys, zs, den = lattice_images(model, *ledger.poly.lattice)
         rows = ([linalg.vec_add(y, z) for z in zs] for y in ys)

@@ -109,6 +109,11 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
+def cross(u, v):
+    """The cross product of two 3-vectors."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def mat_vec(A, x):
     if len(A[0]) != len(x):
         raise DimensionMismatch("matrix/vector dimensions disagree")
@@ -208,10 +213,11 @@ def solve(A, b, *, eps=0.0):
 def char_poly(A):
     """Monic characteristic polynomial coefficients of det(lambda I - A).
 
-    Returns (1, c1, ..., cn) with the same scalar kind as the entries.
+    Returns (1, c1, ..., cn) with the same scalar kind as the entries: a
+    Fraction, float or int leading 1.
     """
     n = len(A)
-    one = Fraction(1) if _mode_of(A[0][0]) == RATIONAL else 1.0
+    one = type(A[0][0])(1)
     if n == 1:
         return (one, -A[0][0])
     tr = sum(A[i][i] for i in range(n))

@@ -174,31 +174,43 @@ def compute_step_bound(classes, bound_mode="product") -> Optional[StepBound]:
     return StepBound(members, k, bound_mode)
 
 
-def _contracting(matrix):
-    """Jury's test: every eigenvalue of the rational matrix T = M/delta has modulus < 1.
+def _char_coeffs(matrix):
+    """delta^n chi_T(x) = chi_M(delta x) for the rational matrix T = M/delta, on integers.
 
-    delta^n chi_T(x) has the integer coefficients A_k delta^(n-k) of chi_M;
-    roots 0 pad it to a x^3 + b x^2 + c x + d.
+    Its coefficients are A_k delta^(n-k) for the coefficients A_k of chi_M.
     """
     lattice, delta = linalg.to_lattice(matrix)
     n = len(lattice)
-    coeffs = [A * delta ** (n - k) for k, A in enumerate((1, *linalg.char_poly(lattice)[1:]))]
-    a, b, c, d = coeffs + [0] * (3 - n)
+    return [A * delta ** (n - k) for k, A in enumerate(linalg.char_poly(lattice))]
+
+
+def _contracting(coeffs):
+    """Jury's test: every root of the integer polynomial coeffs (_char_coeffs) has modulus < 1.
+
+    Roots 0 pad it to a x^3 + b x^2 + c x + d.
+    """
+    a, b, c, d = coeffs + [0] * (4 - len(coeffs))
     return abs(d) < a and abs(b + d) < a + c and abs(a * c - b * d) < a * a - d * d
 
 
 def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     """Check nonsingularity and spectral radius < 1 for a map matrix.
 
-    Rational input runs Jury's test, exactly.  The eigenvalues come back with
-    the check, so the model keeps them and nothing computes them again.
+    Rational input reads both off the integer characteristic polynomial
+    delta^n chi_T, exactly: T is singular when its constant term is 0, and
+    Jury's test decides the radius.  The eigenvalues come back with the
+    check, so the model keeps them and nothing computes them again.
     """
-    d = linalg.det(matrix)
-    if d == 0:
+    if mode == RATIONAL:
+        coeffs = _char_coeffs(matrix)
+        singular = coeffs[-1] == 0
+    else:
+        singular = linalg.det(matrix) == 0
+    if singular:
         return SpectrumCheck(False, "nonsingularity_failed", ())
     eigenvalues = tuple(linalg.eigenvalues(matrix))
     rho = max(abs(z) for z in eigenvalues)
-    if not (_contracting(matrix) if mode == RATIONAL else rho < 1.0):
+    if not (_contracting(coeffs) if mode == RATIONAL else rho < 1.0):
         return SpectrumCheck(False, "not_contracting", (), eigenvalues)
     warnings = ()
     if mode != RATIONAL and 1.0 - rho < 1e-9:

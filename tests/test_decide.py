@@ -603,6 +603,48 @@ def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
     assert calls and set(calls) == {("lattice_hull", True)}
 
 
+def test_spatial_rational_search_takes_no_hull_step(monkeypatch):
+    """The 3D counterpart: with a full-dimensional digit hull a rational step
+    overlays two normal fans and hulls nothing.  lattice_hull runs only in
+    certification, in the cross-check, and once per model for conv{M E_j}."""
+    calls, within = [], []
+
+    def recording_hull(points, den):
+        calls.append((within[-1] if within else "search", points, den))
+        return real_hull(points, den)
+
+    def entered(name, real):
+        def run(*args, **kwargs):
+            within.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                within.pop()
+
+        return run
+
+    real_hull = hull_mod.lattice_hull
+    monkeypatch.setattr(hull_mod, "lattice_hull", recording_hull)
+    monkeypatch.setattr(decide_mod, "certify_polytope", entered("certify", certify_polytope))
+    monkeypatch.setattr(decide_mod, "cross_check", entered("cross_check", cross_check))
+    digits = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]]
+    models = [
+        (validate_model([[F(-1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(-1, 2)]], digits), "product"),
+        (validate_model([[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]], digits), "lcm"),
+        (
+            validate_model(
+                [[F(1, 3), F(1, 5), 0], [F(-1, 4), F(2, 5), F(1, 7)], [F(1, 6), 0, F(-1, 3)]], digits
+            ),
+            "product",
+        ),
+    ]
+    verdicts = {analyze_model(model, mode)[0].verdict for model, mode in models}
+    assert VERDICT_POLYTOPE in verdicts and VERDICT_NO_STABILIZATION in verdicts
+    searched = [(points, den) for name, points, den in calls if name == "search"]
+    assert searched == [(sorted(model.lattice[2]), 1) for model, _ in models]
+    assert {name for name, _, _ in calls} == {"search", "certify", "cross_check"}
+
+
 def test_spatial_rational_search_reads_only_integer_forms(monkeypatch):
     """The 3D counterpart: solid rational steps, their nested_hausdorff and
     certification's own hull never build Fraction vertices or facets."""

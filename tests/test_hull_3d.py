@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalhull.decide import hull_steps
@@ -39,6 +39,7 @@ from fractalhull.hull import (
     convex_hull,
     lattice_cycle,
     lattice_hull,
+    minkowski_polytope,
 )
 from fractalhull.ifs import lattice_images, validate_model
 from fractalhull.linalg import dot, vec_add, vec_sub
@@ -255,6 +256,55 @@ def _lattice_sets(draw):
         shift = draw(st.tuples(entry, entry, entry))
         pts = [tuple(dot(row, g) + s for row, s in zip(rows, shift)) for g in cells]
     return sorted(set(pts)), draw(st.integers(1, 12))
+
+
+@st.composite
+def _summands(draw):
+    """(p, q, den): two sorted integer point sets and a denominator.
+
+    q is drawn on its own, or made from p: p itself, -p, or a subset of p,
+    which put facets and edges of the two hulls on parallel planes and lines.
+    """
+    p, den = draw(_lattice_sets())
+    how = draw(st.sampled_from(("independent", "same", "negated", "subset")))
+    if how == "independent":
+        q = draw(_lattice_sets())[0]
+    elif how == "same":
+        q = p
+    elif how == "negated":
+        q = sorted(tuple(-c for c in x) for x in p)
+    else:
+        q = sorted(set(draw(st.lists(st.sampled_from(p), min_size=1))))
+    return p, q, den
+
+
+def _fan_facets(poly, factor=1):
+    """(normal, cycle) per facet of an exact solid, the normal times factor."""
+    return [(tuple(factor * c for c in normal), c) for (normal, _), c in zip(poly.rows, poly.cycles)]
+
+
+@given(_summands())
+@settings(max_examples=300, deadline=None)
+def test_minkowski_polytope_is_the_hull_of_all_sums(case):
+    """The normal-fan overlay gives lattice_hull of every sum p_i + q_j, repr,
+    rows and faces alike, and each vertex is the sum of the pair it names; a
+    point p gives q shifted.  p's normals come as multiples, as a mapped
+    step's do."""
+    p_pts, q_pts, den = case
+    p, q = lattice_hull(p_pts, 1), lattice_hull(q_pts, 1)
+    assume(p.affine_dim == q.affine_dim == 3)
+    (ps, _), (qs, _) = p.lattice, q.lattice
+    for p_summand in ((ps, _fan_facets(p, 3)), (ps[:1], ())):
+        sums = sorted({vec_add(x, y) for x in p_summand[0] for y in qs})
+        poly, pairs = minkowski_polytope(p_summand, (qs, _fan_facets(q)), den)
+        reference = lattice_hull(sums, den)
+        assert repr(poly) == repr(reference)
+        assert poly.lattice == reference.lattice and poly.rows == reference.rows
+        assert poly.cycles == reference.cycles
+        cut = den // poly.lattice[1]
+        assert [tuple(c * cut for c in x) for x in poly.lattice[0]] == [
+            vec_add(p_summand[0][i], qs[j]) for i, j in pairs
+        ]
 
 
 def _outcome(hull, *args, **kwargs):

@@ -43,11 +43,13 @@ from fractalhull.ifs import (
     evaluate_finite_address,
     initial_ledger,
     is_address_value,
+    lattice_images,
     tail_error_bound,
     validate_model,
 )
 from fractalhull.linalg import (
     RATIONAL,
+    det,
     identity,
     mat_pow,
     mat_sub,
@@ -230,41 +232,96 @@ def test_lattice_step_matches_fraction_step(model):
         assert repr(ledger) == repr(reference) and repr(poly) == repr(ref_poly)
 
 
-def test_lattice_scale_tracks_ledger_denominators(monkeypatch):
-    """Each step's scale s is at most the lcm of its ledger's denominators.
+def _candidate_step(model, ledger):
+    """The rational 3D step as a candidate hull: lattice_hull of every image T(v + d_j).
 
-    The planar step merges at scale delta*e*s with s its ledger's den, which
-    the gcd cut keeps equal to that lcm; a 3D step hulls at that scale.
+    Coincident images keep the smallest address; returns the polytope and
+    the address of each of its vertices.
+    """
+    ys, zs, den = lattice_images(model, *ledger.poly.lattice)
+    candidates = {}
+    for y, address in zip(ys, ledger.addresses):
+        for j, z in enumerate(zs, start=1):
+            point, new_address = vec_add(y, z), (j,) + address
+            if candidates.get(point, new_address) >= new_address:
+                candidates[point] = new_address
+    poly = hull_mod.lattice_hull(sorted(candidates), den)
+    xs, s = poly.lattice
+    return poly, tuple(candidates[tuple(c * (den // s) for c in x)] for x in xs)
+
+
+def _spatial_model(rng, kind, q):
+    """A seeded rational 3D model with a full-dimensional digit hull.
+
+    kind is "det+" or "det-" (a generic matrix, infinity norm below 1, with
+    that sign of det), "+cI" or "-cI" (a homothety), or "inside" (a generic
+    matrix, and a digit strictly inside the hull of the others).
+    """
+    if kind in ("+cI", "-cI"):
+        c = rng.choice((F(1, 2), F(1, 3), F(2, 3))) * (1 if kind == "+cI" else -1)
+        matrix = [[c if i == j else F(0) for j in range(3)] for i in range(3)]
+    else:
+        while True:
+            rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            scale = max(sum(map(abs, row)) for row in rows) + rng.randint(1, 3)
+            matrix = [[F(v, scale) for v in row] for row in rows]
+            if det(matrix) != 0 and (det(matrix) < 0) == (kind == "det-"):
+                break
+    inside = kind == "inside"
+    while True:
+        digits = [(0, 0, 0)] + [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                                for _ in range(q - 1 - inside)]
+        if inside:  # the centroid of a tetrahedron of digits
+            digits.append(tuple(sum(c) / 4 for c in zip(*digits[:4])))
+        model = validate_model(matrix, digits)
+        if len(model.digits) == q and det([vec_sub(d, digits[0]) for d in digits[1:4]]) != 0:
+            return model
+
+
+@pytest.mark.parametrize(
+    "kind, q",
+    [("det+", 4), ("det-", 5), ("det+", 6), ("det-", 4), ("+cI", 5), ("-cI", 4), ("-cI", 6),
+     ("inside", 5), ("inside", 6)],
+)
+def test_overlay_step_equals_candidate_hull(kind, q):
+    """The normal-fan overlay step gives the candidate hull's lattice, faces,
+    rows and addresses, step for step, from the point P_0 on; homotheties
+    put faces of T P_k and T conv(D) on parallel planes, where they meet in
+    2D sums."""
+    model = _spatial_model(random.Random(f"{kind}{q}"), kind, q)
+    ledger = initial_ledger(model)
+    for _ in range(10):
+        poly, addresses = _candidate_step(model, ledger)
+        ledger, step_poly = _step(model, ledger)
+        assert step_poly.lattice == poly.lattice and step_poly.rows == poly.rows
+        assert step_poly.faces == poly.faces and ledger.addresses == addresses
+    assert step_poly.affine_dim == 3
+
+
+def test_lattice_scale_tracks_ledger_denominators():
+    """Each step's scale is the lcm of its ledger's denominators.
+
+    A rational step sums at the scale delta*e*s, s the scale of the step
+    before, and cuts it by the gcd of that scale and the integer vertices:
+    so the new scale t divides delta*e*s and gcd(t, X) = 1, and the scale
+    of each ledger is at most (here equal to) the lcm of its denominators.
     """
     twin_dragon, _opts = parse_model(str(MODELS / "twindragon.json"))
     homothety = validate_model(
         [[F(2, 3), 0, 0], [0, F(2, 3), 0], [0, 0, F(2, 3)]],
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [F(1, 2), F(1, 2), F(1, 2)]],
     )
-    lattice_hull = hull_mod.lattice_hull
-    dens = []
-
-    def recording_hull(points, den):
-        dens.append(den)
-        return lattice_hull(points, den)
-
-    monkeypatch.setattr(hull_mod, "lattice_hull", recording_hull)
     for model in (twin_dragon, homothety):
         delta = to_lattice(model.matrix)[1]
         e = to_lattice(model.digits)[1]
-        steps = hull_steps(model)
-        ledger, _ = next(steps)
-        for _ in range(30):
-            ledger_lcm = math.lcm(*(c.denominator for p in ledger.points for c in p))
-            if model.dim == 2:
-                assert ledger.poly.lattice[1] == ledger_lcm
-                ledger, _ = next(steps)
-                continue
-            ledger, _ = next(steps)
-            s, rest = divmod(dens[-1], delta * e)
-            assert rest == 0
-            assert s <= ledger_lcm
-    assert len(dens) == 30
+        steps = list(islice(hull_steps(model), 31))
+        for (ledger, poly), (_, after) in zip(steps, steps[1:]):
+            s = poly.lattice[1]
+            assert s <= math.lcm(*(c.denominator for p in ledger.points for c in p))
+            xs, t = after.lattice
+            assert delta * e * s % t == 0
+            assert math.gcd(t, *(c for x in xs for c in x)) == 1
+        assert steps[-1][1].affine_dim == model.dim
 
 
 def _fraction_evaluate(model, ep):

@@ -191,6 +191,16 @@ def test_rational_root_on_integers_finds_the_fraction_root(rows):
     assert _rational_root(coeffs) == _fraction_rational_root(coeffs)
 
 
+def test_char_poly_keeps_the_scalar_kind_of_the_entries():
+    """An integer matrix gets the int 1 as its leading coefficient, as Fractions
+    get Fraction(1) and floats 1.0."""
+    rows = [[2, -1, 0], [1, 3, 1], [0, 4, -2]]
+    floats = [[float(c) for c in row] for row in rows]
+    for matrix, kind in ((rows, int), (frac_matrix(rows), F), (floats, float)):
+        coeffs = char_poly(matrix)
+        assert coeffs == (1, -3, -7, 22) and {type(c) for c in coeffs} == {kind}
+
+
 def test_spectral_radius_examples():
     assert spectral_radius(frac_matrix([[F(1, 2), 0], [0, F(1, 2)]])) == 0.5
     r = spectral_radius(frac_matrix([[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]]))
