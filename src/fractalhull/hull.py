@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Optional
 
@@ -365,15 +365,16 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     through sum(), as in linalg.dot, because from Python 3.12 on sum() adds
     floats with compensation and a + b + c would round differently.
 
-    Exact input keeps conflict lists: each point not yet inserted waits on
-    one face it sees, an insertion finds the faces it sees by walking the
-    edges from that face, and only the points waiting on the faces it
-    deletes are tested again, against the new cone faces alone.  A point
-    that sees none of them lies in the new hull and is dropped: it sees a
-    deleted face, and were it outside, its visible faces would cross the
-    horizon and it would see a cone face there.  Float input, whose
-    tolerance makes the result depend on the insertion order, scans every
-    face for each point in input order.
+    Exact input starts from a wide seed tetrahedron (_exact_seed) and keeps
+    conflict lists: each point not yet inserted waits on one face it sees,
+    an insertion finds the faces it sees by walking the edges from that
+    face, and only the points waiting on the faces it deletes are tested
+    again, against the new cone faces alone.  A point that sees none of
+    them lies in the new hull and is dropped: it sees a deleted face, and
+    were it outside, its visible faces would cross the horizon and it would
+    see a cone face there.  Float input, whose tolerance makes the result
+    depend on the insertion order, keeps its first-found seed and scans
+    every face for each point in input order.
 
     Coplanar input points are legal: faces sharing a supporting plane are
     merged afterwards, each facet of two or more triangles is re-hulled in
@@ -390,18 +391,10 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     exact = den is not None
     if not exact:
         pts = _remove_collinear_middles(pts)
-    m = len(pts)
     tol2, tol3 = (0, 0) if exact else (eps * scale**2, eps * scale**3)
 
-    def spans(normal):
-        return any(normal) if exact else math.sqrt(sum(float(c) ** 2 for c in normal)) > tol2
-
-    i2 = next((i for i in range(2, m) if spans(_plane_normal((pts[0], pts[1], pts[i])))), None)
-    i3 = None
-    if i2 is not None:
-        seed = _plane_normal((pts[0], pts[1], pts[i2])) + pts[0]
-        i3 = next((i for i in range(2, m) if i != i2 and abs(_height(seed, pts[i])) > tol3), None)
-    if i3 is None:
+    tet = _exact_seed(pts) if exact else _float_seed(pts, tol2, tol3)
+    if tet is None:
         raise DegeneratePolytope(
             f"no seed tetrahedron clears the float tolerances eps*scale**2 = {tol2:g}"
             f" (triangle) and eps*scale**3 = {tol3:g} (volume)"
@@ -427,7 +420,6 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
             add_face(tri)
         return cone
 
-    tet = (0, 1, i2, i3)
     for excl in range(4):
         a, b, c = (tet[j] for j in range(4) if j != excl)
         if _height(_plane_normal((pts[a], pts[b], pts[c])) + pts[a], pts[tet[excl]]) > 0:
@@ -482,6 +474,51 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
         facets.append((normal, dot(normal, pts[poly[0]])))
     facets.sort(key=lambda f: (tuple(map(float, f[0])), float(f[1])))
     return Polytope(3, 3, tuple(vertices), triangles, tuple(facets))
+
+
+def _exact_seed(pts):
+    """A wide seed tetrahedron of sorted integer points, or None if they span no solid.
+
+    Its corners are the lexicographic extremes a and b, the first point p
+    farthest from their line and the first point farthest from their plane,
+    so few points start outside it and wait on its faces.  The plane's
+    normal is (b - a) x (p - a), the cross product whose size picked p.
+    """
+    (ax, ay, az), (bx, by, bz) = pts[0], pts[-1]
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    inner = range(1, len(pts) - 1)
+    best, i2 = 0, None
+    for i in inner:
+        x, y, z = pts[i]
+        x, y, z = x - ax, y - ay, z - az
+        cx, cy, cz = uy * z - uz * y, uz * x - ux * z, ux * y - uy * x
+        size = cx * cx + cy * cy + cz * cz
+        if size > best:
+            best, i2, (nx, ny, nz) = size, i, (cx, cy, cz)
+    if i2 is None:
+        return None
+    best, i3 = 0, None
+    for i in inner:
+        x, y, z = pts[i]
+        height = abs(nx * (x - ax) + ny * (y - ay) + nz * (z - az))
+        if height > best:
+            best, i3 = height, i
+    return None if i3 is None else (0, len(pts) - 1, i2, i3)
+
+
+def _float_seed(pts, tol2, tol3):
+    """The first two float points and the first points off their line and plane, or None.
+
+    Float results depend on the insertion order, so the seed follows it.
+    """
+    m = len(pts)
+    for i2 in range(2, m):
+        normal = _plane_normal((pts[0], pts[1], pts[i2]))
+        if math.sqrt(sum(float(c) ** 2 for c in normal)) > tol2:
+            seed = normal + pts[0]
+            i3 = next((i for i in range(2, m) if i != i2 and abs(_height(seed, pts[i])) > tol3), None)
+            return None if i3 is None else (0, 1, i2, i3)
+    return None
 
 
 def _insert_exact(pts, tet, faces, edge_map, insert):
@@ -770,19 +807,25 @@ def convex_hull(points, eps=0.0):
 
     Detects the affine dimension first and dispatches to the matching
     algorithm, so degenerate inputs (a single point, collinear or coplanar
-    sets) produce lower-dimensional polytopes instead of failing.  Rational
-    points go to lattice_hull over the lcm of their denominators.
+    sets) produce lower-dimensional polytopes instead of failing.  Input
+    with a Fraction coordinate is rational: it is written over the lcm of
+    its denominators (to_lattice) first, and its integer vectors are
+    deduplicated and sorted, which orders them as the rational points, for
+    lattice_hull; no Fraction is compared or hashed.
     """
-    pts = sorted({tuple(p) for p in points})
+    pts = list(map(tuple, points))
     if not pts:
         raise ValueError("empty point set")
-    n = len(pts[0])
+    dims = set(map(len, pts))
+    n = len(min(pts)) if len(dims) > 1 else len(pts[0])  # mixed: the smallest point's
     if n < 1 or n > 3:
         raise UnsupportedDimension(f"ambient dimension {n} outside 1..3")
-    if any(len(p) != n for p in pts):
+    if len(dims) > 1:
         raise DimensionMismatch("points have inconsistent dimensions")
-    if isinstance(pts[0][0], Fraction):
-        return lattice_hull(*to_lattice(pts))
+    if any(issubclass(kind, Fraction) for kind in set(map(type, chain.from_iterable(pts)))):
+        lattice, den = to_lattice(pts)
+        return lattice_hull(sorted(set(lattice)), den)
+    pts = sorted(set(pts))
     scale = _coord_scale(pts)
     base, dirs = _affine_basis(pts, eps, scale)
     adim = len(dirs)

@@ -126,10 +126,18 @@ class EpAddress:
         return (self.prefix or self.period)[0]
 
     def shift(self):
-        """The address with the first digit dropped: its value v solves value = T(d_head + v)."""
+        """The address with the first digit dropped: its value v solves value = T(d_head + v).
+
+        Built without __post_init__: a suffix keeps the primitive period, and
+        a rotation of a primitive word is primitive.
+        """
         if self.prefix:
-            return EpAddress(self.prefix[1:], self.period)
-        return EpAddress((), self.period[1:] + self.period[:1])
+            prefix, period = self.prefix[1:], self.period
+        else:
+            prefix, period = (), self.period[1:] + self.period[:1]
+        shifted = object.__new__(EpAddress)
+        vars(shifted).update(prefix=prefix, period=period)
+        return shifted
 
 
 def _primitive_word(word):

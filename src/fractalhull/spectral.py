@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from . import hull as hull_mod
@@ -240,6 +241,74 @@ def _parallel(u, v, eps, nv):
     return cross_norm <= eps * nu * nv
 
 
+def _power_of_normal(tmat, normal, k_cap, eps):
+    """The least k <= k_cap with tmat^k normal parallel to normal, or None, by iteration."""
+    w, nv = normal, _norm(normal) if eps else None
+    for k in range(1, k_cap + 1):
+        w = linalg.mat_vec(tmat, w)
+        if _parallel(w, normal, eps, nv):
+            return k
+    return None
+
+
+def _recurrence_condition(vs):
+    """The condition on c = (c_1, ..., c_{n-1}) for sum_i c_i v_i = 0, from vs = [v_1, ...].
+
+    () when it always holds (every v_i is 0), None when it needs c = 0 (the
+    v_i are independent), else the one integer form f with f.c = 0 (in 3D,
+    v_1 and v_2 parallel and not both 0).
+    """
+    forms = [f for f in zip(*vs) if any(f)]  # one per cross-product coordinate
+    if not forms:
+        return ()
+    first = forms[0]
+    if len(first) == 1 or any(first[0] * f[1] != first[1] * f[0] for f in forms):
+        return None
+    g = math.gcd(*first)
+    return tuple(x // g for x in first)
+
+
+def _powers_of_rows(a, rows, k_cap):
+    """Per integer row r, the least k <= k_cap with a^k r parallel to r, or None.
+
+    By Cayley-Hamilton a^k = sum_{i<n} c_{k,i} a^i, the coefficients stepped
+    once for all rows from the characteristic polynomial (1, p_1, ..., p_n):
+    a^(k+1) takes c_{k,i-1} - p_{n-i} c_{k,n-1} at a^i (c_{k,-1} = 0).  So
+    a^k r x r = sum_{i>=1} c_{k,i} v_i with v_i = a^i r x r (a scalar in 2D),
+    taken once per row as its _recurrence_condition.  Rows under one
+    condition share its test, and a^k = c_{k,0} I ends the pass.
+    """
+    n = len(a)
+    p = linalg.char_poly(a)
+    scalar, lines = [], {}  # rows that need a^k = c_{k,0} I; the others by their form
+    for j, r in enumerate(rows):
+        vs, w = [], r
+        for _ in range(n - 1):
+            w = linalg.mat_vec(a, w)
+            vs.append((w[0] * r[1] - w[1] * r[0],) if n == 2 else linalg.cross(w, r))
+        form = _recurrence_condition(vs)
+        if form is None:
+            scalar.append(j)
+        else:
+            lines.setdefault(form, []).append(j)
+    found = [None] * len(rows)
+    c = [1] + [0] * (n - 1)  # a^0 = I
+    for k in range(1, k_cap + 1):
+        if not (scalar or lines):
+            break
+        top = c[-1]
+        c = [-p[n] * top] + [c[i - 1] - p[n - i] * top for i in range(1, n)]
+        tail = c[1:]
+        if not any(tail):  # a^k = c_{k,0} I: every row recurs
+            for j in scalar + [j for js in lines.values() for j in js]:
+                found[j] = k
+            break
+        for form in [form for form in lines if not sum(map(mul, form, tail))]:
+            for j in lines.pop(form):
+                found[j] = k
+    return found
+
+
 def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterionResult:
     """Digit-hull facet-normal recurrence test (independent cross-check).
 
@@ -247,11 +316,18 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
     normal of conv(digits) is an eigenvector of some power of the transposed
     map matrix.  Inapplicable when conv(digits) is not full-dimensional.
     Normals are kept unnormalized so the parallelism test stays exact in
-    rational mode.  There the recurrence runs on integers: with T^T = M^T/delta
-    and each normal's integer facet row n (digit_hull.rows, a positive
-    multiple of the normal), the iterates of M^T are the Fraction iterates
-    times a positive scale, which parallelism does not see.  In float mode
-    the start normal's norm is taken once per normal.
+    rational mode.
+
+    Rational mode runs on integers: T^T = A/delta for the integer A = M^T,
+    and each normal's integer facet row r (digit_hull.rows) is a positive
+    multiple of it, so (T^T)^k normal is parallel to the normal exactly when
+    A^k r x r = 0.  By Cayley-Hamilton, A^k = sum_{i<n} c_{k,i} A^i with
+    integer coefficients stepped once per model from the characteristic
+    polynomial of A, so A^k r x r = sum_{i>=1} c_{k,i} (A^i r x r): the same
+    integer as the iterate's cross product, hence the same k_found, from
+    n - 1 products A^i r per normal and none inside the pass over k.  In
+    float mode each normal is iterated by T^T and the eps test takes the
+    start normal's norm once.
     """
     n = len(matrix)
     if n not in (2, 3):
@@ -260,25 +336,13 @@ def facet_normal_criterion(matrix, digits, k_cap, *, eps=0.0) -> NormalCriterion
     if digit_hull.affine_dim < n:
         return NormalCriterionResult("inapplicable", (), k_cap)
     tmat = linalg.transpose(matrix)
-    exact = eps == 0 and isinstance(matrix[0][0], Fraction)
     normals = [normal for normal, _offset in hull_mod.facet_normals(digit_hull)]
-    if exact:
-        tmat = linalg.to_lattice(tmat)[0]
-        starts = [row for row, _offset in digit_hull.rows]
+    if eps == 0 and isinstance(matrix[0][0], Fraction):
+        rows = [row for row, _offset in digit_hull.rows]
+        found = _powers_of_rows(linalg.to_lattice(tmat)[0], rows, k_cap)
     else:
-        starts = normals
-    checks = []
-    all_found = True
-    for normal, start in zip(normals, starts):
-        w, nv = start, _norm(start) if eps else None
-        k_found = None
-        for k in range(1, k_cap + 1):
-            w = linalg.mat_vec(tmat, w)
-            if _parallel(w, start, eps, nv):
-                k_found = k
-                break
-        if k_found is None:
-            all_found = False
-        checks.append(NormalCheck(normal, k_found))
-    verdict = "polytope" if all_found else "not_polytope"
-    return NormalCriterionResult(verdict, tuple(checks), k_cap)
+        found = [_power_of_normal(tmat, normal, k_cap, eps) for normal in normals]
+    checks = tuple(map(NormalCheck, normals, found))
+    verdict = "polytope" if None not in found else "not_polytope"
+    return NormalCriterionResult(verdict, checks, k_cap)
+

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_vertices_2d, naive_vertices_3d, rational_models
 from fractalhull.decide import hull_steps
-from fractalhull.errors import DegeneratePolytope
+from fractalhull.errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
 from fractalhull.hull import (
     _coord_scale,
     _dist_point_edge2,
@@ -27,6 +27,7 @@ from fractalhull.hull import (
     convex_hull,
     facet_normals,
     hausdorff,
+    lattice_hull,
     nested_hausdorff,
 )
 from fractalhull.ifs import validate_model
@@ -696,3 +697,56 @@ def test_float_mode_near_collinear_dropped():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         convex_hull([])
+
+
+class _Unordered(F):
+    """A Fraction that must not be compared or hashed."""
+
+    def __lt__(self, other):
+        raise AssertionError("a Fraction was compared")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __hash__(self):
+        raise AssertionError("a Fraction was hashed")
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_hull_is_sorted_on_the_lattice(dim, data):
+    """Shuffled rational points with repeats hull as their sorted integer vectors do.
+
+    No Fraction is compared or hashed on the way: the points go onto the
+    lattice first and are deduplicated and sorted as integer tuples.
+    """
+    coord = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6)))
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
+    points += data.draw(st.lists(st.sampled_from(points), max_size=4))
+    random.Random(data.draw(st.integers(0, 99))).shuffle(points)
+    expected = lattice_hull(*to_lattice(sorted(set(points))))
+    for poly in (
+        convex_hull(points),
+        convex_hull([tuple(_Unordered(c) for c in p) for p in points]),
+    ):
+        assert poly == expected
+        assert (poly.lattice, poly.rows, poly.cycles) == (
+            expected.lattice, expected.rows, expected.cycles
+        )
+
+
+def test_hull_input_errors():
+    """Mixed-dimension and 4D input fail as before; mixed int/Fraction input is rational."""
+    # mixed dimensions: the error names the smallest point's dimension
+    with pytest.raises(DimensionMismatch):
+        convex_hull([fr(0, 0), fr(1)])
+    with pytest.raises(DimensionMismatch):
+        convex_hull([fr(1, 2, 3, 4), fr(0)])
+    with pytest.raises(UnsupportedDimension):
+        convex_hull([fr(0, 0, 0, 0), fr(1, 2)])
+    with pytest.raises(UnsupportedDimension):
+        convex_hull([fr(0, 0, 0, 0), fr(1, 0, 0, 0)])
+    with pytest.raises(UnsupportedDimension):
+        convex_hull([(), ()])
+    mixed = convex_hull([(0, 0), (F(1, 2), 1), (1, 0)])
+    assert mixed.lattice == ([(0, 0), (2, 0), (1, 2)], 2)
+    assert convex_hull([(0, 0), (1, 2), (2, 0)]).lattice is None  # ints alone stay float-mode

@@ -129,6 +129,29 @@ def test_ep_period_reduced_to_primitive():
         EpAddress((1,), ())
 
 
+@given(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+@example([], [1, 2, 1, 2], 2)  # drawn periods repeat, so some are not primitive
+@example([2], [3], 1)
+def test_ep_shift_equals_plain_construction(prefix, block, repeats):
+    """shift() skips __post_init__: a suffix or rotation of a primitive period is primitive."""
+    ep = EpAddress(tuple(prefix), tuple(block) * repeats)
+    for _ in range(len(prefix) + 2 * len(ep.period) + 1):
+        shifted = ep.shift()
+        if ep.prefix:
+            plain = EpAddress(ep.prefix[1:], ep.period)
+        else:
+            plain = EpAddress((), ep.period[1:] + ep.period[:1])
+        assert (shifted, hash(shifted), repr(shifted)) == (plain, hash(plain), repr(plain))
+        assert type(shifted.prefix) is tuple and type(shifted.period) is tuple
+        assert (ep.head,) + shifted.truncate(12) == ep.truncate(13)
+        ep = shifted
+
+
 def _ledgers(model, steps):
     """The ledgers of steps 1..steps."""
     return [ledger for ledger, _ in islice(hull_steps(model), 1, steps + 1)]

@@ -484,21 +484,69 @@ _IRRATIONAL_3D = validate_model(
 )
 
 
+_TRIANGLE, _CORNER = [[0, 0], [1, 0], [0, 1]], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# Parallelism takes either sign, so a normal recurs when T^k is a real
+# multiple of the identity on it: a quarter turn at k = 2 (T^2 = -I/4) and
+# a sixth turn at k = 3 (T^3 = -I/8), where the direction itself comes back
+# at k = 4 and k = 6.
+_QUARTER_TURN = validate_model([[0, F(-1, 2)], [F(1, 2), 0]], _TRIANGLE)
+_SIXTH_TURN = validate_model([[0, F(-1, 2)], [F(1, 2), F(1, 2)]], _TRIANGLE)
+# only the eigen-direction (0, -1) of T^T recurs
+_SHEAR = validate_model([[F(1, 2), F(1, 2)], [0, F(1, 2)]], _TRIANGLE)
+# a quarter turn on the invariant plane z = 0 and the real axis z
+_PLANE_AND_AXIS = validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]], _CORNER)
+# a cyclic permutation: the coordinate normals recur at k = 3
+_CYCLIC = validate_model([[0, 0, F(1, 2)], [F(1, 2), 0, 0], [0, F(1, 2), 0]], _CORNER)
+
+
 @given(rational_models())
 @example(_IRRATIONAL_2D)
 @example(_IRRATIONAL_3D)
-@example(validate_model(  # a cyclic permutation: the coordinate normals recur at k = 3
-    [[0, 0, F(1, 2)], [F(1, 2), 0, 0], [0, F(1, 2), 0]],
-    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
-))
+@example(_CYCLIC)
+@example(_QUARTER_TURN)
+@example(_SIXTH_TURN)
+@example(_SHEAR)
+@example(_PLANE_AND_AXIS)
 @settings(max_examples=150, deadline=None)
 def test_integer_normal_recurrence_matches_fractions(model):
+    """The Cayley-Hamilton pass finds what iterating each normal on Fractions finds.
+
+    k_cap runs from 1 up, through the k at which the examples' normals recur,
+    so that some k_found equals k_cap.
+    """
     assume(model.dim > 1)
-    for k_cap in (1, 12, 64):
+    for k_cap in (1, 2, 3, 12, 64):
         res = facet_normal_criterion(model.matrix, model.digits, k_cap)
         verdict, checks = _fraction_criterion(model.matrix, model.digits, k_cap)
         assert res.verdict == verdict
         assert [(repr(c.normal), c.k_found) for c in res.checks] == checks
+
+
+def test_integer_normal_recurrence_known_periods():
+    def found(model, k_cap=64):
+        res = facet_normal_criterion(model.matrix, model.digits, k_cap)
+        return res.verdict, [c.k_found for c in res.checks]
+
+    assert found(_QUARTER_TURN) == ("polytope", [2, 2, 2])
+    assert found(_QUARTER_TURN, k_cap=2) == ("polytope", [2, 2, 2])
+    assert found(_QUARTER_TURN, k_cap=1) == ("not_polytope", [None, None, None])
+    assert found(_SIXTH_TURN) == ("polytope", [3, 3, 3])
+    assert found(_SHEAR)[0] == "not_polytope"
+    assert found(_SHEAR)[1].count(1) == 1 and found(_SHEAR)[1].count(None) == 2
+    assert found(_PLANE_AND_AXIS) == ("not_polytope", [2, 2, 1, None])
+    assert found(_CYCLIC, k_cap=3) == ("polytope", [3, 3, 3, 1])
+
+
+@pytest.mark.parametrize("model", [_IRRATIONAL_2D, _IRRATIONAL_3D, _SHEAR, _PLANE_AND_AXIS])
+def test_integer_normal_recurrence_makes_n_minus_1_products_per_normal(model, monkeypatch):
+    """The pass over k multiplies no vector: A^i r for i < n per normal, whatever k_cap is."""
+    calls = []
+    real = linalg.mat_vec
+    monkeypatch.setattr(linalg, "mat_vec", lambda a, x: calls.append(x) or real(a, x))
+    for k_cap in (1, 64, 400):
+        calls.clear()
+        res = facet_normal_criterion(model.matrix, model.digits, k_cap)
+        assert 0 < len(calls) <= (model.dim - 1) * len(res.checks)
 
 
 _COS, _SIN = math.cos(5e-10), math.sin(5e-10)
