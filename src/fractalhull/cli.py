@@ -39,6 +39,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _FRACTION_RE = re.compile(r"^[+-]?\d+\s*/\s*\d+$")
 
 _KNOWN_OPTIONS = {"denom_max", "angle_tol", "eps_geom", "bound_mode", "enum_budget", "seed"}
+_INT_OPTIONS = ("denom_max", "enum_budget", "seed")
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,26 @@ def parse_model(path):
     unknown = set(options) - _KNOWN_OPTIONS
     if unknown:
         raise ModelFileError(f"unknown option keys: {sorted(unknown)}")
-    bound_mode = options.get("bound_mode", "product")
-    if bound_mode not in ("product", "lcm"):
-        raise ModelFileError(f"unknown bound_mode {bound_mode!r}")
     try:
+        for key, value in options.items():
+            if isinstance(value, bool):
+                raise ValueError(f"{key} must not be a boolean")
+            if key in _INT_OPTIONS and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         tol = ToleranceConfig(
             eps_geom=float(options.get("eps_geom", 1e-9)),
             angle_tol=float(options.get("angle_tol", 1e-9)),
             denom_max=int(options.get("denom_max", 64)),
         )
         opts = ModelOptions(
-            bound_mode=bound_mode,
+            bound_mode=options.get("bound_mode", "product"),
             enum_budget=int(options.get("enum_budget", 10**6)),
             seed=int(options.get("seed", 0)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"invalid option value: {exc}") from exc
+    if opts.bound_mode not in ("product", "lcm"):
+        raise ModelFileError(f"unknown bound_mode {opts.bound_mode!r}")
 
     parsed_matrix = [[parse_entry(v, mode) for v in row] for row in matrix]
     parsed_digits = [[parse_entry(v, mode) for v in d] for d in digits]
@@ -144,96 +149,90 @@ def parse_model(path):
     return model, opts
 
 
-def _scalar_to_json(value, mode):
-    if mode == RATIONAL:
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
-    return float(value)
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
-def _point_to_json(point, mode):
-    return [_scalar_to_json(c, mode) for c in point]
+def _scalar(value):
+    """One JSON scalar as json.dumps writes it."""
+    return _SCALARS.get(type(value), json.dumps)(value)
 
 
-def decision_to_dict(decision: decide_mod.Decision):
-    return {
-        "verdict": decision.verdict,
-        "certified": decision.certified,
-        "stabilization_index": decision.stabilization_index,
-        "vertex_count": len(decision.vertices) if decision.vertices is not None else None,
-        "reason": decision.reason,
-    }
+def _block(items, pad, brackets="[]"):
+    """Serialized items in json's indent=2 layout; pad indents the opening line."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def report_to_dict(report: decide_mod.Report, model: IfsModel):
-    """The machine-readable report document (deterministic, no timing)."""
-    bound = report.bound
-    u_entries = []
-    classes = bound.classes if bound is not None else ()
-    for cls in classes:
-        p, n = cls.rational_angle
-        u_entries.append(
-            {
-                "re": cls.value.real,
-                "im": cls.value.imag,
-                "modulus": cls.modulus,
-                "p": p,
-                "n": n,
-            }
-        )
-    counts = [
-        {"i": row.i, "count": row.count, "hausdorff_delta": row.hausdorff_delta}
-        for row in report.counts
-    ]
-    vertices = []
-    if report.decision.vertices is not None:
-        for point, ep in report.decision.vertices:
-            shifted = vec_add(point, model.normalization_shift)
-            vertices.append(
-                {
-                    "point": _point_to_json(shifted, model.mode),
-                    "prefix": list(ep.prefix),
-                    "period": list(ep.period),
-                }
-            )
-    section = report.cross_check
-    if section is None:
-        sw = {"status": "not_compared", "verdict": None, "k_cap": None, "normals": []}
-    else:
-        result = section.result
-        sw = {
-            "status": section.status,
-            "verdict": result.verdict if result is not None else None,
-            "k_cap": result.k_cap if result is not None else None,
-            "normals": [
-                {
-                    "normal": _point_to_json(check.normal, model.mode),
-                    "k_found": check.k_found,
-                }
-                for check in result.checks
-            ]
-            if result is not None
-            else [],
-        }
-    return {
-        "version": report.version,
-        "decision": decision_to_dict(report.decision),
-        "bound": {
-            "U": u_entries,
-            "k": bound.k if bound is not None else None,
-            "mode": bound.bound_mode if bound is not None else None,
-        },
-        "counts": counts,
-        "vertices": vertices,
-        "sw_check": sw,
-        "warnings": list(report.warnings),
-    }
+def _object(pad, **fields):
+    return _block([f'"{key}": {value}' for key, value in fields.items()], pad, "{}")
 
 
 def write_report(report, model, path):
-    data = json.dumps(report_to_dict(report, model), indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(data + "\n")
+    """Write the machine-readable report (deterministic, no timing).
+
+    The text is json.dumps(document, indent=2) of the report schema, written
+    straight from the report; rational coordinates are "p/q" strings.
+    """
+    rational, shift = model.mode == RATIONAL, model.normalization_shift
+    shifted = any(shift) or not rational  # a zero shift still turns a float -0.0 into 0.0
+
+    def coords(point, pad):
+        if rational:
+            return _block([f'"{c.numerator}/{c.denominator}"' for c in point], pad)
+        return _block([_scalar(float(c)) for c in point], pad)
+
+    decision, bound, section = report.decision, report.bound, report.cross_check
+    result = getattr(section, "result", None)
+    u_entries = [
+        _object("      ", re=_scalar(c.value.real), im=_scalar(c.value.imag),
+                modulus=_scalar(c.modulus), p=_scalar(c.rational_angle[0]),
+                n=_scalar(c.rational_angle[1]))
+        for c in getattr(bound, "classes", ())
+    ]
+    counts = [
+        _object("    ", i=_scalar(row.i), count=_scalar(row.count),
+                hausdorff_delta=_scalar(row.hausdorff_delta))
+        for row in report.counts
+    ]
+    vertices = [
+        _object("    ", point=coords(vec_add(point, shift) if shifted else point, "      "),
+                prefix=_block(list(map(str, ep.prefix)), "      "),
+                period=_block(list(map(str, ep.period)), "      "))
+        for point, ep in decision.vertices or ()
+    ]
+    normals = [
+        _object("      ", normal=coords(check.normal, "        "), k_found=_scalar(check.k_found))
+        for check in getattr(result, "checks", ())
+    ]
+    text = _object(
+        "",
+        version=_scalar(report.version),
+        decision=_object(
+            "  ", verdict=_scalar(decision.verdict), certified=_scalar(decision.certified),
+            stabilization_index=_scalar(decision.stabilization_index),
+            vertex_count=_scalar(None if decision.vertices is None else len(decision.vertices)),
+            reason=_scalar(decision.reason),
+        ),
+        bound=_object("  ", U=_block(u_entries, "    "), k=_scalar(getattr(bound, "k", None)),
+                      mode=_scalar(getattr(bound, "bound_mode", None))),
+        counts=_block(counts, "  "),
+        vertices=_block(vertices, "  "),
+        sw_check=_object(
+            "  ", status=_scalar(getattr(section, "status", "not_compared")),
+            verdict=_scalar(getattr(result, "verdict", None)),
+            k_cap=_scalar(getattr(result, "k_cap", None)), normals=_block(normals, "    "),
+        ),
+        warnings=_block(list(map(_scalar, report.warnings)), "  "),
+    )
+    with open(path, "wb") as handle:  # the text is ASCII: every string is escaped
+        handle.write(f"{text}\n".encode())
 
 
 def _decision_line(decision: decide_mod.Decision, report: decide_mod.Report, model: IfsModel):

@@ -43,7 +43,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Optional
 
-from .errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
+from .errors import DegeneratePolytope, DimensionMismatch, ModeMismatch, UnsupportedDimension
 from .linalg import cross, dot, to_lattice, vec_add, vec_scale, vec_sub
 
 
@@ -811,7 +811,8 @@ def convex_hull(points, eps=0.0):
     with a Fraction coordinate is rational: it is written over the lcm of
     its denominators (to_lattice) first, and its integer vectors are
     deduplicated and sorted, which orders them as the rational points, for
-    lattice_hull; no Fraction is compared or hashed.
+    lattice_hull; no Fraction is compared or hashed.  Input that mixes float
+    and Fraction coordinates raises ModeMismatch.
     """
     pts = list(map(tuple, points))
     if not pts:
@@ -822,7 +823,10 @@ def convex_hull(points, eps=0.0):
         raise UnsupportedDimension(f"ambient dimension {n} outside 1..3")
     if len(dims) > 1:
         raise DimensionMismatch("points have inconsistent dimensions")
-    if any(issubclass(kind, Fraction) for kind in set(map(type, chain.from_iterable(pts)))):
+    kinds = set(map(type, chain.from_iterable(pts)))
+    if any(issubclass(kind, Fraction) for kind in kinds):
+        if any(issubclass(kind, float) for kind in kinds):
+            raise ModeMismatch("points mix float and Fraction coordinates")
         lattice, den = to_lattice(pts)
         return lattice_hull(sorted(set(lattice)), den)
     pts = sorted(set(pts))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -80,12 +81,38 @@ def test_parse_rejects_unknown_option(tmp_path):
         parse_model(write_model(tmp_path, "m.json", doc))
 
 
-@pytest.mark.parametrize("options", [{"denom_max": "x"}, {"eps_geom": -1}, {"seed": "x"}])
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"denom_max": "x"},
+        {"eps_geom": -1},
+        {"seed": "x"},
+        # booleans are not numbers, in any option
+        {"denom_max": True},
+        {"eps_geom": True},
+        {"angle_tol": False},
+        {"bound_mode": True},
+        {"seed": False},
+        # integer options take no fractional or non-finite float
+        {"denom_max": 6.9},
+        {"enum_budget": 1.5},
+        {"seed": 2.7},
+        {"seed": float("inf")},
+    ],
+)
 def test_malformed_option_values_are_model_file_errors(options, tmp_path, capsys):
     doc = sierpinski_doc()
     doc["options"] = options
     assert cli.main(["analyze", write_model(tmp_path, "m.json", doc)]) == 1
     assert capsys.readouterr().err.startswith("error: invalid option value: ")
+
+
+def test_integral_float_options_are_accepted(tmp_path):
+    doc = sierpinski_doc()
+    doc["options"] = {"denom_max": 12.0, "enum_budget": 1e6, "seed": 7.0}
+    model, opts = parse_model(write_model(tmp_path, "m.json", doc))
+    assert (model.tol.denom_max, opts.enum_budget, opts.seed) == (12, 10**6, 7)
+    assert all(type(v) is int for v in (model.tol.denom_max, opts.enum_budget, opts.seed))
 
 
 def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch):
@@ -269,16 +296,111 @@ def test_report_json_roundtrip_and_determinism(tmp_path, capsys):
     assert any("possible only if" not in w for w in doc["warnings"])
 
 
+REPORT_KEYS = ["version", "decision", "bound", "counts", "vertices", "sw_check", "warnings"]
+
+
+def laid_out(text):
+    """The report document, after checking that text is json.dumps(doc, indent=2)."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == REPORT_KEYS
+    assert list(doc["sw_check"]) == ["status", "verdict", "k_cap", "normals"]
+    return doc
+
+
+def analyze_report(tmp_path, doc, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", write_model(tmp_path, "m.json", doc), "--json", str(out)]) == 0
+    capsys.readouterr()
+    return out.read_text(encoding="utf-8")
+
+
 def test_report_vertices_respect_normalization_shift(tmp_path, capsys):
     doc = sierpinski_doc()
     doc["digits"] = [[1, 1], [2, 1], [1, 2]]
-    path = write_model(tmp_path, "m.json", doc)
-    out = tmp_path / "r.json"
-    assert cli.main(["analyze", path, "--json", str(out)]) == 0
-    capsys.readouterr()
-    report = json.loads(out.read_text())
+    text = analyze_report(tmp_path, doc, capsys)
+    report = laid_out(text)
+    assert report["decision"] == {
+        "verdict": "POLYTOPE", "certified": True, "stabilization_index": 1,
+        "vertex_count": 3, "reason": None,
+    }
     points = {tuple(v["point"]) for v in report["vertices"]}
     assert points == {("1/1", "1/1"), ("2/1", "1/1"), ("1/1", "2/1")}
+    assert all(v["prefix"] == [] and len(v["period"]) == 1 for v in report["vertices"])
+    assert '"prefix": []' in text
+    assert report["sw_check"]["status"] == "agree"
+    assert all(type(c) is str for n in report["sw_check"]["normals"] for c in n["normal"])
+
+
+def test_report_layout_float_polytope(tmp_path, capsys):
+    doc = sierpinski_doc()
+    doc["arithmetic"] = "float"
+    report = laid_out(analyze_report(tmp_path, doc, capsys))
+    assert report["decision"]["verdict"] == "POLYTOPE"
+    assert report["decision"]["certified"] is False
+    assert [v["point"] for v in report["vertices"]] == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    assert report["sw_check"]["status"] == "agree"
+    assert all(type(c) is float for n in report["sw_check"]["normals"] for c in n["normal"])
+
+
+def test_report_layout_not_polytope(tmp_path, capsys):
+    empty, grown = (
+        laid_out(analyze_report(tmp_path, json.loads((MODELS / name).read_text()), capsys))
+        for name in ("rotation1.json", "diagonal.json")
+    )
+    assert empty["decision"]["verdict"] == "NOT_POLYTOPE_EMPTY_U"
+    assert empty["bound"] == {"U": [], "k": None, "mode": None}
+    assert empty["counts"] == [] and empty["vertices"] == []
+    assert grown["decision"]["verdict"] == "NOT_POLYTOPE_NO_STABILIZATION"
+    assert grown["decision"]["vertex_count"] is None
+    assert [row["count"] for row in grown["counts"]] == [3, 4, 5]
+    assert [n["k_found"] for n in grown["sw_check"]["normals"]] == [1, None, 1]
+
+
+def test_report_layout_inconclusive(tmp_path, capsys, monkeypatch):
+    failed = cli.decide_mod.CertResult(ok=False, certified=False, checks=(), failure="self_mapping")
+    monkeypatch.setattr(cli.decide_mod, "certify_polytope", lambda model, candidates: failed)
+    report = laid_out(analyze_report(tmp_path, sierpinski_doc(), capsys))
+    assert report["decision"]["verdict"] == "INCONCLUSIVE"
+    assert report["decision"]["reason"] == (
+        "stabilization at i=1 but certification failed on check 'self_mapping'"
+    )
+    assert report["vertices"] == []
+    assert report["sw_check"]["status"] == "not_compared"
+    assert report["sw_check"]["verdict"] == "polytope"
+
+
+@pytest.mark.parametrize(
+    "doc, sw_check",
+    [
+        (  # a 1D model: no cross-check is run
+            {"dimension": 1, "matrix": [["-1/3"]], "digits": [[0], [1], [5]]},
+            {"status": "inapplicable", "verdict": None, "k_cap": None, "normals": []},
+        ),
+        (  # flat digits: conv(D) is a segment in the plane
+            {"dimension": 2, "matrix": [["1/2", 0], [0, "1/3"]], "digits": [[0, 0], [1, 0], [2, 0]]},
+            {"status": "inapplicable", "verdict": "inapplicable", "k_cap": 2, "normals": []},
+        ),
+    ],
+)
+def test_report_layout_inapplicable_cross_check(doc, sw_check, tmp_path, capsys):
+    report = laid_out(analyze_report(tmp_path, doc, capsys))
+    assert report["decision"]["verdict"] == "POLYTOPE"
+    assert report["sw_check"] == sw_check
+
+
+def test_report_layout_without_cross_check(tmp_path):
+    """A report without a cross-check reads not_compared; strings are ASCII-escaped."""
+    model, _ = parse_model(str(MODELS / "sierpinski.json"))
+    _, report = cli.decide_mod.analyze_model(model)
+    report = dataclasses.replace(report, cross_check=None, warnings=('\u00e9 "x"',))
+    out = tmp_path / "r.json"
+    cli.write_report(report, model, str(out))
+    text = out.read_text(encoding="ascii")
+    doc = laid_out(text)
+    assert doc["sw_check"] == {"status": "not_compared", "verdict": None, "k_cap": None, "normals": []}
+    assert doc["warnings"] == ['\u00e9 "x"']
+    assert '"\\u00e9 \\"x\\""' in text
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in MODELS.glob("*.json")))

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import naive_vertices_2d, naive_vertices_3d, rational_models
 from fractalhull.decide import hull_steps
-from fractalhull.errors import DegeneratePolytope, DimensionMismatch, UnsupportedDimension
+from fractalhull.errors import (
+    DegeneratePolytope,
+    DimensionMismatch,
+    ModeMismatch,
+    UnsupportedDimension,
+)
 from fractalhull.hull import (
     _coord_scale,
     _dist_point_edge2,
@@ -750,3 +755,18 @@ def test_hull_input_errors():
     mixed = convex_hull([(0, 0), (F(1, 2), 1), (1, 0)])
     assert mixed.lattice == ([(0, 0), (2, 0), (1, 2)], 2)
     assert convex_hull([(0, 0), (1, 2), (2, 0)]).lattice is None  # ints alone stay float-mode
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(F(0), 0.0), (1.0, 0.0), (0.0, 1.0)],
+        [(0.0, 0.0), (F(1), F(0)), (F(0), F(1))],  # the smallest point is all float
+        [(F(0),), (0.5,)],
+        [(F(0), F(0), F(0)), (1, 0, 0), (0, 1.0, 0), (0, 0, 1)],
+    ],
+)
+def test_hull_rejects_mixed_float_and_fraction(points):
+    """A float beside a Fraction is a typed mode error, not an AttributeError."""
+    with pytest.raises(ModeMismatch, match="mix float and Fraction"):
+        convex_hull(points)
