@@ -126,6 +126,8 @@ def parse_model(path):
         for key, value in options.items():
             if isinstance(value, bool):
                 raise ValueError(f"{key} must not be a boolean")
+            if key != "bound_mode" and not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a JSON number, not {value!r}")
             if key in _INT_OPTIONS and isinstance(value, float) and not value.is_integer():
                 raise ValueError(f"{key} must be an integer, not {value!r}")
         tol = ToleranceConfig(

@@ -2,7 +2,8 @@
 
 Two scalar modes exist.  "rational" keeps every entry a fractions.Fraction
 (arbitrary precision, always in lowest terms) and all structural operations
-are exact.  "float" uses IEEE doubles with caller-supplied tolerances.  A
+are exact; its eigenvalues run on the integer characteristic polynomial.
+"float" uses IEEE doubles with caller-supplied tolerances.  A
 single vector or matrix never mixes modes; the constructors reject entries
 of the wrong kind so mixed expressions cannot arise downstream.
 
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, ModeMismatch, SingularMatrix, UnsupportedDimension
 
@@ -34,8 +35,8 @@ class ToleranceConfig:
     denom_max: int = 64
 
     def __post_init__(self):
-        if not (self.eps_geom > 0 and self.angle_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.eps_geom < math.inf and 0 < self.angle_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.denom_max < 1:
             raise ValueError("denom_max must be at least 1")
 
@@ -231,45 +232,35 @@ def char_poly(A):
     return (one, -tr, m2, -det(A))
 
 
-def _exact_sqrt(value):
-    """Square root of a nonnegative Fraction if it is itself rational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def integer_char_poly(matrix):
+    """(a, c_1, ..., c_n) with gcd 1 and a > 0: the monic chi_T times the lcm of its denominators.
+
+    For T = M/delta, delta^n chi_T(x) = chi_M(delta x) has the coefficients
+    A_k delta^(n-k) for those A_k of chi_M; this divides them by their gcd.
+    """
+    lattice, delta = to_lattice(matrix)
+    n = len(lattice)
+    coeffs = [A * delta ** (n - k) for k, A in enumerate(char_poly(lattice))]
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def _divisors(n):
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _rational_root(coeffs):
-    """One exact root of a monic cubic with Fraction coefficients, or None.
+    """One rational root x/q of an integer cubic (a, b, c, d), as (x, q), or None.
 
-    After clearing denominators to integers a, b, c, d, the candidates are
-    +-p/q in lowest terms with p dividing d and q dividing a, tried in the
-    order (q, p, + before -); x/q is a root iff a x^3 + b x^2 q + c x q^2 +
-    d q^3 = 0 on the integers.  Skipped when a or d is too large to factor
-    cheaply.
+    The candidates +-p/q in lowest terms, p dividing d and q dividing a, are
+    tried in the order (q, p, + before -); x/q is a root iff a x^3 + b x^2 q
+    + c x q^2 + d q^3 = 0.  Skipped when a or d is too large to factor.
     """
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    a, b, c, d = (int(x * lcm) for x in coeffs)
+    a, b, c, d = coeffs
     if d == 0:
-        return Fraction(0)
+        return 0, 1
     if abs(d) > 10**12 or abs(a) > 10**12:
         return None
     nums = _divisors(d)
@@ -278,21 +269,24 @@ def _rational_root(coeffs):
             if math.gcd(p, q) == 1:
                 for x in (p, -p):
                     if ((a * x + b * q) * x + c * q * q) * x + d * q**3 == 0:
-                        return Fraction(x, q)
+                        return x, q
     return None
 
 
-def _quadratic_exact(b, c):
-    """Roots of x^2 + b x + c for Fraction b, c, as complex floats."""
-    disc = b * b - 4 * c
+def _quadratic_integer(a, b, c):
+    """Roots of a x^2 + b x + c for integers a > 0, b, c, as complex floats.
+
+    disc, a^2 times the monic discriminant, is a square iff the roots are rational.
+    """
+    disc = b * b - 4 * a * c
     if disc >= 0:
-        s = _exact_sqrt(disc)
-        if s is not None:
-            return [complex(float((-b - s) / 2)), complex(float((-b + s) / 2))]
-        sf = math.sqrt(float(disc))
-        return [complex((float(-b) - sf) / 2.0), complex((float(-b) + sf) / 2.0)]
-    im = math.sqrt(float(-disc)) / 2.0
-    re = float(-b) / 2.0
+        s = isqrt(disc)
+        if s * s == disc:
+            return [complex((-b - s) / (2 * a)), complex((-b + s) / (2 * a))]
+        sf = math.sqrt(disc / (a * a))
+        return [complex((-b / a - sf) / 2.0), complex((-b / a + sf) / 2.0)]
+    im = math.sqrt(-disc / (a * a)) / 2.0
+    re = -b / a / 2.0
     return [complex(re, -im), complex(re, im)]
 
 
@@ -359,39 +353,13 @@ def _polish_root(z, coeffs):
     return z
 
 
-def eigenvalues(matrix):
-    """All eigenvalues (with algebraic multiplicity) as complex floats.
-
-    n = 1 is trivial, n = 2 uses the quadratic formula (exact discriminant
-    handling in rational mode), n = 3 tries an exact rational root first and
-    otherwise finds one real root numerically before deflating to a quadratic.
-    The returned list is sorted by (real, imag) so results are deterministic.
-    """
-    n = len(matrix)
-    exact = _mode_of(matrix[0][0]) == RATIONAL
-    if n == 1:
-        return [complex(float(matrix[0][0]), 0.0)]
-    if n == 2:
-        tr = matrix[0][0] + matrix[1][1]
-        de = det(matrix)
-        roots = _quadratic_exact(-tr, de) if exact else _quadratic_float(-float(tr), float(de))
-        return sorted(roots, key=lambda z: (z.real, z.imag))
-    if n != 3:
-        raise UnsupportedDimension("eigenvalues supports n <= 3 only")
-    coeffs = char_poly(matrix)
-    if exact:
-        root = _rational_root(coeffs)
-        if root is not None:
-            q1 = coeffs[1] + root
-            q0 = coeffs[2] + root * q1
-            roots = [complex(float(root))] + _quadratic_exact(q1, q0)
-            return sorted(roots, key=lambda z: (z.real, z.imag))
-    fb, fc, fd = (float(coeffs[1]), float(coeffs[2]), float(coeffs[3]))
-    real_root = _cubic_real_root(fb, fc, fd)
-    q1 = fb + real_root
-    q0 = fc + real_root * q1
+def _cubic_float_roots(b, c, d):
+    """Roots of x^3 + b x^2 + c x + d (floats): one real root, deflated, all Newton-polished."""
+    real_root = _cubic_real_root(b, c, d)
+    q1 = b + real_root
+    q0 = c + real_root * q1
     roots = [complex(real_root)] + _quadratic_float(q1, q0)
-    fcoeffs = (1.0, fb, fc, fd)
+    fcoeffs = (1.0, b, c, d)
     polished = []
     for z in roots:
         if z.imag == 0.0:
@@ -404,7 +372,49 @@ def eigenvalues(matrix):
         mean = (nonreal[0] + nonreal[1].conjugate()) / 2.0
         reals = [z for z in polished if z.imag == 0.0]
         polished = reals + [complex(mean.real, -abs(mean.imag)), complex(mean.real, abs(mean.imag))]
-    return sorted(polished, key=lambda z: (z.real, z.imag))
+    return sorted(polished, key=attrgetter("real", "imag"))
+
+
+def integer_poly_roots(coeffs):
+    """The roots of an integer polynomial (a, ...) of degree 1 to 3, a > 0, as sorted complex floats.
+
+    A rational root is int / int, correctly rounded.  A cubic with a rational
+    root x/q (_rational_root) leaves an integer quadratic by synthetic
+    division, exact by Gauss's lemma; one without goes to the float finder.
+    """
+    a, *rest = coeffs
+    if len(rest) == 3:
+        root = _rational_root(coeffs)
+        if root is None:
+            return _cubic_float_roots(*(c / a for c in rest))
+        (b, c, _), (x, q) = rest, root
+        alpha = a // q
+        beta = (b + alpha * x) // q
+        roots = [complex(x / q)] + _quadratic_integer(alpha, beta, (c + beta * x) // q)
+    elif len(rest) == 2:
+        roots = _quadratic_integer(a, *rest)
+    else:
+        roots = [complex(-rest[0] / a)]
+    return sorted(roots, key=attrgetter("real", "imag"))
+
+
+def eigenvalues(matrix):
+    """All eigenvalues (with algebraic multiplicity) as complex floats, sorted by (real, imag).
+
+    Rational input takes the roots of integer_char_poly.  Float input takes
+    n = 2 by the quadratic formula and n = 3 by the float root finder.
+    """
+    n = len(matrix)
+    if not 1 <= n <= 3:
+        raise UnsupportedDimension("eigenvalues supports n <= 3 only")
+    if _mode_of(matrix[0][0]) == RATIONAL:
+        return integer_poly_roots(integer_char_poly(matrix))
+    if n == 1:
+        return [complex(float(matrix[0][0]), 0.0)]
+    if n == 2:
+        tr = matrix[0][0] + matrix[1][1]
+        return sorted(_quadratic_float(-float(tr), float(det(matrix))), key=attrgetter("real", "imag"))
+    return _cubic_float_roots(*(float(c) for c in char_poly(matrix)[1:]))
 
 
 def spectral_radius(matrix):

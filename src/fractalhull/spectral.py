@@ -175,46 +175,33 @@ def compute_step_bound(classes, bound_mode="product") -> Optional[StepBound]:
     return StepBound(members, k, bound_mode)
 
 
-def _char_coeffs(matrix):
-    """delta^n chi_T(x) = chi_M(delta x) for the rational matrix T = M/delta, on integers.
-
-    Its coefficients are A_k delta^(n-k) for the coefficients A_k of chi_M.
-    """
-    lattice, delta = linalg.to_lattice(matrix)
-    n = len(lattice)
-    return [A * delta ** (n - k) for k, A in enumerate(linalg.char_poly(lattice))]
-
-
 def _contracting(coeffs):
-    """Jury's test: every root of the integer polynomial coeffs (_char_coeffs) has modulus < 1.
+    """Jury's test: every root of an integer polynomial with a > 0 has modulus < 1.
 
     Roots 0 pad it to a x^3 + b x^2 + c x + d.
     """
-    a, b, c, d = coeffs + [0] * (4 - len(coeffs))
+    a, b, c, d = (*coeffs, 0, 0)[:4]
     return abs(d) < a and abs(b + d) < a + c and abs(a * c - b * d) < a * a - d * d
 
 
 def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     """Check nonsingularity and spectral radius < 1 for a map matrix.
 
-    Rational input reads both off the integer characteristic polynomial
-    delta^n chi_T, exactly: T is singular when its constant term is 0, and
-    Jury's test decides the radius.  The eigenvalues come back with the
+    Rational input reads all of it off linalg.integer_char_poly, exactly: T
+    is singular when its constant term is 0, Jury's test decides the radius,
+    and the eigenvalues are its roots.  The eigenvalues come back with the
     check, so the model keeps them and nothing computes them again.
     """
-    if mode == RATIONAL:
-        coeffs = _char_coeffs(matrix)
-        singular = coeffs[-1] == 0
-    else:
-        singular = linalg.det(matrix) == 0
-    if singular:
+    exact = mode == RATIONAL
+    coeffs = linalg.integer_char_poly(matrix) if exact else None
+    if (coeffs[-1] if exact else linalg.det(matrix)) == 0:
         return SpectrumCheck(False, "nonsingularity_failed", ())
-    eigenvalues = tuple(linalg.eigenvalues(matrix))
+    eigenvalues = tuple(linalg.integer_poly_roots(coeffs) if exact else linalg.eigenvalues(matrix))
     rho = max(abs(z) for z in eigenvalues)
-    if not (_contracting(coeffs) if mode == RATIONAL else rho < 1.0):
+    if not (_contracting(coeffs) if exact else rho < 1.0):
         return SpectrumCheck(False, "not_contracting", (), eigenvalues)
     warnings = ()
-    if mode != RATIONAL and 1.0 - rho < 1e-9:
+    if not exact and 1.0 - rho < 1e-9:
         warnings = (f"spectral radius {rho!r} is within 1e-9 of 1; results may be unreliable",)
     return SpectrumCheck(True, None, warnings, eigenvalues)
 

@@ -98,6 +98,15 @@ def test_parse_rejects_unknown_option(tmp_path):
         {"enum_budget": 1.5},
         {"seed": 2.7},
         {"seed": float("inf")},
+        # option values are JSON numbers: no string converts
+        {"denom_max": " 12 "},
+        {"seed": "7"},
+        {"eps_geom": "1e-3"},
+        {"angle_tol": "inf"},
+        {"enum_budget": "1000"},
+        # tolerances are finite: JSON Infinity is rejected
+        {"eps_geom": float("inf")},
+        {"angle_tol": float("inf")},
     ],
 )
 def test_malformed_option_values_are_model_file_errors(options, tmp_path, capsys):
@@ -410,6 +419,33 @@ def test_analyze_report_matches_benchmark_digest(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["analyze", str(MODELS / name), "--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"analyze:{name}"]["sha256"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+_SOLID_DIGITS = [[0, 0, 0], [1, 0, 0], [0, 1, 0], ["1/3", "2/3", 1]]
+GOLDEN_MODELS = {
+    # an irrational angle 3.1e-12 from pi/5: U is empty
+    "pi5": {"dimension": 2, "matrix": [["1/2", "-46041/126740"], ["46041/126740", "1/2"]],
+            "digits": [[0, 0], [1, 0], [0, 1]]},
+    # normals that recur at k = 3, 3, 3, 1
+    "cyclic3": {"dimension": 3, "matrix": [[0, 0, "1/2"], ["1/2", 0, 0], [0, "1/2", 0]],
+                "digits": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    # no rational eigenvalue: the cubic goes to the float root finder
+    "cubic3": {"dimension": 3, "matrix": [["1/3", "1/5", 0], ["-1/4", "2/5", "1/7"], ["1/6", 0, "-1/3"]],
+               "digits": _SOLID_DIGITS},
+    # the rational root -1/3 and a pi/6 pair
+    "k72lcm": {"dimension": 3, "matrix": [[0, "-3/4", 0], ["1/4", "3/4", 0], [0, 0, "-1/3"]],
+               "digits": _SOLID_DIGITS,
+               "options": {"bound_mode": "lcm"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_analyze_report_equals_its_golden_file(name, tmp_path, capsys):
+    """analyze --json writes tests/data/<name>_analyze.json byte for byte, as CI diffs it."""
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", write_model(tmp_path, "m.json", GOLDEN_MODELS[name]), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}_analyze.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in MODELS.glob("*.json")))

@@ -855,11 +855,17 @@ def test_vertex_map_matches_deepening_reference():
 
 
 def test_one_spectrum_per_model(monkeypatch):
-    """validate_model computes the eigenvalues once; classification reads them off the model."""
+    """validate_model builds the integer chi once and reads the eigenvalues off it
+    once; classification reads them off the model.  A float model calls eigenvalues once."""
     calls = []
-    inner = linalg_mod.eigenvalues
-    monkeypatch.setattr(linalg_mod, "eigenvalues", lambda m: calls.append(m) or inner(m))
+    for name in ("eigenvalues", "integer_char_poly", "integer_poly_roots"):
+        inner = getattr(linalg_mod, name)
+        monkeypatch.setattr(linalg_mod, name, lambda m, name=name, inner=inner: calls.append(name) or inner(m))
     model = validate_model([[0, F(-1, 2)], [F(1, 2), 0]], [[0, 0], [1, 0], [0, 1]])
     decide_polytope(model)
-    assert len(calls) == 1
-    assert model.eigenvalues == tuple(inner(model.matrix))
+    assert calls == ["integer_char_poly", "integer_poly_roots"]
+    assert model.eigenvalues == tuple(linalg_mod.eigenvalues(model.matrix))
+    calls.clear()
+    model = validate_model([[0, -0.5], [0.5, 0]], [[0, 0], [1, 0], [0, 1]], mode="float")
+    decide_polytope(model)
+    assert calls == ["eigenvalues"]

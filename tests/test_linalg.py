@@ -8,19 +8,22 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalhull.errors import DimensionMismatch, ModeMismatch, SingularMatrix
 from fractalhull.linalg import (
     RATIONAL,
     ToleranceConfig,
+    _cubic_float_roots,
     _divisors,
     _rational_root,
     char_poly,
+    det,
     dot,
     eigenvalues,
     identity,
+    integer_char_poly,
     make_matrix,
     make_vector,
     mat_mul,
@@ -29,6 +32,7 @@ from fractalhull.linalg import (
     operator_norm,
     solve,
     spectral_radius,
+    transpose,
 )
 
 I2 = identity(2)
@@ -186,9 +190,156 @@ _entry = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_rational_root_on_integers_finds_the_fraction_root(rows):
     """The integer test finds the root the Fraction test found first, the one
-    the eigenvalues deflate, so they stay bit-identical."""
+    the eigenvalues deflate, so they stay bit-identical; it returns x/q as (x, q)."""
     coeffs = char_poly(frac_matrix(rows))
-    assert _rational_root(coeffs) == _fraction_rational_root(coeffs)
+    root = _fraction_rational_root(coeffs)
+    found = _rational_root(integer_char_poly(frac_matrix(rows)))
+    assert found == (None if root is None else root.as_integer_ratio())
+
+
+def _reference_exact_sqrt(value):
+    """Square root of a nonnegative Fraction if it is itself rational."""
+    if value < 0:
+        return None
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return F(rn, rd)
+    return None
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_ascend_as_the_reference():
+    for n in [*range(-50, 3000), 2**40, 3**25, 10**12, 999983 * 1000003]:
+        assert _divisors(n) == _reference_divisors(n)
+
+
+def _reference_rational_root(coeffs):
+    """One exact root of a monic cubic with Fraction coefficients, or None."""
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    a, b, c, d = (int(x * lcm) for x in coeffs)
+    if d == 0:
+        return F(0)
+    if abs(d) > 10**12 or abs(a) > 10**12:
+        return None
+    nums = _reference_divisors(d)
+    for q in _reference_divisors(a):
+        for p in nums:
+            if math.gcd(p, q) == 1:
+                for x in (p, -p):
+                    if ((a * x + b * q) * x + c * q * q) * x + d * q**3 == 0:
+                        return F(x, q)
+    return None
+
+
+def _reference_quadratic(b, c):
+    """Roots of x^2 + b x + c for Fraction b, c, as complex floats."""
+    disc = b * b - 4 * c
+    if disc >= 0:
+        s = _reference_exact_sqrt(disc)
+        if s is not None:
+            return [complex(float((-b - s) / 2)), complex(float((-b + s) / 2))]
+        sf = math.sqrt(float(disc))
+        return [complex((float(-b) - sf) / 2.0), complex((float(-b) + sf) / 2.0)]
+    im = math.sqrt(float(-disc)) / 2.0
+    re = float(-b) / 2.0
+    return [complex(re, -im), complex(re, im)]
+
+
+def _reference_eigenvalues(matrix):
+    """The eigenvalues of a rational matrix as they ran on Fractions: char_poly
+    of T, a Fraction rational root and deflation, the exact quadratic formula,
+    and the float root finder on the rounded monic coefficients otherwise."""
+    n = len(matrix)
+    if n == 1:
+        return [complex(float(matrix[0][0]), 0.0)]
+    key = lambda z: (z.real, z.imag)  # noqa: E731
+    if n == 2:
+        tr = matrix[0][0] + matrix[1][1]
+        return sorted(_reference_quadratic(-tr, det(matrix)), key=key)
+    coeffs = char_poly(matrix)
+    root = _reference_rational_root(coeffs)
+    if root is None:
+        return _cubic_float_roots(float(coeffs[1]), float(coeffs[2]), float(coeffs[3]))
+    q1 = coeffs[1] + root
+    q0 = coeffs[2] + root * q1
+    return sorted([complex(float(root))] + _reference_quadratic(q1, q0), key=key)
+
+
+# large enough that a cubic's integer coefficients pass 10^12 and skip the
+# rational root search
+_large_entry = st.builds(F, st.integers(-10**9, 10**9), st.integers(10**5, 10**7))
+
+
+def _shear(rows, i, j, k):
+    """P rows P^-1 for P = I + k E_ij (i != j): the same eigenvalues, not triangular."""
+    n = len(rows)
+    P = [[F(int(a == b) + (k if (a, b) == (i, j) else 0)) for b in range(n)] for a in range(n)]
+    P_inv = [[F(int(a == b) - (k if (a, b) == (i, j) else 0)) for b in range(n)] for a in range(n)]
+    return mat_mul(mat_mul(P, rows), P_inv)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Homotheties, triangular matrices (all roots rational), sheared ones with a
+    repeated root, generic matrices, and large entries."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("homothety", "triangular", "repeated", "generic", "large")))
+    entry = _large_entry if kind == "large" else _entry
+    if kind == "homothety":
+        c = draw(entry)
+        return frac_matrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
+    if kind == "generic" or kind == "large" and draw(st.booleans()):
+        return frac_matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    diagonal = draw(st.lists(entry, min_size=n, max_size=n))
+    if kind == "repeated":
+        diagonal = [diagonal[0]] * (n - 1) + [draw(st.sampled_from((diagonal[0], diagonal[-1])))]
+    rows = [[diagonal[i] if i == j else draw(entry) if j > i else F(0) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = _shear(rows, i, j, draw(st.integers(-3, 3)))
+    return frac_matrix(rows)
+
+
+@given(_rational_matrices())
+# triangular cubics past the 10^12 skip, the first just past it (a = 1.005e12):
+# their rational roots come from the float root finder, not the exact search
+@example(frac_matrix([[F(1, 10007), 1, 0], [0, F(-1, 10009), 1], [0, 0, F(1, 10037)]]))
+@example(frac_matrix([[F(1, 1000003), 1, 0], [0, F(-1, 1000033), 1], [0, 0, F(1, 999983)]]))
+@settings(max_examples=400, deadline=None)
+def test_rational_eigenvalues_equal_the_fraction_path_bit_for_bit(T):
+    """eigenvalues and operator_norm on the integer characteristic polynomial
+    give the reprs of the Fraction path they replaced."""
+    assert repr(eigenvalues(T)) == repr(_reference_eigenvalues(T))
+    gram = mat_mul(transpose(T), T)
+    top = max(z.real for z in _reference_eigenvalues(gram))
+    assert repr(operator_norm(T)) == repr(math.sqrt(max(top, 0.0)))
+
+
+@given(_rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_char_poly_is_the_primitive_monic_chi(T):
+    """gcd 1, a positive leading coefficient, and the monic chi times the lcm of its denominators."""
+    coeffs = integer_char_poly(T)
+    monic = char_poly(T)
+    lcm = math.lcm(*(c.denominator for c in monic))
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1 and coeffs[0] > 0
+    assert coeffs == tuple(c * lcm for c in monic)
 
 
 def test_char_poly_keeps_the_scalar_kind_of_the_entries():
@@ -260,6 +411,11 @@ def test_tolerance_config_validation():
         ToleranceConfig(eps_geom=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(denom_max=0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ToleranceConfig(eps_geom=value)
+        with pytest.raises(ValueError):
+            ToleranceConfig(angle_tol=value)
 
 
 def _sum_of_products(u, v):
