@@ -21,15 +21,20 @@ order, scans every face for each point in input order.  Coplanar faces are
 merged into facets, a lone exact triangle being its own facet.
 
 Output is canonical regardless of input order: 2D vertex cycles are
-counterclockwise starting at the lexicographically smallest vertex, 3D vertex
-lists are sorted and each facet is fanned from its smallest vertex index into
-a sorted triangular face list, so equal hulls compare equal structurally.  An
-exact solid keeps each facet's vertex cycle beside its row.
+counterclockwise starting at the lexicographically smallest vertex, a polygon
+inside 3D runs from its smallest vertex toward the smaller of its two
+neighbours, 3D vertex lists are sorted and each facet is fanned from its
+smallest vertex index into a sorted triangular face list, so equal hulls
+compare equal structurally.  An exact solid keeps each facet's vertex cycle
+beside its row.
 
 Minkowski sums need no hull: minkowski_cycle merges two integer polygon
 cycles by edge direction, and minkowski_polytope overlays the normal fans of
 two exact solids, read off their facet rows and cycles, and gives the
-canonical form of the hull of all pairwise sums.
+canonical form of the hull of all pairwise sums.  image_sum, the exact step
+of the hull recursion, takes one of the two, or else (on a line, or in space
+when q is flat or p a segment or polygon) lattice_hull of the vertex sums,
+which the canonical forms above make equal to the hull of every pairwise sum.
 """
 
 from __future__ import annotations
@@ -614,7 +619,9 @@ def _plane_cycle(pts, base, u, v, eps):
     """Vertex cycle of 3D points spanning the plane base + span(u, v).
 
     The points are hulled in the coordinates (u, w) with w the part of v
-    orthogonal to u, and the cycle starts at the smallest point.
+    orthogonal to u.  The cycle starts at the smallest point and runs toward
+    the smaller of its two neighbours, so that it depends on the hull alone,
+    not on the basis u, v that the input's first points gave.
     """
     w = vec_sub(vec_scale(dot(u, u), v), vec_scale(dot(v, u), u))
     coord_of = {}
@@ -624,7 +631,8 @@ def _plane_cycle(pts, base, u, v, eps):
     eps_area = eps * _coord_scale(list(coord_of)) ** 2 if eps else 0
     cycle = [coord_of[c] for c in _chain2d(list(coord_of), eps_area)]
     start = cycle.index(min(cycle))
-    return cycle[start:] + cycle[:start]
+    cycle = cycle[start:] + cycle[:start]
+    return cycle[:1] + cycle[:0:-1] if cycle[-1] < cycle[1] else cycle
 
 
 def lattice_cycle(points):
@@ -769,6 +777,50 @@ def minkowski_polytope(p, q, den):
         for n, cycle in out.items()
     ]
     return _solid([points[pair] for pair in pairs], den, facets), pairs
+
+
+def image_sum(p, m, e, q, delta):
+    """(e M conv(X) + s conv(Z)) / (delta e s) for p = X/s and q = Z, and the pair of each vertex.
+
+    p and q are exact Polytopes, q over 1, and m is an integer matrix M.  For
+    T = M/delta, digits E_j/e and Z = {M E_j} this is T(conv(p) + conv{E_j/e}),
+    a step of the hull recursion.  With Y = e M X, vertex k is Y_i + s Z_j for
+    (i, j) = pairs[k], a pair unique because a vertex of a Minkowski sum splits
+    into its summands in one way only.  In the plane minkowski_cycle merges
+    the cycles, Y's walked backwards when det M < 0 so that it stays
+    counterclockwise.  In space, for a solid q and a point or solid p,
+    minkowski_polytope overlays the normal fans: p's facet rows n map to
+    sign(det M) C n, C the cofactor matrix of M, and its facet cycles are
+    reversed when det M < 0.  Every other sum (on a line, or in space with a
+    point, segment or polygon q) is lattice_hull of the vertex sums.
+    """
+    xs, s = p.lattice
+    zs, den = q.lattice[0], delta * e * s
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in xs]
+        n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
+        turn = 1 if a * d > b * c else -1
+        order = [(k + turn * t) % n for t in range(n)]
+        merged = minkowski_cycle([ys[i] for i in order], [(s * x, s * y) for x, y in zs])
+        pairs = [(order[i], j) for _, i, j in merged]
+        return lattice_polytope([pt for pt, _, _ in merged], den), pairs
+    ys = [tuple(e * sum(map(mul, row, x)) for row in m) for x in xs]
+    zs = [vec_scale(s, z) for z in zs]
+    if q.affine_dim == 3 and p.affine_dim in (0, 3):
+        m0, m1, m2 = m
+        turn = 1 if dot(m0, cross(m1, m2)) > 0 else -1
+        cofactors = [vec_scale(turn, cross(u, v)) for u, v in ((m1, m2), (m2, m0), (m0, m1))]
+        y_facets = [
+            (tuple(sum(map(mul, row, normal)) for row in cofactors), cycle[::turn])
+            for (normal, _), cycle in zip(p.rows or (), p.cycles or ())
+        ]
+        z_facets = [(normal, cycle) for (normal, _), cycle in zip(q.rows, q.cycles)]
+        return minkowski_polytope((ys, y_facets), (zs, z_facets), den)
+    pair_of = {vec_add(y, z): (i, j) for i, y in enumerate(ys) for j, z in enumerate(zs)}
+    poly = lattice_hull(sorted(pair_of), den)
+    xs, t = poly.lattice
+    return poly, [pair_of[tuple(c * (den // t) for c in x)] for x in xs]
 
 
 def lattice_hull(points, den):

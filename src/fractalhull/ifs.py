@@ -17,14 +17,9 @@ The vertex ledger of step k is the Polytope conv(A_k) with one length-k
 address per vertex, in the polytope's own vertex order.  One hull-recursion
 step, `_step`, takes the ledger of conv(A_k) to that of conv(A_{k+1}); its one
 driver is the generator `decide.hull_steps`.  With Delta = conv(D) the step is
-conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A rational step
-makes no hull call: in the plane it merges the edges of two integer vertex
-cycles, and in space, when Delta is full-dimensional, it overlays the normal
-fans of T conv(A_k) and T Delta, read off their facet rows and cycles.  Only
-T Delta is hulled, once per model.  Every rational step starts from
-poly.lattice, the integer form of the polytope before it, and yields a
-hull.lattice_polytope, which builds its Fractions only when a caller reads
-them.
+conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A rational step is
+one hull.image_sum, on integers; a float step hulls the images of the
+current vertices.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ class IfsModel:
 
     @functools.cached_property
     def _digit_hull(self):
-        """conv{M E_j} of a rational model in the plane or in space, and each vertex's digit."""
+        """conv{M E_j} of a rational model and each vertex's digit."""
         shifts = self.lattice[2]
         digit_of = {z: j for j, z in enumerate(shifts, start=1)}
         if self.dim == 2:
@@ -357,81 +352,30 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
-    A rational step in the plane or in space is the Minkowski sum
-    T(P_k + Delta) = T P_k + T Delta on integers: with T = M/delta, digits
-    E_j/e and P_k = X/den, it is Y + Z over delta*e*den for Y = e M X and
-    Z = den conv{M E_j} (IfsModel._digit_hull, hulled once per model).  In
-    the plane hull.minkowski_cycle merges the two cycles, Y's reversed when
-    det M < 0 so that it stays counterclockwise.  In space
-    hull.minkowski_polytope overlays the two normal fans: Y's facet rows n
-    map to sign(det M) C n, C the cofactor matrix of M, and its facet cycles
-    are reversed when det M < 0.  P_0 is a point, whose sum is Z shifted.
-    The vertex y_i + z_j gets the address (j,) + a_i; a sum vertex splits
-    into its summands in one way only, so no two candidates tie.
-
-    Other steps, in float mode, on a line, or in space where conv{M E_j} is
-    flat, take as candidates the images T(v + d_j) of the current vertices
-    only; that is sufficient because extreme points of a union of affine
-    images of a hull are images of extreme points.  Coincident candidates
-    keep the lexicographically smallest address.  In rational mode they run
-    on integers (lattice_images), with the vertices X/s of the polytope's
-    lattice over the lcm s of their denominators, so the integers grow no
-    faster than the vertices' Fractions.
+    A rational step is one hull.image_sum of the polytope and the digit hull
+    conv{M E_j} (IfsModel._digit_hull, hulled once per model), and a vertex
+    that sums vertex i with the image of digit j gets the address (j,) + a_i.
+    A float step hulls the candidates T(v + d_j) of the current vertices v,
+    which suffice because extreme points of a union of affine images of a
+    hull are images of extreme points; coincident candidates keep the
+    lexicographically smallest address.
     """
-    exact = model.mode == RATIONAL
-    if exact and model.dim == 2:
-        cycle, den = ledger.poly.lattice
-        ((a, b), (c, d)), delta, _, e = model.lattice
-        ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in cycle]
-        n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
-        turn = 1 if a * d > b * c else -1
-        order = [(k + turn * t) % n for t in range(n)]
+    if model.mode == RATIONAL:
+        matrix, delta, _, e = model.lattice
         zpoly, digit_of = model._digit_hull
-        merged = hull_mod.minkowski_cycle(
-            [ys[i] for i in order], [(den * x, den * y) for x, y in zpoly.lattice[0]]
-        )
-        addresses = tuple((digit_of[j],) + ledger.addresses[order[i]] for _, i, j in merged)
-        poly = hull_mod.lattice_polytope([point for point, _, _ in merged], delta * e * den)
-        return VertexLedger(ledger.step + 1, poly, addresses), poly
-    if exact and model.dim == 3 and model._digit_hull[0].affine_dim == 3:
-        zpoly, digit_of = model._digit_hull
-        ys, zs, den = lattice_images(model, *ledger.poly.lattice)
-        m0, m1, m2 = model.lattice[0]
-        turn = 1 if linalg.dot(m0, linalg.cross(m1, m2)) > 0 else -1
-        cofactors = [linalg.vec_scale(turn, linalg.cross(u, v)) for u, v in ((m1, m2), (m2, m0), (m0, m1))]
-        y_facets = [
-            (tuple(sum(map(mul, row, normal)) for row in cofactors), cycle[::turn])
-            for (normal, _), cycle in zip(ledger.poly.rows or (), ledger.poly.cycles or ())
-        ]
-        z_facets = [(normal, cycle) for (normal, _), cycle in zip(zpoly.rows, zpoly.cycles)]
-        poly, pairs = hull_mod.minkowski_polytope(
-            (ys, y_facets), ([zs[j - 1] for j in digit_of], z_facets), den
-        )
+        poly, pairs = hull_mod.image_sum(ledger.poly, matrix, e, zpoly, delta)
         addresses = tuple((digit_of[j],) + ledger.addresses[i] for i, j in pairs)
         return VertexLedger(ledger.step + 1, poly, addresses), poly
-    if exact:
-        ys, zs, den = lattice_images(model, *ledger.poly.lattice)
-        rows = ([linalg.vec_add(y, z) for z in zs] for y in ys)
-    else:
-        rows = (
-            [linalg.mat_vec(model.matrix, linalg.vec_add(x, d)) for d in model.digits]
-            for x in ledger.poly.vertices
-        )
     candidates = {}
-    for row, address in zip(rows, ledger.addresses):
-        for j, new_point in enumerate(row, start=1):
+    for x, address in zip(ledger.poly.vertices, ledger.addresses):
+        for j, d in enumerate(model.digits, start=1):
+            new_point = linalg.mat_vec(model.matrix, linalg.vec_add(x, d))
             new_address = (j,) + address
             old = candidates.get(new_point)
             if old is None or new_address < old:
                 candidates[new_point] = new_address
-    if exact:
-        poly = hull_mod.lattice_hull(sorted(candidates), den)
-        xs, s = poly.lattice
-        keys = (tuple(c * (den // s) for c in x) for x in xs)
-    else:
-        poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
-        keys = poly.vertices
-    return VertexLedger(ledger.step + 1, poly, tuple(map(candidates.__getitem__, keys))), poly
+    poly = hull_mod.convex_hull(list(candidates), eps=model.geom_eps())
+    return VertexLedger(ledger.step + 1, poly, tuple(map(candidates.__getitem__, poly.vertices))), poly
 
 
 def brute_force_vertices(model: IfsModel, k: int, budget: int = 10**6):

@@ -448,6 +448,16 @@ def test_analyze_report_equals_its_golden_file(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / f"{name}_analyze.json").read_bytes()
 
 
+def test_iterate_table_equals_its_golden_file(tmp_path, capsys):
+    """iterate --steps 12 of the k = 72 matrix with a flat digit hull, whose
+    every step sums a polytope with a triangle in space, writes
+    tests/data/k72flat_iterate_12.tsv byte for byte, as CI diffs it."""
+    doc = {"dimension": 3, "matrix": GOLDEN_MODELS["k72lcm"]["matrix"],
+           "digits": [[0, 0, 0], [1, 0, 0], ["1/3", "2/3", 1]]}
+    assert cli.main(["iterate", write_model(tmp_path, "m.json", doc), "--steps", "12"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "k72flat_iterate_12.tsv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(path.name for path in MODELS.glob("*.json")))
 def test_render_matches_benchmark_digest(name, tmp_path, capsys):
     """render --points 2000 with the default steps and seed writes the SVG the benchmark stores."""

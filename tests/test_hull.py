@@ -227,6 +227,19 @@ def test_coplanar_points_in_3d():
     assert not contains(poly, fr(1, 1, "3/2"))
 
 
+@pytest.mark.parametrize("kind", [F, float])
+def test_polygon_in_3d_runs_toward_the_smaller_neighbour(kind):
+    """A polygon inside 3D runs from its smallest vertex toward the smaller
+    of its two neighbours, whatever basis the input's first points give: the
+    non-vertex (1, 2, 0) gives the diamond's points another basis."""
+    diamond = [(0, 2, 0), (2, 0, 0), (4, 2, 0), (2, 4, 0)]
+    want = tuple(tuple(map(kind, p)) for p in diamond)
+    for extra in ([], [(1, 2, 0)]):
+        poly = convex_hull([tuple(map(kind, p)) for p in diamond + extra])
+        assert poly.affine_dim == 2 and poly.vertices == want
+    assert convex_hull(want) == convex_hull(want + (tuple(map(kind, (1, 2, 0))),))
+
+
 def test_collinear_points_in_3d_hull():
     # grid with many collinear triples along the edges of a tetrahedron
     base = [fr(0, 0, 0), fr(4, 0, 0), fr(0, 4, 0), fr(0, 0, 4)]

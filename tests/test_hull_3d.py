@@ -37,12 +37,13 @@ from fractalhull.hull import (
     _rational,
     _tri_edges,
     convex_hull,
+    image_sum,
     lattice_cycle,
     lattice_hull,
     minkowski_polytope,
 )
 from fractalhull.ifs import lattice_images, validate_model
-from fractalhull.linalg import dot, vec_add, vec_sub
+from fractalhull.linalg import dot, vec_add, vec_scale, vec_sub
 
 
 def _cross3(u, v):
@@ -305,6 +306,53 @@ def test_minkowski_polytope_is_the_hull_of_all_sums(case):
         assert [tuple(c * cut for c in x) for x in poly.lattice[0]] == [
             vec_add(p_summand[0][i], qs[j]) for i, j in pairs
         ]
+
+
+@st.composite
+def _image_summands(draw):
+    """(p, m, e, q, delta) for image_sum: on a line, or in space with q a
+    point, segment, polygon or any hull, and p an exact hull of any dimension."""
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        p = lattice_hull(sorted(set(draw(st.lists(st.tuples(st.integers(-12, 12)), min_size=1)))), 5)
+        q_pts = draw(st.lists(st.tuples(entry), min_size=1, max_size=4))
+        m = ((draw(st.sampled_from((-2, -1, 1, 3))),),)
+    else:
+        p = lattice_hull(*draw(_lattice_sets()))
+        kind = draw(st.sampled_from(("point", "segment", "polygon", "any")))
+        q_pts = [draw(st.tuples(entry, entry, entry))]
+        if kind == "segment":
+            q_pts += [vec_add(q_pts[0], (k, -k, 2 * k)) for k in draw(st.lists(entry, min_size=1))]
+        elif kind == "polygon":
+            q_pts += [(x, y, 7) for x, y in draw(st.lists(st.tuples(entry, entry), min_size=3))]
+            assume(lattice_hull(sorted(set(q_pts)), 1).affine_dim == 2)
+        elif kind == "any":
+            q_pts = draw(_lattice_sets())[0]
+        m = draw(st.tuples(*[st.tuples(entry, entry, entry)] * 3))
+        assume(dot(m[0], _cross3(m[1], m[2])) != 0)
+    q = lattice_hull(sorted(set(q_pts)), 1)
+    return p, m, draw(st.integers(1, 3)), q, draw(st.integers(1, 4))
+
+
+@given(_image_summands())
+@settings(max_examples=300, deadline=None)
+def test_image_sum_is_the_hull_of_all_sums(case):
+    """image_sum is the hull of every sum e M x + s z over delta e s, and each
+    of its vertices is the sum of the pair it names: the overlay of a solid
+    with a point or a solid, and lattice_hull of the vertex sums otherwise."""
+    p, m, e, q, delta = case
+    (xs, s), zs = p.lattice, q.lattice[0]
+    ys = [tuple(e * dot(row, x) for row in m) for x in xs]
+    poly, pairs = image_sum(p, m, e, q, delta)
+    den = delta * e * s
+    reference = lattice_hull(sorted({vec_add(y, vec_scale(s, z)) for y in ys for z in zs}), den)
+    assert repr(poly) == repr(reference)
+    assert poly.lattice == reference.lattice and poly.rows == reference.rows
+    assert poly.cycles == reference.cycles
+    cut = den // poly.lattice[1]
+    assert [tuple(c * cut for c in x) for x in poly.lattice[0]] == [
+        vec_add(ys[i], vec_scale(s, zs[j])) for i, j in pairs
+    ]
 
 
 def _outcome(hull, *args, **kwargs):

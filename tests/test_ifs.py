@@ -242,6 +242,14 @@ def _fraction_step(model, ledger):
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [2, 0], [0, 2], [F(1, 2), F(1, 2)]]))
 # every edge of T P_k parallel to an edge of T conv(D)
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [1, 1], [0, 1]]))
+# lattice_hull of the vertex sums: a line, and flat digit hulls in space; the
+# six coplanar digits give cycles that only the 3D polygon direction rule
+# makes equal to the Fraction step's
+@example(validate_model([[F(-1, 3)]], [[0], [1], [5], [2]]))
+@example(validate_model([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]],
+                        [[0, 0, 0], [1, 0, 0], [1, 0, -1], [2, 0, -1], [2, 0, -2], [3, 0, -2]]))
+@example(validate_model([[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]],
+                        [[0, 0, 0], [1, 0, 0], [F(1, 3), F(2, 3), 1]]))
 def test_lattice_step_matches_fraction_step(model):
     """The integer step returns the ledger and Polytope of the Fraction step."""
     steps = 6 if model.dim < 3 else 4
