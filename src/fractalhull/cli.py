@@ -23,9 +23,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from . import decide as decide_mod
 from ._version import __version__
@@ -42,8 +42,7 @@ _KNOWN_OPTIONS = {"denom_max", "angle_tol", "eps_geom", "bound_mode", "enum_budg
 _INT_OPTIONS = ("denom_max", "enum_budget", "seed")
 
 
-@dataclass(frozen=True)
-class ModelOptions:
+class ModelOptions(NamedTuple):
     bound_mode: str = "product"
     enum_budget: int = 10**6
     seed: int = 0
@@ -71,7 +70,9 @@ def parse_entry(raw, mode):
             raise ModelFileError(f"zero denominator in entry {raw!r}")
         text = Fraction(num, den)
     if mode == RATIONAL:
-        if isinstance(text, (int, Fraction)) or isinstance(text, str) and _INT_RE.match(text):
+        if isinstance(text, Fraction):
+            return text
+        if isinstance(text, int) or isinstance(text, str) and _INT_RE.match(text):
             return Fraction(text)
         raise ModelFileError(
             f"rational mode rejects entry {raw!r}: use an integer or a 'p/q' string"

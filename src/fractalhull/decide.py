@@ -34,10 +34,9 @@ order with hull.contains and names the first one that escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice, pairwise
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import hull as hull_mod
 from . import linalg, spectral
@@ -72,15 +71,13 @@ NOTE_DECISION_RULE = (
 NOTE_FLOAT = "float mode: all comparisons are tolerance-based and the decision is uncertified"
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     i: int
     count: int
     hausdorff_delta: float
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     verdict: str
     certified: bool = False
     stabilization_index: Optional[int] = None
@@ -88,29 +85,25 @@ class Decision:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CertResult:
+class CertResult(NamedTuple):
     ok: bool
     certified: bool
     checks: tuple
     failure: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CrossCheckSection:
+class CrossCheckSection(NamedTuple):
     status: str  # "agree" | "disagree" | "inapplicable" | "not_compared"
     result: Optional[spectral.NormalCriterionResult]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     eigenvalue_classes: tuple
     bound: Optional[spectral.StepBound]
     counts: tuple
@@ -270,7 +263,9 @@ def inverse_eigenvalue_classes(model: IfsModel):
         return [spectral.classify_angle(z, model.tol) for z in distinct]
     denominator = None
     if any(z.imag for z in distinct):
-        denominator = spectral.exact_angle_denominator(model.lattice[0], model.tol.denom_max)
+        denominator = spectral.exact_angle_denominator(
+            model.lattice[0], model.tol.denom_max, model.integer_char_poly
+        )
     return [spectral.classify_exact(z, denominator) for z in distinct]
 
 
@@ -377,5 +372,5 @@ def analyze_model(model: IfsModel, bound_mode: str = "product"):
                 f"facet-normal criterion says {section.result.verdict}"
             ),
         )
-    report = replace(report, decision=decision, cross_check=section)
+    report = report._replace(decision=decision, cross_check=section)
     return decision, report

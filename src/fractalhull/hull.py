@@ -42,17 +42,15 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
 from typing import Optional
 
 from .errors import DegeneratePolytope, DimensionMismatch, ModeMismatch, UnsupportedDimension
-from .linalg import cross, dot, to_lattice, vec_add, vec_scale, vec_sub
+from .linalg import cross, dot, norm2, to_lattice, vec_add, vec_scale, vec_sub
 
 
-@dataclass(frozen=True)
 class Polytope:
     """Convex hull of finitely many points.
 
@@ -69,16 +67,55 @@ class Polytope:
     seen from outside, from the smallest; faces fans each from there.  Its
     Fraction vertices and facets are built when first read.  A float
     Polytope has lattice, rows and cycles None.
+
+    A Polytope is immutable.  It equals, hashes and reprs by its five fields
+    ambient_dim, affine_dim, vertices, faces and facets.
     """
 
-    ambient_dim: int
-    affine_dim: int
-    vertices: tuple
-    faces: Optional[tuple] = None
-    facets: Optional[tuple] = None
-    lattice = None
-    rows = None
-    cycles = None
+    lattice = rows = cycles = None
+
+    def __init__(self, ambient_dim, affine_dim, vertices, faces=None, facets=None):
+        vars(self).update(
+            ambient_dim=ambient_dim, affine_dim=affine_dim, vertices=vertices, faces=faces, facets=facets
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polytope is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Polytope is immutable: cannot delete {name!r}")
+
+    def _key(self):
+        return self.ambient_dim, self.affine_dim, self.vertices, self.faces, self.facets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Polytope(ambient_dim={!r}, affine_dim={!r}, vertices={!r}, faces={!r}, facets={!r})".format(
+            *self._key()
+        )
+
+    # a lattice_polytope leaves vertices and facets out of its __dict__, and
+    # these build them when first read (a __getattr__ hook would slow every
+    # attribute read instead)
+    @functools.cached_property
+    def vertices(self):
+        xs, den = self.lattice
+        return tuple(_rational(x, den) for x in xs)
+
+    @functools.cached_property
+    def facets(self):
+        if self.rows is None:
+            return None
+        den = self.lattice[1]
+        s = den if self.ambient_dim == 2 else 1  # a polygon's rows are edge normals of X
+        return tuple(_fraction_facet(row, s, den) for row in self.rows)
 
     @property
     def vertex_set(self):
@@ -106,28 +143,6 @@ def _fraction_facet(row, s, den):
 
 def _rational(p, den):
     return tuple(Fraction(c, den) for c in p)
-
-
-def _lattice_vertices(poly):
-    xs, den = poly.lattice
-    return tuple(_rational(x, den) for x in xs)
-
-
-def _lattice_facets(poly):
-    if poly.rows is None:
-        return None
-    den = poly.lattice[1]
-    s = den if poly.ambient_dim == 2 else 1  # a polygon's rows are edge normals of X
-    return tuple(_fraction_facet(row, s, den) for row in poly.rows)
-
-
-# Set after @dataclass, so the fields keep their defaults: a lattice_polytope
-# leaves vertices and facets out of its __dict__ and these build them when
-# first read.  (A __getattr__ hook would slow every attribute read instead.)
-Polytope.vertices = functools.cached_property(_lattice_vertices)
-Polytope.vertices.__set_name__(Polytope, "vertices")
-Polytope.facets = functools.cached_property(_lattice_facets)
-Polytope.facets.__set_name__(Polytope, "facets")
 
 
 def lattice_polytope(points, den, rows=None, cycles=None):
@@ -619,16 +634,18 @@ def _plane_cycle(pts, base, u, v, eps):
     """Vertex cycle of 3D points spanning the plane base + span(u, v).
 
     The points are hulled in the coordinates (u, w) with w the part of v
-    orthogonal to u.  The cycle starts at the smallest point and runs toward
-    the smaller of its two neighbours, so that it depends on the hull alone,
-    not on the basis u, v that the input's first points gave.
+    orthogonal to u.  Those scale lengths by |u| and |w|, so a float turn is
+    held to eps * scale**2 * |u| * |w|, the planar eps * scale**2 in length
+    units.  The cycle starts at the smallest point and runs toward the
+    smaller of its two neighbours, so that it depends on the hull alone, not
+    on the basis u, v that the input's first points gave.
     """
     w = vec_sub(vec_scale(dot(u, u), v), vec_scale(dot(v, u), u))
     coord_of = {}
     for p in pts:
         dp = vec_sub(p, base)
         coord_of[(dot(dp, u), dot(dp, w))] = p
-    eps_area = eps * _coord_scale(list(coord_of)) ** 2 if eps else 0
+    eps_area = eps * _coord_scale(pts) ** 2 * norm2(u) * norm2(w) if eps else 0
     cycle = [coord_of[c] for c in _chain2d(list(coord_of), eps_area)]
     start = cycle.index(min(cycle))
     cycle = cycle[start:] + cycle[:start]
@@ -864,7 +881,9 @@ def convex_hull(points, eps=0.0):
     its denominators (to_lattice) first, and its integer vectors are
     deduplicated and sorted, which orders them as the rational points, for
     lattice_hull; no Fraction is compared or hashed.  Input that mixes float
-    and Fraction coordinates raises ModeMismatch.
+    and Fraction coordinates raises ModeMismatch.  Flat float input in 3D
+    whose cycle keeps under three vertices at the turn tolerance raises
+    DegeneratePolytope.
     """
     pts = list(map(tuple, points))
     if not pts:
@@ -910,7 +929,12 @@ def convex_hull(points, eps=0.0):
         return Polytope(2, 2, tuple(cycle), None, _polygon_facets(cycle))
 
     if adim == 2 and n == 3:
-        return Polytope(3, 2, tuple(_plane_cycle(pts, base, dirs[0], dirs[1], eps)))
+        cycle = _plane_cycle(pts, base, dirs[0], dirs[1], eps)
+        if len(cycle) < 3:  # the basis holds heights to eps*scale, the turn test areas to eps*scale**2
+            raise DegeneratePolytope(
+                f"a flat point set re-hulled at eps*scale**2 = {eps * scale**2:g} keeps under three vertices"
+            )
+        return Polytope(3, 2, tuple(cycle))
 
     return _hull_3d(pts, eps=eps, scale=scale)
 
@@ -1038,7 +1062,8 @@ def contains(poly: Polytope, x, eps=0.0):
         coords.append((dot(dp, u), dot(dp, w)))
     dx = vec_sub(x, a)
     cx = (dot(dx, u), dot(dx, w))
-    eps_area = 0 if exact else eps * _coord_scale(coords + [cx]) ** 2
+    # the coordinates scale lengths by |u| and |w|: the turn test in length units
+    eps_area = 0 if exact else eps * scale * scale * norm2(u) * norm2(w)
     r = len(coords)
     for i in range(r):
         if _cross2(coords[i], coords[(i + 1) % r], cx) < -eps_area:

@@ -25,10 +25,9 @@ current vertices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import hull as hull_mod
 from . import linalg, spectral
@@ -42,8 +41,11 @@ from .errors import (
 from .linalg import RATIONAL, ToleranceConfig
 
 
-@dataclass(frozen=True)
-class IfsModel:
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+class _ModelFields(NamedTuple):
     dim: int
     matrix: tuple
     digits: tuple
@@ -51,6 +53,12 @@ class IfsModel:
     tol: ToleranceConfig
     normalization_shift: tuple
     warnings: tuple = ()
+
+
+class IfsModel(_ModelFields):
+    """A validated model (validate_model); the values it derives are cached in its __dict__."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def digit_count(self):
@@ -64,6 +72,11 @@ class IfsModel:
     def eigenvalues(self):
         """The eigenvalues of T, sorted (linalg.eigenvalues); validate_model keeps its own."""
         return tuple(linalg.eigenvalues(self.matrix))
+
+    @functools.cached_property
+    def integer_char_poly(self):
+        """linalg.integer_char_poly of T (rational mode); validate_model keeps its own."""
+        return linalg.integer_char_poly(self.matrix)
 
     @functools.cached_property
     def lattice(self):
@@ -89,22 +102,29 @@ class IfsModel:
         return {}
 
 
-@dataclass(frozen=True)
-class EpAddress:
+class _AddressFields(NamedTuple):
+    prefix: tuple
+    period: tuple
+
+
+class EpAddress(_AddressFields):
     """Eventually periodic address: finite prefix then a repeated block.
 
     The period is reduced to its primitive cyclic word on construction.
     Digit indices are 1-based.
     """
 
-    prefix: tuple
-    period: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, prefix, period):
+        if not period:
             raise ValueError("period must be nonempty")
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "period", _primitive_word(tuple(self.period)))
+        return tuple.__new__(cls, (tuple(prefix), _primitive_word(tuple(period))))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The address of these fields, reduced: _replace builds through here."""
+        return cls(*iterable)
 
     def truncate(self, length):
         """First `length` digits of the infinite sequence."""
@@ -123,16 +143,12 @@ class EpAddress:
     def shift(self):
         """The address with the first digit dropped: its value v solves value = T(d_head + v).
 
-        Built without __post_init__: a suffix keeps the primitive period, and
-        a rotation of a primitive word is primitive.
+        Built without reducing the period again: a suffix keeps the primitive
+        period, and a rotation of a primitive word is primitive.
         """
         if self.prefix:
-            prefix, period = self.prefix[1:], self.period
-        else:
-            prefix, period = (), self.period[1:] + self.period[:1]
-        shifted = object.__new__(EpAddress)
-        vars(shifted).update(prefix=prefix, period=period)
-        return shifted
+            return tuple.__new__(EpAddress, (self.prefix[1:], self.period))
+        return tuple.__new__(EpAddress, ((), self.period[1:] + self.period[:1]))
 
 
 def _primitive_word(word):
@@ -143,8 +159,13 @@ def _primitive_word(word):
     return word
 
 
-@dataclass(frozen=True)
-class VertexLedger:
+class _LedgerFields(NamedTuple):
+    step: int
+    poly: hull_mod.Polytope
+    addresses: tuple
+
+
+class VertexLedger(_LedgerFields):
     """Vertex set of conv(A_k): its polytope and one length-k address per vertex.
 
     addresses[i] is the address of poly's vertex i, in the polytope's own
@@ -152,9 +173,7 @@ class VertexLedger:
     when first read.
     """
 
-    step: int
-    poly: hull_mod.Polytope
-    addresses: tuple
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def count(self):
@@ -209,7 +228,7 @@ def validate_model(matrix, digits, mode=RATIONAL, tol: Optional[ToleranceConfig]
     else:
         shift = linalg.zero_vector(n, mode)
     model = IfsModel(n, T, tuple(deduped), mode, tol, shift, tuple(warnings))
-    vars(model)["eigenvalues"] = check.eigenvalues
+    vars(model).update(eigenvalues=check.eigenvalues, integer_char_poly=check.integer_char_poly)
     return model
 
 

@@ -14,10 +14,10 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import attrgetter, mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, ModeMismatch, SingularMatrix, UnsupportedDimension
 
@@ -26,19 +26,28 @@ FLOAT = "float"
 MODES = (RATIONAL, FLOAT)
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class _Tolerances(NamedTuple):
+    eps_geom: float
+    angle_tol: float
+    denom_max: int
+
+
+class ToleranceConfig(_Tolerances):
     """Numeric tolerances used by float-mode predicates and angle search."""
 
-    eps_geom: float = 1e-9
-    angle_tol: float = 1e-9
-    denom_max: int = 64
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.eps_geom < math.inf and 0 < self.angle_tol < math.inf):
+    def __new__(cls, eps_geom=1e-9, angle_tol=1e-9, denom_max=64):
+        if not (0 < eps_geom < math.inf and 0 < angle_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.denom_max < 1:
+        if denom_max < 1:
             raise ValueError("denom_max must be at least 1")
+        return tuple.__new__(cls, (eps_geom, angle_tol, denom_max))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The record of these values, checked: _replace builds through here."""
+        return cls(*iterable)
 
 
 def as_scalar(value, mode):
@@ -47,7 +56,7 @@ def as_scalar(value, mode):
         if isinstance(value, bool):
             raise ModeMismatch("booleans are not scalars")
         if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         raise ModeMismatch(f"rational mode requires exact entries, got {value!r}")
     if mode == FLOAT:
         if isinstance(value, bool):

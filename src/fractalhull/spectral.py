@@ -13,10 +13,9 @@ serves as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import hull as hull_mod
 from . import linalg
@@ -24,8 +23,7 @@ from .errors import UnsupportedDimension
 from .linalg import RATIONAL, ToleranceConfig
 
 
-@dataclass(frozen=True)
-class EigenvalueClass:
+class EigenvalueClass(NamedTuple):
     """One eigenvalue with its polar data and optional rational angle.
 
     rational_angle is (p, n) in lowest terms with angle equal to pi*p/n
@@ -39,8 +37,7 @@ class EigenvalueClass:
     rational_angle: Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class StepBound:
+class StepBound(NamedTuple):
     """The hull-iteration bound derived from rational-angle eigenvalues.
 
     classes holds the qualifying (distinct) eigenvalue classes; k is even and
@@ -52,22 +49,20 @@ class StepBound:
     bound_mode: str
 
 
-@dataclass(frozen=True)
-class SpectrumCheck:
+class SpectrumCheck(NamedTuple):
     ok: bool
     violation: Optional[str]
     warnings: tuple[str, ...]
     eigenvalues: tuple = ()  # linalg.eigenvalues of a nonsingular matrix
+    integer_char_poly: Optional[tuple] = None  # linalg.integer_char_poly of a rational matrix
 
 
-@dataclass(frozen=True)
-class NormalCheck:
+class NormalCheck(NamedTuple):
     normal: tuple
     k_found: Optional[int]
 
 
-@dataclass(frozen=True)
-class NormalCriterionResult:
+class NormalCriterionResult(NamedTuple):
     """Outcome of the digit-hull facet-normal recurrence test."""
 
     verdict: str  # "polytope" | "not_polytope" | "inapplicable"
@@ -107,28 +102,35 @@ def classify_angle(lam, tol: ToleranceConfig) -> EigenvalueClass:
     return EigenvalueClass(lam, modulus, angle, None)
 
 
-def _discriminant(a, b, c=None):
-    """Discriminant of x^2 + a x + b, or of x^3 + a x^2 + b x + c: zero exactly at a repeated root."""
-    if c is None:
-        return a * a - 4 * b
-    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+def _discriminant(coeffs):
+    """Discriminant of a x^2 + b x + c or of a x^3 + b x^2 + c x + d: zero exactly at a repeated root."""
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        return b * b - 4 * a * c
+    a, b, c, d = coeffs
+    return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
 
 
-def exact_angle_denominator(matrix, denom_max: int) -> Optional[int]:
+def exact_angle_denominator(matrix, denom_max: int, chi=None) -> Optional[int]:
     """Angle denominator of the non-real eigenvalues of an exact 2x2 or 3x3 matrix.
 
     Their rational angles pi*p/n have n in EXACT_DENOMINATORS, and lambda^n
     is real exactly when the characteristic polynomial of matrix^n has a
     repeated root: the smallest such n <= denom_max, or None.  Any nonzero
     multiple of the matrix, such as the integer M = delta * T, gives the same n.
+    n = 1 reads the discriminant of chi, the characteristic polynomial of
+    matrix up to a nonzero factor (IfsModel.integer_char_poly, kept from
+    validation), built here when not given; only n >= 2 takes powers.
     """
-    power, exponent = matrix, 1
+    coeffs, power, exponent = chi or linalg.char_poly(matrix), matrix, 1
     for n in EXACT_DENOMINATORS:
         if n > denom_max:
             break
-        while exponent < n:
-            power, exponent = linalg.mat_mul(power, matrix), exponent + 1
-        if _discriminant(*linalg.char_poly(power)[1:]) == 0:
+        if n > 1:
+            while exponent < n:
+                power, exponent = linalg.mat_mul(power, matrix), exponent + 1
+            coeffs = linalg.char_poly(power)
+        if _discriminant(coeffs) == 0:
             return n
     return None
 
@@ -189,8 +191,9 @@ def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
 
     Rational input reads all of it off linalg.integer_char_poly, exactly: T
     is singular when its constant term is 0, Jury's test decides the radius,
-    and the eigenvalues are its roots.  The eigenvalues come back with the
-    check, so the model keeps them and nothing computes them again.
+    and the eigenvalues are its roots.  The eigenvalues and that polynomial
+    come back with the check, so the model keeps them and nothing computes
+    them again.
     """
     exact = mode == RATIONAL
     coeffs = linalg.integer_char_poly(matrix) if exact else None
@@ -203,7 +206,7 @@ def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     warnings = ()
     if not exact and 1.0 - rho < 1e-9:
         warnings = (f"spectral radius {rho!r} is within 1e-9 of 1; results may be unreliable",)
-    return SpectrumCheck(True, None, warnings, eigenvalues)
+    return SpectrumCheck(True, None, warnings, eigenvalues, coeffs)
 
 
 def _norm(v):

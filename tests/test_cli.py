@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -402,7 +401,7 @@ def test_report_layout_without_cross_check(tmp_path):
     """A report without a cross-check reads not_compared; strings are ASCII-escaped."""
     model, _ = parse_model(str(MODELS / "sierpinski.json"))
     _, report = cli.decide_mod.analyze_model(model)
-    report = dataclasses.replace(report, cross_check=None, warnings=('\u00e9 "x"',))
+    report = report._replace(cross_check=None, warnings=('\u00e9 "x"',))
     out = tmp_path / "r.json"
     cli.write_report(report, model, str(out))
     text = out.read_text(encoding="ascii")
@@ -685,6 +684,28 @@ def test_float_3d_model_whose_facets_collapse_is_an_error(tmp_path, capsys):
     code, err = _analyze_error(tmp_path, capsys, doc)
     assert code == 1
     assert err.startswith("error: a facet re-hulled at eps*scale**2 = ")
+
+
+def test_float_3d_model_with_a_flat_step_never_raises_an_untyped_error(tmp_path, capsys):
+    """Step 2 is a flat quadrilateral in 3D, whose plane coordinates are
+    about 1e12 and 1e24.  A turn tolerance in mixed units once collapsed it
+    to two vertices with affine_dim 2, and analyze died with IndexError."""
+    doc = {
+        "dimension": 3,
+        "matrix": [[-1 / 15, -2 / 15, -2 / 3], [1 / 6, 0, -4 / 9], [4 / 15, 1 / 2, -1 / 3]],
+        "digits": [[0, 0, 0], [0, 1333333.3, 200000]],
+        "arithmetic": "float",
+    }
+    path = write_model(tmp_path, "flat.json", doc)
+    assert cli.main(["iterate", path, "--steps", "2"]) == 0
+    assert [row.split("\t")[:2] for row in capsys.readouterr().out.splitlines()[1:]] == [["1", "2"], ["2", "4"]]
+    code = cli.main(["analyze", path])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    else:
+        assert code == 0 and "POLYTOPE" in captured.out
 
 
 def test_float_zero_denominator_is_an_error(tmp_path, capsys):

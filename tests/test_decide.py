@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice, pairwise
 from pathlib import Path
@@ -97,12 +96,12 @@ def test_extraction_failure():
     # every diagonal support direction of the square ties two diamond vertices
     diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
     with pytest.raises(ExtractionFailure, match="ties a vertex"):
-        extract_ep_addresses(prev, replace(ledger, poly=diamond))
+        extract_ep_addresses(prev, ledger._replace(poly=diamond))
     # two square corners are supported by the same kite vertex
     kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
     assert len(set(vertex_map(prev.poly, kite))) < 4
     with pytest.raises(ExtractionFailure, match="not a bijection"):
-        extract_ep_addresses(prev, replace(ledger, poly=kite))
+        extract_ep_addresses(prev, ledger._replace(poly=kite))
 
 
 def test_hull_steps_computes_only_the_steps_consumed(monkeypatch):

@@ -20,6 +20,7 @@ from fractalhull.errors import (
     UnsupportedDimension,
 )
 from fractalhull.hull import (
+    Polytope,
     _coord_scale,
     _dist_point_edge2,
     _dist_point_polytope,
@@ -272,6 +273,35 @@ def test_distance_to_a_flat_float_triangle():
     """Two corners coincide: the walk would divide 0/0 on the edge a-b."""
     a, c = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
     assert _dist_point_triangle((0.5, 1.0, 0.0), *_triangle3(a, a, c)) == 1.0
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3])
+def test_flat_float_polygon_in_3d_keeps_its_vertices(s):
+    """The plane coordinates carry length**2 and length**4, so a small flat
+    triangle once fell under a turn tolerance in mixed units and kept two
+    vertices with affine_dim 2."""
+    poly = convex_hull([(0.0, 0.0, 0.0), (s, 0.0, 0.0), (0.0, s, 0.0), (s / 4, s / 4, 0.0)], eps=1e-9)
+    assert poly.affine_dim == 2 and len(poly.vertices) == 3
+
+
+def test_flat_float_point_set_under_the_area_tolerance_is_degenerate():
+    """Below unit size eps is absolute: the basis finds two directions whose
+    heights exceed eps, but the triangle's area is under eps, so the turn
+    test keeps two vertices.  That is a typed error, not a two-vertex polygon."""
+    s = 1e-6
+    with pytest.raises(DegeneratePolytope, match="keeps under three vertices"):
+        convex_hull([(0.0, 0.0, 0.0), (s, 0.0, 0.0), (0.0, s, 0.0)], eps=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-1, 1.0, 1e3])
+def test_float_contains_on_a_flat_polygon_in_3d(s):
+    """A unit-free turn tolerance: points outside the square s x s in the
+    plane z = x + y are rejected at every scale s, points inside kept."""
+    square = Polytope(3, 2, ((0.0, 0.0, 0.0), (0.0, s, s), (s, s, 2 * s), (s, 0.0, s)))
+    assert contains(square, (s / 4, s / 4, s / 2), 1e-9)
+    assert contains(square, (s * (1 + 1e-12), s / 2, s * (1.5 + 1e-12)), 1e-9)
+    assert not contains(square, (2 * s, 2 * s, 4 * s), 1e-9)
+    assert not contains(square, (-s / 10, s / 2, s * 0.4), 1e-9)
 
 
 def test_hausdorff_of_solids_whose_floats_coincide():

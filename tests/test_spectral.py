@@ -17,6 +17,7 @@ from conftest import (
     rational_models,
     rot1_model,
     sierpinski_model,
+    suite5_models,
     twin_dragon_model,
 )
 from fractalhull import linalg, spectral
@@ -227,6 +228,57 @@ def test_exact_denominators_match_the_2x2_closed_form():
         tr, det = matrix[0][0] + matrix[1][1], linalg.det(matrix)
         if tr * tr <= 4 * det:  # a complex pair or a double root
             assert exact_angle_denominator(matrix, 64) == _closed_form_denominator(matrix)
+
+
+def _denominator_by_powers(matrix, denom_max):
+    """exact_angle_denominator as it read every n, n = 1 too, off the monic
+    characteristic polynomial of matrix**n."""
+    power, exponent = matrix, 1
+    for n in spectral.EXACT_DENOMINATORS:
+        if n > denom_max:
+            break
+        while exponent < n:
+            power, exponent = linalg.mat_mul(power, matrix), exponent + 1
+        coeffs = linalg.char_poly(power)[1:]
+        if len(coeffs) == 2:
+            a, b = coeffs
+            disc = a * a - 4 * b
+        else:
+            a, b, c = coeffs
+            disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+        if disc == 0:
+            return n
+    return None
+
+
+_GOLDEN_3D = (
+    ([[0, 0, F(1, 2)], [F(1, 2), 0, 0], [0, F(1, 2), 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ([[F(1, 3), F(1, 5), 0], [F(-1, 4), F(2, 5), F(1, 7)], [F(1, 6), 0, F(-1, 3)]],
+     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]]),
+    ([[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]],
+     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]]),
+)
+
+
+def test_denominator_from_the_validated_chi_equals_the_power_path():
+    """n = 1 reads the primitive integer chi_T kept by validation; the
+    denominators equal the path that built chi of every power, on the 100
+    planar-exact models, the golden 3D models and the closed-form cases."""
+    models = suite5_models() + [validate_model(m, d) for m, d in _GOLDEN_3D]
+    models += [
+        validate_model([[F(c, 3) for c in row] for row in rows], [[0, 0], [1, 0], [0, 1]])
+        for rows in _DENOMINATOR_CASES.values()
+    ]
+    found = set()
+    for model in models:
+        M = model.lattice[0]
+        assert model.integer_char_poly == linalg.integer_char_poly(model.matrix)
+        for denom_max in (1, 4, 64):
+            expected = _denominator_by_powers(M, denom_max)
+            assert exact_angle_denominator(M, denom_max, model.integer_char_poly) == expected
+            assert exact_angle_denominator(M, denom_max) == expected
+            found.add(expected)
+    assert {1, 2, 3, 4, 6, None} <= found
 
 
 def test_exact_agrees_with_float_classification():
