@@ -104,7 +104,7 @@ def parse_model(path):
     if mode not in (RATIONAL, FLOAT):
         raise ModelFileError(f"unknown arithmetic {mode!r}; use 'rational' or 'float'")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int):
+    if type(dimension) is not int:  # a JSON true or false is a bool, which is an int
         raise ModelFileError("'dimension' must be an integer")
     matrix = doc.get("matrix")
     digits = doc.get("digits")
@@ -141,6 +141,8 @@ def parse_model(path):
             enum_budget=int(options.get("enum_budget", 10**6)),
             seed=int(options.get("seed", 0)),
         )
+        if opts.enum_budget < 1:
+            raise ValueError("enum_budget must be at least 1")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"invalid option value: {exc}") from exc
     if opts.bound_mode not in ("product", "lcm"):

@@ -210,7 +210,10 @@ def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
 
 
 def _norm(v):
-    return math.sqrt(sum(float(a) ** 2 for a in v))
+    """The float length of a 2- or 3-vector, one sum() of its squares as in linalg's kernels."""
+    if len(v) == 2:
+        return math.sqrt(sum((float(v[0]) ** 2, float(v[1]) ** 2)))
+    return math.sqrt(sum((float(v[0]) ** 2, float(v[1]) ** 2, float(v[2]) ** 2)))
 
 
 def _parallel(u, v, eps, nv):

@@ -73,6 +73,29 @@ def test_parse_rejects_dimension_4(tmp_path):
     assert cli.main(["analyze", path]) == 1
 
 
+@pytest.mark.parametrize("dimension", [True, False, 2.0, "2"])
+def test_parse_rejects_a_dimension_that_is_not_an_integer(dimension, tmp_path, capsys):
+    """JSON true is a Python bool, an int subclass: it must not read as dimension 1."""
+    doc = {"dimension": dimension, "matrix": [["1/2"]], "digits": [[0], [1]]}
+    path = write_model(tmp_path, "m.json", doc)
+    with pytest.raises(ModelFileError, match="'dimension' must be an integer"):
+        parse_model(path)
+    assert cli.main(["analyze", path]) == 1
+    assert capsys.readouterr().err == "error: 'dimension' must be an integer\n"
+
+
+@pytest.mark.parametrize("budget", [0, -3, 0.0])
+def test_enum_budget_below_one_is_rejected_at_parse_time(budget, tmp_path, capsys):
+    doc = sierpinski_doc()
+    doc["options"] = {"enum_budget": budget}
+    path = write_model(tmp_path, "m.json", doc)
+    assert cli.main(["oracle", path, "--steps", "0"]) == 1
+    assert capsys.readouterr().err == "error: invalid option value: enum_budget must be at least 1\n"
+    doc["options"] = {"enum_budget": 1}
+    _, opts = parse_model(write_model(tmp_path, "m.json", doc))
+    assert opts.enum_budget == 1
+
+
 def test_parse_rejects_unknown_option(tmp_path):
     doc = sierpinski_doc()
     doc["options"] = {"budget": 5}

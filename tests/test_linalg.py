@@ -29,10 +29,13 @@ from fractalhull.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    norm2,
     operator_norm,
     solve,
     spectral_radius,
     transpose,
+    vec_add,
+    vec_sub,
 )
 
 I2 = identity(2)
@@ -448,3 +451,77 @@ def test_products_sum_the_same_terms_in_order(n, kind, rng):
     cols = tuple(zip(*B))
     reference = tuple(tuple(_sum_of_products(row, col) for col in cols) for row in A)
     assert repr(mat_mul(A, B)) == repr(reference)
+
+
+# Floats that the unrolled kernels must round exactly as the generic loops:
+# signed zeros, subnormals, magnitudes near 1e+-300 (whose products overflow
+# or underflow) and ordinary values, whose sums depend on the order of terms.
+_kernel_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e299, max_value=1e301) | st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(min_value=1e-301, max_value=1e-299) | st.floats(min_value=-1e-299, max_value=-1e-301),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(-10.0, 10.0),
+)
+_kernel_scalars = {
+    "float": _kernel_floats,
+    "fraction": st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    "int": st.integers(-(10**30), 10**30),
+}
+
+
+def _same(x, y):
+    """x and y are the same scalar: type, value, the sign of a zero, or both nan."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x == y
+
+
+def _same_vector(u, v):
+    return type(u) is tuple and len(u) == len(v) and all(map(_same, u, v))
+
+
+@st.composite
+def _kernel_operands(draw):
+    """(u, v, A): two n-vectors and an n x n matrix of one scalar kind, n = 1, 2 or 3."""
+    n = draw(st.integers(1, 3))
+    scalar = _kernel_scalars[draw(st.sampled_from(sorted(_kernel_scalars)))]
+    vector = st.tuples(*[scalar] * n)
+    return draw(vector), draw(vector), tuple(draw(vector) for _ in range(n))
+
+
+@given(_kernel_operands())
+@example(((-0.0, -0.0), (-0.0, 0.0), ((-0.0, 1.0), (1e300, -0.0))))
+@example(((5e-324, -0.0, 1e300), (1e300, -1e300, 5e-324), ((1.0, 1e-300, -1.0),) * 3))
+@example(((-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), ((-0.0, -0.0, 0.0),) * 3))
+# sums that read 0.0 or 1.0, and a norm of 1e8 or its successor, by compensation
+@example(((1e16, 1.0, -1e16), (1.0, 1.0, 1.0), ((1e16, 1.0, -1e16),) * 3))
+@example(((1e8, 1.0, 1.0), (1.0, 1.0, 1.0), ((1.0, 1.0, 1.0),) * 3))
+@example(((3, F(1, 3)), (-7, F(2, 5)), ((F(1, 2), 4), (-1, F(1, 3)))))
+@settings(max_examples=400, deadline=None)
+def test_vector_kernels_equal_the_generic_formulas_bit_for_bit(operands):
+    """vec_add, vec_sub, dot, mat_vec and norm2 give what the generic loops give.
+
+    The loops are written out here as the kernels ran before they spelled out
+    n = 2 and 3; the float sums go through sum(), which compensates from
+    Python 3.12 on, so any other order or grouping of terms shows here.
+    """
+    u, v, A = operands
+    assert _same_vector(vec_add(u, v), tuple(a + b for a, b in zip(u, v)))
+    assert _same_vector(vec_sub(u, v), tuple(a - b for a, b in zip(u, v)))
+    assert _same(dot(u, v), sum(a * b for a, b in zip(u, v)))
+    assert _same_vector(mat_vec(A, v), tuple(sum(a * b for a, b in zip(row, v)) for row in A))
+    assert _same(norm2(u), math.sqrt(sum(float(a) * float(a) for a in u)))
+    for w in (u[:-1], u + u[:1]):
+        for kernel in (vec_add, vec_sub, dot):
+            with pytest.raises(DimensionMismatch):
+                kernel(w, v)
+            with pytest.raises(DimensionMismatch):
+                kernel(v, w)
+        with pytest.raises(DimensionMismatch):
+            mat_vec(A, w)

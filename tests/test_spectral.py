@@ -24,7 +24,7 @@ from fractalhull import linalg, spectral
 from fractalhull.decide import analyze_model, inverse_eigenvalue_classes
 from fractalhull.hull import convex_hull
 from fractalhull.ifs import validate_model
-from fractalhull.linalg import RATIONAL, ToleranceConfig, make_matrix, mat_vec, transpose
+from fractalhull.linalg import RATIONAL, ToleranceConfig, make_matrix, transpose
 from fractalhull.spectral import (
     classify_angle,
     compute_step_bound,
@@ -487,7 +487,9 @@ def test_normal_criterion_digit_scaling_invariance():
 def _fraction_criterion(matrix, digits, k_cap, eps=0.0):
     """(verdict, [(repr(normal), k_found)]) by w = T^T w on Fractions, the loop as it ran before.
 
-    With eps > 0 (float input) both norms of the parallelism test are taken at every power.
+    With eps > 0 (float input) both norms of the parallelism test are taken at
+    every power.  The mat-vec is the generic sum of products, as linalg's ran
+    before it spelled out n = 2 and 3.
     """
     digit_hull = convex_hull(digits, eps=eps)
     if digit_hull.affine_dim < len(matrix):
@@ -497,7 +499,7 @@ def _fraction_criterion(matrix, digits, k_cap, eps=0.0):
     for normal, _offset in digit_hull.facets:
         w, k_found = normal, None
         for k in range(1, k_cap + 1):
-            w = mat_vec(tmat, w)
+            w = tuple(sum(a * b for a, b in zip(row, w)) for row in tmat)
             if len(w) == 2:
                 cross = (w[0] * normal[1] - w[1] * normal[0],)
             else:
@@ -649,3 +651,23 @@ def test_float_normal_recurrence_stays_on_floats(monkeypatch):
     exact = sierpinski_model()
     facet_normal_criterion(exact.matrix, exact.digits, 2)
     assert calls  # the rational recurrence does scale onto the lattice
+
+
+_K72 = validate_model(
+    [[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]],
+)
+
+
+@pytest.mark.parametrize("k_cap", [12, 72])
+def test_float_cross_check_k_found_equals_the_generic_loop(k_cap):
+    """The float criterion's normals and k_found, on the float mirrors of the
+    100 suite models and of four 3D models, equal _fraction_criterion's."""
+    models = suite5_models() + [_IRRATIONAL_3D, _PLANE_AND_AXIS, _CYCLIC, _K72]
+    applicable = 0
+    for model in map(float_mirror, models):
+        res = facet_normal_criterion(model.matrix, model.digits, k_cap, eps=model.geom_eps())
+        verdict, checks = _fraction_criterion(model.matrix, model.digits, k_cap, eps=model.geom_eps())
+        assert (res.verdict, [(repr(c.normal), c.k_found) for c in res.checks]) == (verdict, checks)
+        applicable += verdict != "inapplicable"
+    assert applicable >= 50
