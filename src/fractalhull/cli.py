@@ -295,7 +295,7 @@ def _cmd_bound(args):
 def _cmd_iterate(args):
     model, _opts = parse_model(args.model)
     print("i\tcount\thausdorff_delta")
-    for _, _, row in islice(decide_mod.search_rows(model), args.steps):
+    for _, row in islice(decide_mod.search_rows(model), args.steps):
         print(f"{row.i}\t{row.count}\t{row.hausdorff_delta!r}")
     return 0
 

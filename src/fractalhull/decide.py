@@ -8,8 +8,8 @@ its vertex ledger (the step's polytope and one address per vertex), and
 search_rows pairs them into count rows with their Hausdorff deltas, the one
 loop that deciding and the iterate command both drive.  Equal consecutive
 vertex counts (stabilization) within the bound signal a polytope, in which
-case each vertex's eventually periodic address is read off hull.vertex_map
-between the two stable steps, evaluated exactly, and the resulting candidate
+case each vertex's eventually periodic address is read off the address shift
+map of the later stable step, evaluated exactly, and the resulting candidate
 polytope is certified; strict count growth at every step up to the bound
 yields the not-a-polytope verdict.
 
@@ -127,7 +127,7 @@ def hull_steps(model: IfsModel):
 
 
 def search_rows(model: IfsModel, steps=None):
-    """Yield (prev_ledger, ledger, CountRow) for steps 1, 2, ... of the recursion.
+    """Yield (ledger, CountRow) for steps 1, 2, ... of the recursion.
 
     Each row pairs two consecutive items of `steps`, by default a fresh
     hull_steps(model), and carries the nested_hausdorff delta between their
@@ -136,41 +136,36 @@ def search_rows(model: IfsModel, steps=None):
     """
     if steps is None:
         steps = hull_steps(model)
-    for (prev_ledger, prev_poly), (ledger, poly) in pairwise(steps):
+    for (_, prev_poly), (ledger, poly) in pairwise(steps):
         delta = hull_mod.nested_hausdorff(prev_poly, poly)
-        yield prev_ledger, ledger, CountRow(ledger.step, ledger.count, delta)
+        yield ledger, CountRow(ledger.step, ledger.count, delta)
 
 
-def extract_ep_addresses(prev_ledger, ledger):
-    """Eventually periodic address of each vertex of a stable pair of steps.
+def extract_ep_addresses(ledger):
+    """Eventually periodic address of each vertex of the later step of a stable pair.
 
-    prev_ledger holds step i and ledger step i+1.  The vertex of step i+1
-    with address (j,) + a is labelled j and goes to the vertex of step i+1
-    that matches its parent, the vertex of step i with address a, by
-    support direction (hull.vertex_map); walking this map on vertex indices
-    until one repeats gives the labels of the prefix, then of the period.
-    The EpAddresses come in ledger.entries order.  A tied or non-bijective
-    match raises ExtractionFailure.
+    ledger holds step i+1 of a stable pair (i, i+1).  P_{i+1} = P_i +
+    T^{i+1} conv(D), and at equal vertex counts no normal cone of P_i is
+    split, so the vertex of P_i with address a has one successor, the vertex
+    of P_{i+1} with address a + (j,).  The vertex with address (j,) + a is
+    labelled j and goes to that successor of its parent a.  A shift map that
+    is not a bijection raises ExtractionFailure; a bijection walks every
+    vertex round its cycle, whose labels are the period (so the prefix is
+    empty).  The EpAddresses come in ledger.entries order.
     """
     poly, addresses = ledger.poly, ledger.addresses
-    images = hull_mod.vertex_map(prev_ledger.poly, poly)
-    if None in images or not len(images) == len(set(images)) == ledger.count:
-        why = "ties a vertex" if None in images else "is not a bijection"
-        raise ExtractionFailure(f"support map from step {prev_ledger.step} to {ledger.step} {why}")
-    parent = dict(zip(prev_ledger.addresses, images))
-    succ = [parent[address[1:]] for address in addresses]
+    index = {address[:-1]: k for k, address in enumerate(addresses)}
+    succ = [index.get(address[1:]) for address in addresses]
+    if None in succ or len(set(succ)) != ledger.count:
+        raise ExtractionFailure(f"address shift map at step {ledger.step} is not a bijection")
     keys = poly.vertices if poly.lattice is None else poly.lattice[0]
     out = []
     for start in sorted(range(ledger.count), key=keys.__getitem__):
-        i, seen, labels = start, {}, []
-        while i not in seen:
-            seen[i] = len(labels)
-            labels.append(addresses[i][0])
+        period, i = [addresses[start][0]], succ[start]
+        while i != start:
+            period.append(addresses[i][0])
             i = succ[i]
-        prefix, period = labels[: seen[i]], labels[seen[i] :]
-        while prefix and prefix[-1] == period[-1]:
-            period = [prefix.pop()] + period[:-1]
-        out.append(EpAddress(prefix, period))
+        out.append(EpAddress((), period))
     return out
 
 
@@ -274,7 +269,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product", steps=None):
 
     The stabilization search reads at most k+1 hull steps past step 0 from
     `steps`, by default a fresh hull_steps(model), and no step follows it:
-    the addresses are read off the vertex map of the stable pair of steps
+    the addresses are read off the later step of the stable pair
     (extract_ep_addresses), evaluated as one batch (evaluate_ep_addresses)
     and certified once.
     An extraction or certification failure gives an inconclusive verdict.
@@ -301,7 +296,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product", steps=None):
             reason=f"no rational-angle eigenvalue up to denominator {model.tol.denom_max}",
         ))
 
-    for prev_ledger, ledger, row in islice(search_rows(model, steps), bound.k + 1):
+    for ledger, row in islice(search_rows(model, steps), bound.k + 1):
         counts.append(row)
         if ledger.step >= 2 and counts[-2].count == row.count:
             break
@@ -315,7 +310,7 @@ def decide_polytope(model: IfsModel, bound_mode: str = "product", steps=None):
     # read the addresses off the stable pair of steps, evaluate exactly, certify
     cert = None
     try:
-        addresses = extract_ep_addresses(prev_ledger, ledger)
+        addresses = extract_ep_addresses(ledger)
     except ExtractionFailure as exc:
         failure = f"address extraction failed: {exc}"
     else:

@@ -42,4 +42,4 @@ class EnumerationBudgetExceeded(FractalHullError):
 
 
 class ExtractionFailure(FractalHullError):
-    """The support map between a stable pair of steps ties a vertex or is not a bijection."""
+    """The address shift map of the later step of a stable pair is not a bijection."""

@@ -45,9 +45,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
-from typing import Optional
 
-from .errors import DegeneratePolytope, DimensionMismatch, ModeMismatch, UnsupportedDimension
+from .errors import DegeneratePolytope, DimensionMismatch, FractalHullError, ModeMismatch, UnsupportedDimension
 from .linalg import cross, dot, norm2, to_lattice, vec_add, vec_scale, vec_sub
 
 
@@ -195,6 +194,12 @@ def _solid(points, den, facets):
     """
     facets = _facet_order([(row, _from_min(cycle)) for row, cycle in facets], den)
     return lattice_polytope(points, den, *map(tuple, zip(*facets)))
+
+
+# The largest float coordinate per dimension: float predicates square differences of
+# coordinates, up to twice the scale, and the 3D cross-check squares cross products of
+# iterated facet normals, degree 8 in the coordinates (2**100 lets the iterates grow 2**100).
+FLOAT_SCALE_MAX = (None, 2.0**510, 2.0**510, 2.0**100)
 
 
 def _coord_scale(pts):
@@ -471,11 +476,12 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
             x, y, z = pts[t]
             x, y, z = x - ax, y - ay, z - az
             coord_of[(sum((x * ux, y * uy, z * uz)), sum((x * wx, y * wy, z * wz)))] = t
-        eps_area = 0 if exact else eps * _coord_scale(list(coord_of)) ** 2
-        cycle = _chain2d(list(coord_of), eps_area)
-        if len(cycle) < 3:  # only a float eps_area drops a facet's vertices
+        # (u, w) coordinates scale lengths by |u| and |w|, as in _plane_cycle
+        tol = 0 if exact else eps * _coord_scale([pts[t] for t in ids]) ** 2
+        cycle = _chain2d(list(coord_of), tol and tol * norm2(u) * norm2((wx, wy, wz)))
+        if len(cycle) < 3:  # only a float tolerance drops a facet's vertices
             raise DegeneratePolytope(
-                f"a facet re-hulled at eps*scale**2 = {eps_area:g} keeps under three vertices"
+                f"a facet re-hulled at eps*scale**2 = {tol:g} keeps under three vertices"
             )
         poly = [coord_of[c] for c in cycle]
         facet_polys.append((key, poly))
@@ -881,9 +887,10 @@ def convex_hull(points, eps=0.0):
     its denominators (to_lattice) first, and its integer vectors are
     deduplicated and sorted, which orders them as the rational points, for
     lattice_hull; no Fraction is compared or hashed.  Input that mixes float
-    and Fraction coordinates raises ModeMismatch.  Flat float input in 3D
-    whose cycle keeps under three vertices at the turn tolerance raises
-    DegeneratePolytope.
+    and Fraction coordinates raises ModeMismatch, float input with a
+    coordinate past FLOAT_SCALE_MAX raises FractalHullError, and flat float
+    input in 3D whose cycle keeps under three vertices at the turn tolerance
+    raises DegeneratePolytope.
     """
     pts = list(map(tuple, points))
     if not pts:
@@ -902,6 +909,11 @@ def convex_hull(points, eps=0.0):
         return lattice_hull(sorted(set(lattice)), den)
     pts = sorted(set(pts))
     scale = _coord_scale(pts)
+    if scale > FLOAT_SCALE_MAX[n]:
+        raise FractalHullError(
+            f"float coordinates reach {scale:g}; in dimension {n} float predicates"
+            f" overflow past {FLOAT_SCALE_MAX[n]:g}"
+        )
     base, dirs = _affine_basis(pts, eps, scale)
     adim = len(dirs)
 
@@ -946,57 +958,6 @@ def facet_normals(poly: Polytope):
             f"polytope has affine dimension {poly.affine_dim} < ambient {poly.ambient_dim}"
         )
     return list(poly.facets)
-
-
-def _normal_sums(poly, pts):
-    """Sum of the outward normals at each vertex; pts are poly.vertices at any scale.
-
-    Those are the faces triangles at a 3D vertex, the two edges (in the
-    polygon's plane) at a polygon vertex, and the segment itself at its ends.
-    """
-    if poly.affine_dim < 2:
-        return [vec_sub(a, b) for a, b in zip(pts, reversed(pts))]
-    if poly.affine_dim == 3:
-        sums = [vec_sub(a, a) for a in pts]
-        for tri in poly.faces:
-            normal = _plane_normal([pts[t] for t in tri])
-            for t in tri:
-                sums[t] = vec_add(sums[t], normal)
-        return sums
-    if poly.ambient_dim == 2:
-        normals = [normal for normal, _ in _polygon_facets(pts)]
-    else:  # the cycle runs counterclockwise about the normal of its first three vertices
-        plane = _plane_normal(pts)
-        normals = [cross(vec_sub(b, a), plane) for a, b in zip(pts, pts[1:] + pts[:1])]
-    return [vec_add(normals[i - 1], normals[i]) for i in range(len(pts))]
-
-
-def vertex_map(p: Polytope, q: Polytope):
-    """[index of q's vertex with the same support direction, per vertex index of p].
-
-    That is the unique vertex of q maximising <u, .>, u the sum of p's outward
-    normals at the vertex, or None where the maximum is tied.  Exact
-    polytopes are compared on their integer vertices (lattice[0]), float ones
-    on their vertices.  Two exact polygons in the plane with equally many
-    vertices and parallel, equally oriented edges i from vertex i to i + 1
-    have the same normal fan, so there vertex i maps to vertex i with no dot
-    product.
-    """
-    p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
-    if p.lattice and q.lattice and p.ambient_dim == 2 and len(p_pts) == len(q_pts):
-        edges = zip(p_pts, p_pts[1:] + p_pts[:1], q_pts, q_pts[1:] + q_pts[:1])
-        if all(
-            (bx - ax) * (dy - cy) == (by - ay) * (dx - cx)
-            and (bx - ax) * (dx - cx) + (by - ay) * (dy - cy) >= 0
-            for (ax, ay), (bx, by), (cx, cy), (dx, dy) in edges
-        ):
-            return list(range(len(q_pts)))
-    out = []
-    for u in _normal_sums(p, p_pts):
-        values = [dot(u, x) for x in q_pts]
-        best = max(values)
-        out.append(values.index(best) if values.count(best) == 1 else None)
-    return out
 
 
 def contains(poly: Polytope, x, eps=0.0):

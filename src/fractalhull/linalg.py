@@ -456,10 +456,6 @@ def eigenvalues(matrix):
     return _cubic_float_roots(*(float(c) for c in char_poly(matrix)[1:]))
 
 
-def spectral_radius(matrix):
-    return max(abs(z) for z in eigenvalues(matrix))
-
-
 def operator_norm(matrix):
     """Euclidean operator norm: sqrt of the spectral radius of T^T T."""
     gram = mat_mul(transpose(matrix), matrix)

@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, pairwise
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from fractalhull import validate_model
-from fractalhull.linalg import det, solve, spectral_radius
+from fractalhull.linalg import det, eigenvalues, solve
 
 SUITE_SEED = 20250809
 
@@ -20,6 +20,10 @@ def inverse(matrix):
     """Inverse of a nonsingular rational matrix, one exact solve per column."""
     n = len(matrix)
     return tuple(zip(*(solve(matrix, tuple(F(int(i == j)) for i in range(n))) for j in range(n))))
+
+
+def spectral_radius(matrix):
+    return max(abs(z) for z in eigenvalues(matrix))
 
 
 def sierpinski_model():
@@ -136,16 +140,13 @@ def stable_candidates(model, k_max=16):
     bound = compute_step_bound(inverse_eigenvalue_classes(model))
     if bound is None or bound.k > k_max:
         return []
-    steps = islice(hull_steps(model), bound.k + 2)
-    prev, _ = next(steps)
-    for ledger, _ in steps:
+    for (prev, _), (ledger, _) in pairwise(islice(hull_steps(model), bound.k + 2)):
         if ledger.step >= 2 and prev.count == ledger.count:
             try:
-                addresses = extract_ep_addresses(prev, ledger)
+                addresses = extract_ep_addresses(ledger)
             except ExtractionFailure:
                 return []
             return list(zip(addresses, evaluate_ep_addresses(model, addresses)))
-        prev = ledger
     return []
 
 

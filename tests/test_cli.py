@@ -695,18 +695,40 @@ def _analyze_error(tmp_path, capsys, doc):
     return code, captured.err
 
 
-def test_float_3d_model_whose_facets_collapse_is_an_error(tmp_path, capsys):
-    """The float mirror of spatial benchmark model s002: a facet of an early
-    hull step re-hulls to fewer than three vertices at the float tolerance."""
+def test_float_3d_model_with_wide_facets_matches_its_rational_twin(tmp_path, capsys):
+    """The float mirror of spatial benchmark model s002.  Its facet re-hull
+    once held plane coordinates of length**2 and length**4 to an area
+    tolerance in those units, collapsed a facet of an early step and exited 1."""
     doc = {
         "dimension": 3,
         "matrix": [["0", "1/4", "1/8"], ["-1/4", "-1/4", "-1/4"], ["0", "-1/4", "1/8"]],
         "digits": [[0, 0, 0], [2, 2, 3], ["1/4", "-1/4", -1], [2, 0, "-3/4"]],
+    }
+    for mode in ("rational", "float"):
+        path = write_model(tmp_path, f"{mode}.json", {**doc, "arithmetic": mode})
+        assert cli.main(["analyze", path]) == 0
+        assert capsys.readouterr().out == "NOT A POLYTOPE (no stabilization within k=2)\n"
+
+
+@pytest.mark.parametrize(
+    "dimension, magnitude", [(2, 1e155), (3, 1e102), (3, 1e103)]
+)
+def test_float_model_past_the_float_range_is_an_error(tmp_path, capsys, dimension, magnitude):
+    """Squares and cubes of such coordinates once raised an untyped
+    OverflowError (a traceback) in the float hull; now each command names
+    the magnitude of the first step, half that of the digits."""
+    eye = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    doc = {
+        "dimension": dimension,
+        "matrix": [["1/2" if c else 0 for c in row] for row in eye],
+        "digits": [[0] * dimension] + [[magnitude * c for c in row] for row in eye],
         "arithmetic": "float",
     }
-    code, err = _analyze_error(tmp_path, capsys, doc)
-    assert code == 1
-    assert err.startswith("error: a facet re-hulled at eps*scale**2 = ")
+    path = write_model(tmp_path, "big.json", doc)
+    for command in (["analyze"], ["iterate", "--steps", "3"], ["render", "--out", str(tmp_path / "f.svg")]):
+        assert cli.main([command[0], path, *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: float coordinates reach {magnitude / 2:g}; ") and "Traceback" not in err
 
 
 def test_float_3d_model_with_a_flat_step_never_raises_an_untyped_error(tmp_path, capsys):

@@ -40,7 +40,7 @@ from fractalhull.errors import ExtractionFailure
 from fractalhull import hull as hull_mod
 from fractalhull import ifs as ifs_mod
 from fractalhull import linalg as linalg_mod
-from fractalhull.hull import contains, convex_hull, vertex_map
+from fractalhull.hull import contains, convex_hull
 from fractalhull.ifs import (
     EpAddress,
     VertexLedger,
@@ -50,58 +50,61 @@ from fractalhull.ifs import (
     tail_error_bound,
     validate_model,
 )
-from fractalhull.linalg import RATIONAL, dot, mat_vec, to_lattice, vec_add, vec_scale, vec_sub
+from fractalhull.linalg import RATIONAL, cross, dot, mat_vec, to_lattice, vec_add, vec_scale, vec_sub
 from fractalhull.spectral import compute_step_bound
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def _stable_pair(labels, parents):
-    """A hand-built pair of steps over the unit square and its double.
-
-    Vertex i of the doubled square has the address (labels[i], parents[i] + 1),
-    so its parent is corner parents[i] of the unit square, whose address is
-    (parents[i] + 1,).  The support map sends corner i to doubled corner i.
-    """
+def _square_ledger(addresses, step=3):
+    """A hand-built step over the unit square with the given vertex addresses."""
     square = convex_hull([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))])
-    double = convex_hull([vec_scale(F(2), v) for v in square.vertices])
-    prev = VertexLedger(1, square, tuple((i + 1,) for i in range(4)))
-    return prev, VertexLedger(2, double, tuple(zip(labels, (p + 1 for p in parents))))
+    return VertexLedger(step, square, tuple(addresses))
 
 
-def _addresses_by_corner(labels, parents):
-    prev, ledger = _stable_pair(labels, parents)
-    by_point = dict(zip(ledger.points, extract_ep_addresses(prev, ledger)))
+def _addresses_by_corner(labels, succ):
+    """Extracted address per square corner, each corner's address being the
+    first three labels of its walk under the shift map succ."""
+    def walk(k):
+        return labels[k], labels[succ[k]], labels[succ[succ[k]]]
+
+    ledger = _square_ledger(map(walk, range(4)))
+    by_point = dict(zip(ledger.points, extract_ep_addresses(ledger)))
     return [by_point[v] for v in ledger.poly.vertices]
 
 
 def test_extraction_examples():
-    # the map sends corner 0 to 1, 1 to 2, 2 back to 1, and fixes 3
-    parents = (1, 2, 1, 3)
-    assert _addresses_by_corner((1, 2, 3, 2), parents) == [
-        EpAddress((1,), (2, 3)),
-        EpAddress((), (2, 3)),
-        EpAddress((), (3, 2)),
+    # the shift map cycles corners 0 -> 1 -> 2 -> 0 and fixes 3
+    succ = (1, 2, 0, 3)
+    assert _addresses_by_corner((1, 2, 3, 2), succ) == [
+        EpAddress((), (1, 2, 3)),
+        EpAddress((), (2, 3, 1)),
+        EpAddress((), (3, 1, 2)),
         EpAddress((), (2,)),
     ]
-    # a prefix that ends like its period is folded into the period
-    assert _addresses_by_corner((3, 2, 3, 2), parents)[0] == EpAddress((), (3, 2))
-    # the cycle 1 -> 2 -> 1 reads (1, 1), whose primitive period is (1,)
-    addresses = _addresses_by_corner((2, 1, 1, 2), parents)
-    assert addresses[:2] == [EpAddress((2,), (1,)), EpAddress((), (1,))]
+    # one 4-cycle whose labels repeat
+    assert _addresses_by_corner((1, 1, 2, 2), (1, 2, 3, 0)) == [
+        EpAddress((), (1, 1, 2, 2)),
+        EpAddress((), (1, 2, 2, 1)),
+        EpAddress((), (2, 2, 1, 1)),
+        EpAddress((), (2, 1, 1, 2)),
+    ]
 
 
 def test_extraction_failure():
-    prev, ledger = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
-    # every diagonal support direction of the square ties two diamond vertices
-    diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
-    with pytest.raises(ExtractionFailure, match="ties a vertex"):
-        extract_ep_addresses(prev, ledger._replace(poly=diamond))
-    # two square corners are supported by the same kite vertex
-    kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
-    assert len(set(vertex_map(prev.poly, kite))) < 4
-    with pytest.raises(ExtractionFailure, match="not a bijection"):
-        extract_ep_addresses(prev, ledger._replace(poly=kite))
+    triangle = convex_hull([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    for addresses in (
+        ((1, 1), (2, 1), (3, 3)),  # vertices 0 and 1 both go to vertex 0
+        ((1, 2), (2, 3), (3, 4)),  # no vertex has the shift (4,) as its start
+        ((1, 1), (1, 2), (2, 1)),  # two vertices start with (1,)
+    ):
+        with pytest.raises(ExtractionFailure, match="^address shift map at step 2 is not a bijection$"):
+            extract_ep_addresses(VertexLedger(2, triangle, addresses))
+    # the square with a 4-cycle walks; the same addresses one vertex short do not
+    cycle = ((1, 2, 3), (2, 3, 4), (3, 4, 1), (4, 1, 2))
+    assert len(extract_ep_addresses(_square_ledger(cycle))) == 4
+    with pytest.raises(ExtractionFailure, match="at step 3 is not"):
+        extract_ep_addresses(VertexLedger(3, triangle, cycle[:3]))
 
 
 def test_hull_steps_computes_only_the_steps_consumed(monkeypatch):
@@ -120,18 +123,17 @@ def test_hull_steps_computes_only_the_steps_consumed(monkeypatch):
     assert calls == [0, 1]
 
 
-def test_non_bijective_vertex_map_is_inconclusive(monkeypatch):
-    """A stable pair whose support map is not a bijection ends INCONCLUSIVE with a reason."""
+def test_non_bijective_shift_map_is_inconclusive(monkeypatch):
+    """A stable pair whose address shift map is not a bijection ends INCONCLUSIVE with a reason."""
     model = sierpinski_model()
     real_step = decide_mod._step
-    # sierpinski's step-1 triangle supports (-1,-1), (1,0) and (0,1); the last two
-    # both pick (10, 10)
     fake = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10))])
 
     def step(model, ledger):
         if ledger.step == 0:
             return real_step(model, ledger)
-        return VertexLedger(2, fake, ((1, 1), (2, 2), (3, 3))), fake
+        # the parents (1,) of the first two vertices both go to the vertex (1, 1)
+        return VertexLedger(2, fake, ((1, 1), (2, 1), (3, 3))), fake
 
     monkeypatch.setattr(decide_mod, "_step", step)
     decision, report = decide_polytope(model)
@@ -140,7 +142,7 @@ def test_non_bijective_vertex_map_is_inconclusive(monkeypatch):
     assert report.certification is None
     assert decision.reason == (
         "stabilization at i=1 but address extraction failed: "
-        "support map from step 1 to 2 is not a bijection"
+        "address shift map at step 2 is not a bijection"
     )
 
 
@@ -165,9 +167,9 @@ def test_vertex_map_polygon_in_3d():
     model = validate_model(
         [[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     )
-    polys = [convex_hull(ledger.points) for ledger, _ in islice(hull_steps(model), 1, 6)]
-    assert polys[-2].affine_dim == 2 and polys[-2].ambient_dim == 3
-    assert sorted(vertex_map(polys[-2], polys[-1])) == list(range(len(polys[-1].vertices)))
+    ((prev, p), (ledger, q)), = _stable_pairs(model)
+    assert p.affine_dim == 2 and p.ambient_dim == 3 and prev.count == ledger.count == 8
+    assert _shift_map(prev, ledger) == _reference_vertex_map(p, q)
     decision, _ = decide_polytope(model)
     assert decision.verdict == VERDICT_POLYTOPE and decision.certified
     assert decision.stabilization_index == 4
@@ -175,18 +177,30 @@ def test_vertex_map_polygon_in_3d():
     assert all(p[2] == 0 and len(ep.period) == 4 for p, ep in decision.vertices)
 
 
-# --- reference: the vertex map as extraction built it before hull.vertex_map ---
+# --- reference: the vertex map found by support directions, as extraction once did ---
 
 
-def _reference_support_map(p, q):
-    """{vertex v of p: the vertex of q with the same support direction, or None on a tie}."""
-    p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
-    out = {}
-    for v, u in zip(p.vertices, hull_mod._normal_sums(p, p_pts)):
-        values = [dot(u, x) for x in q_pts]
-        best = max(values)
-        out[v] = q.vertices[values.index(best)] if values.count(best) == 1 else None
-    return out
+def _reference_normal_sums(poly, pts):
+    """Sum of the outward normals at each vertex; pts are poly.vertices at any scale.
+
+    Those are the faces triangles at a 3D vertex, the two edges (in the
+    polygon's plane) at a polygon vertex, and the segment itself at its ends.
+    """
+    if poly.affine_dim < 2:
+        return [vec_sub(a, b) for a, b in zip(pts, reversed(pts))]
+    if poly.affine_dim == 3:
+        sums = [vec_sub(a, a) for a in pts]
+        for tri in poly.faces:
+            normal = hull_mod._plane_normal([pts[t] for t in tri])
+            for t in tri:
+                sums[t] = vec_add(sums[t], normal)
+        return sums
+    if poly.ambient_dim == 2:
+        normals = [normal for normal, _ in hull_mod._polygon_facets(pts)]
+    else:  # the cycle runs counterclockwise about the normal of its first three vertices
+        plane = hull_mod._plane_normal(pts)
+        normals = [cross(vec_sub(b, a), plane) for a, b in zip(pts, pts[1:] + pts[:1])]
+    return [vec_add(normals[i - 1], normals[i]) for i in range(len(pts))]
 
 
 def _reference_parallel_cycles(p, q):
@@ -201,44 +215,75 @@ def _reference_parallel_cycles(p, q):
     return True
 
 
-def _reference_vertex_map(prev, poly):
-    """Index of poly's matching vertex per vertex of prev: parallel exact planar
-    cycles map i to i, every other pair goes through the support map and a
-    point-to-index dict."""
-    exact = poly.lattice is not None and prev.lattice is not None
-    if exact and poly.ambient_dim == 2 and _reference_parallel_cycles(prev, poly):
-        return list(range(len(poly.vertices)))
-    index = {point: i for i, point in enumerate(poly.vertices)}
-    return [index.get(point) for point in _reference_support_map(prev, poly).values()]
+def _reference_vertex_map(p, q):
+    """[index of q's vertex with the same support direction, per vertex index of p].
+
+    That is the unique vertex of q maximising <u, .>, u the sum of p's
+    outward normals at the vertex, or None where the maximum is tied; exact
+    polytopes are compared on their integer vertices.  Parallel exact planar
+    cycles share their normal fan, so there vertex i maps to vertex i.
+    """
+    if p.lattice and q.lattice and p.ambient_dim == 2 and _reference_parallel_cycles(p, q):
+        return list(range(len(q.vertices)))
+    p_pts, q_pts = (r.vertices if r.lattice is None else r.lattice[0] for r in (p, q))
+    out = []
+    for u in _reference_normal_sums(p, p_pts):
+        values = [dot(u, x) for x in q_pts]
+        best = max(values)
+        out.append(values.index(best) if values.count(best) == 1 else None)
+    return out
 
 
-def _stable_polytope_pairs(model):
-    """(step i, step i + 1) polytopes of the first stable pair within the bound, if any."""
+def _shift_map(prev, ledger):
+    """Per vertex of step i, the vertex of step i + 1 whose address extends its address."""
+    index = {address[:-1]: k for k, address in enumerate(ledger.addresses)}
+    return [index.get(address) for address in prev.addresses]
+
+
+def _stable_pairs(model, k_max=None):
+    """The first stable pair ((ledger, poly) of step i, of step i + 1) within the bound, if any."""
     bound = compute_step_bound(tuple(inverse_eigenvalue_classes(model)), "product")
-    if bound is None:
+    if bound is None or k_max is not None and bound.k > k_max:
         return []
     for (prev, p), (ledger, q) in pairwise(islice(hull_steps(model), bound.k + 2)):
         if ledger.step >= 2 and prev.count == ledger.count:
-            return [(p, q)]
+            return [((prev, p), (ledger, q))]
     return []
 
 
-def test_vertex_map_matches_frozen_reference():
+def test_shift_map_matches_support_map_reference():
     models = suite5_models()
     models = models + [float_mirror(model) for model in models] + _spatial_models()
-    pairs = [pair for model in models for pair in _stable_polytope_pairs(model)]
-    square, double = _stable_pair((1, 2, 3, 4), (0, 1, 2, 3))
-    diamond = convex_hull([(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))])
-    kite = convex_hull([(F(-1), F(0)), (F(0), F(-2)), (F(10), F(10)), (F(-2), F(3))])
-    pairs += [(square.poly, q) for q in (double.poly, diamond, kite)]
     kinds = Counter()
-    for p, q in pairs:
-        got = vertex_map(p, q)
-        assert got == _reference_vertex_map(p, q)
-        kinds[p.lattice is not None, p.ambient_dim, None in got] += 1
-    # exact and float planar pairs, exact 3D pairs, and a tie among them
-    assert kinds[True, 2, False] and kinds[False, 2, False] and kinds[True, 3, False]
-    assert sum(n for (_, _, tie), n in kinds.items() if tie)
+    for model in models:
+        for (prev, p), (ledger, q) in _stable_pairs(model):
+            assert _shift_map(prev, ledger) == _reference_vertex_map(p, q)
+            kinds[p.lattice is not None, p.ambient_dim] += 1
+    # exact and float planar pairs and exact 3D pairs
+    assert kinds[True, 2] and kinds[False, 2] and kinds[True, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_models())
+def test_rational_stable_pair_never_fails_extraction(model):
+    """In exact arithmetic the shift map of a stable pair is a bijection."""
+    for _, (ledger, _) in _stable_pairs(model, k_max=16):
+        assert len(extract_ep_addresses(ledger)) == ledger.count
+
+
+def test_float_mirror_with_a_non_bijective_shift_map_stays_inconclusive():
+    """Its rational twin stabilizes at i = 2 and is certified.  In float mode
+    the support directions matched step 2 to step 3 one to one, and
+    certification then failed on self-mapping; the addresses of step 3 give
+    no bijection."""
+    model = validate_model([[F(1, 3), 1], [F(2, 3), F(-1, 3)]], [[0, 0], [2, F(-2, 3)], [F(-3, 2), 2]])
+    assert decide_polytope(model)[0].verdict == VERDICT_POLYTOPE
+    decision, report = decide_polytope(float_mirror(model))
+    assert decision.verdict == VERDICT_INCONCLUSIVE and report.certification is None
+    assert decision.reason == (
+        "stabilization at i=2 but address extraction failed: "
+        "address shift map at step 3 is not a bijection"
+    )
 
 
 def test_decide_sierpinski():
@@ -569,22 +614,20 @@ def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):
 
 
 def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
-    """The planar rational search and extraction take no hull and no support direction.
+    """The planar rational search and extraction take no hull.
 
-    vertex_map matches parallel planar cycles index for index, with no sum of
-    the normals at a vertex (hull._normal_sums).  Certification hulls the
-    candidates itself, independent of the search, so its one convex_hull call
-    is the only lattice_hull call left.
+    Extraction reads the addresses of the later stable step and no
+    polytope geometry but its vertex order.  Certification hulls the
+    candidates itself, independent of the search, so its one convex_hull
+    call is the only lattice_hull call left.
     """
     calls = []
     certifying = []
+    real_hull = hull_mod.lattice_hull
 
-    def recorder(name, real):
-        def record(*args, **kwargs):
-            calls.append((name, bool(certifying)))
-            return real(*args, **kwargs)
-
-        return record
+    def recording_hull(*args, **kwargs):
+        calls.append(bool(certifying))
+        return real_hull(*args, **kwargs)
 
     def certify(*args, **kwargs):
         certifying.append(True)
@@ -593,13 +636,12 @@ def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
         finally:
             certifying.pop()
 
-    for name in ("lattice_hull", "_normal_sums"):
-        monkeypatch.setattr(hull_mod, name, recorder(name, getattr(hull_mod, name)))
+    monkeypatch.setattr(hull_mod, "lattice_hull", recording_hull)
     monkeypatch.setattr(decide_mod, "certify_polytope", certify)
     models = suite5_models() + [sierpinski_model(), diag_model(), twin_dragon_model()]
     verdicts = {decide_polytope(model)[0].verdict for model in models}
     assert VERDICT_POLYTOPE in verdicts and VERDICT_NO_STABILIZATION in verdicts
-    assert calls and set(calls) == {("lattice_hull", True)}
+    assert calls and set(calls) == {True}
 
 
 def test_spatial_rational_search_takes_no_hull_step(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import islice
 
@@ -16,10 +17,12 @@ from fractalhull.decide import hull_steps
 from fractalhull.errors import (
     DegeneratePolytope,
     DimensionMismatch,
+    FractalHullError,
     ModeMismatch,
     UnsupportedDimension,
 )
 from fractalhull.hull import (
+    FLOAT_SCALE_MAX,
     Polytope,
     _coord_scale,
     _dist_point_edge2,
@@ -813,3 +816,17 @@ def test_hull_rejects_mixed_float_and_fraction(points):
     """A float beside a Fraction is a typed mode error, not an AttributeError."""
     with pytest.raises(ModeMismatch, match="mix float and Fraction"):
         convex_hull(points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_float_hull_past_the_scale_limit_is_an_error(n):
+    """Float powers raise OverflowError where products give inf, so a float
+    coordinate past FLOAT_SCALE_MAX is a typed error naming its magnitude,
+    and one at the limit is hulled."""
+    limit = FLOAT_SCALE_MAX[n]
+    corners = [tuple(float(i == j) for j in range(n)) for i in range(-1, n)]
+    poly = convex_hull([tuple(limit * c for c in p) for p in corners], eps=1e-9)
+    assert len(poly.vertices) == n + 1
+    big = tuple(2 * limit * c for c in corners[-1])
+    with pytest.raises(FractalHullError, match=re.escape(f"reach {2 * limit:g}; in dimension {n} ")):
+        convex_hull(corners[:-1] + [big], eps=1e-9)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import spectral_radius
 from fractalhull.errors import DimensionMismatch, ModeMismatch, SingularMatrix
 from fractalhull.linalg import (
     RATIONAL,
@@ -32,7 +33,6 @@ from fractalhull.linalg import (
     norm2,
     operator_norm,
     solve,
-    spectral_radius,
     transpose,
     vec_add,
     vec_sub,
