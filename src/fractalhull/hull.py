@@ -31,10 +31,11 @@ beside its row.
 Minkowski sums need no hull: minkowski_cycle merges two integer polygon
 cycles by edge direction, and minkowski_polytope overlays the normal fans of
 two exact solids, read off their facet rows and cycles, and gives the
-canonical form of the hull of all pairwise sums.  image_sum, the exact step
-of the hull recursion, takes one of the two, or else (on a line, or in space
-when q is flat or p a segment or polygon) lattice_hull of the vertex sums,
-which the canonical forms above make equal to the hull of every pairwise sum.
+canonical form of the hull of all pairwise sums.  minkowski_sum, the exact
+step P_{k+1} = P_k + T^{k+1} conv(D) of the hull recursion, takes one of the
+two, or else (on a line, or in space when P_k is not yet solid or the digit
+image a point or segment) lattice_hull of the vertex sums, which the
+canonical forms above make equal to the hull of every pairwise sum.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def lattice_polytope(points, den, rows=None, cycles=None):
     cycle from there.  The scale is cut to the least den, and an interval or
     a planar polygon gets its rows here.
     """
-    g = math.gcd(den, *(c for x in points for c in x))
+    g = math.gcd(den, *chain.from_iterable(points))
     if g > 1:
         points = [tuple(c // g for c in x) for x in points]
         den //= g
@@ -733,9 +734,10 @@ def minkowski_polytope(p, q, den):
 
     p and q are (points, facets): integer points in space and each facet as
     (outward normal, cycle), its vertex indices counterclockwise seen from
-    outside.  q is a solid; p is a solid or a point with no facets.  The
-    facets of the sum are read off the overlay of the two normal fans, with
-    no hull predicate:
+    outside.  q is a solid, or a polygon given as two opposite facets; p is
+    a solid, or a point with no facets when q is a solid.  The facets of the
+    sum are read off the overlay of the two normal fans, with no hull
+    predicate:
     (a) each facet of p plus the face of q that its normal n selects, from
         the values n.q_j;
     (b) each facet of q whose normal is no facet normal of p, plus the face
@@ -802,48 +804,39 @@ def minkowski_polytope(p, q, den):
     return _solid([points[pair] for pair in pairs], den, facets), pairs
 
 
-def image_sum(p, m, e, q, delta):
-    """(e M conv(X) + s conv(Z)) / (delta e s) for p = X/s and q = Z, and the pair of each vertex.
+def minkowski_sum(p, w):
+    """conv(p) + conv(w) for two exact Polytopes, and the pair (i, j) of each vertex p_i + w_j.
 
-    p and q are exact Polytopes, q over 1, and m is an integer matrix M.  For
-    T = M/delta, digits E_j/e and Z = {M E_j} this is T(conv(p) + conv{E_j/e}),
-    a step of the hull recursion.  With Y = e M X, vertex k is Y_i + s Z_j for
-    (i, j) = pairs[k], a pair unique because a vertex of a Minkowski sum splits
-    into its summands in one way only.  In the plane minkowski_cycle merges
-    the cycles, Y's walked backwards when det M < 0 so that it stays
-    counterclockwise.  In space, for a solid q and a point or solid p,
-    minkowski_polytope overlays the normal fans: p's facet rows n map to
-    sign(det M) C n, C the cofactor matrix of M, and its facet cycles are
-    reversed when det M < 0.  Every other sum (on a line, or in space with a
-    point, segment or polygon q) is lattice_hull of the vertex sums.
+    Both summands are brought over the lcm of their scales.  A vertex of a
+    Minkowski sum splits into its summands in one way only, so each pair is
+    unique.  In the plane minkowski_cycle merges the two cycles.  In space
+    minkowski_polytope overlays the normal fans, read off the summands' own
+    facet rows and cycles, of a point or solid p and a solid w, or of a solid
+    p and a polygon w passed as two opposite facets: its cycle with the
+    normal n of its plane and the reversed cycle with -n.  Every other sum
+    (on a line, or in space with a segment or polygon p, a point p and a
+    polygon w, or a point or segment w) is lattice_hull of the vertex sums,
+    which the canonical forms make equal to the hull of every pairwise sum.
     """
-    xs, s = p.lattice
-    zs, den = q.lattice[0], delta * e * s
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        ys = [(e * (a * x + b * y), e * (c * x + d * y)) for x, y in xs]
-        n, k = len(ys), min(range(len(ys)), key=ys.__getitem__)
-        turn = 1 if a * d > b * c else -1
-        order = [(k + turn * t) % n for t in range(n)]
-        merged = minkowski_cycle([ys[i] for i in order], [(s * x, s * y) for x, y in zs])
-        pairs = [(order[i], j) for _, i, j in merged]
-        return lattice_polytope([pt for pt, _, _ in merged], den), pairs
-    ys = [tuple(e * sum(map(mul, row, x)) for row in m) for x in xs]
-    zs = [vec_scale(s, z) for z in zs]
-    if q.affine_dim == 3 and p.affine_dim in (0, 3):
-        m0, m1, m2 = m
-        turn = 1 if dot(m0, cross(m1, m2)) > 0 else -1
-        cofactors = [vec_scale(turn, cross(u, v)) for u, v in ((m1, m2), (m2, m0), (m0, m1))]
-        y_facets = [
-            (tuple(sum(map(mul, row, normal)) for row in cofactors), cycle[::turn])
-            for (normal, _), cycle in zip(p.rows or (), p.cycles or ())
-        ]
-        z_facets = [(normal, cycle) for (normal, _), cycle in zip(q.rows, q.cycles)]
-        return minkowski_polytope((ys, y_facets), (zs, z_facets), den)
-    pair_of = {vec_add(y, z): (i, j) for i, y in enumerate(ys) for j, z in enumerate(zs)}
-    poly = lattice_hull(sorted(pair_of), den)
-    xs, t = poly.lattice
-    return poly, [pair_of[tuple(c * (den // t) for c in x)] for x in xs]
+    (xs, s), (zs, t) = p.lattice, w.lattice
+    den = math.lcm(s, t)
+    f, g = den // s, den // t
+    if p.ambient_dim == 2:
+        merged = minkowski_cycle([(f * x, f * y) for x, y in xs], [(g * x, g * y) for x, y in zs])
+        return lattice_polytope([pt for pt, _, _ in merged], den), [(i, j) for _, i, j in merged]
+    xs, zs = [vec_scale(f, x) for x in xs], [vec_scale(g, z) for z in zs]
+    if w.affine_dim == 3 and p.affine_dim in (0, 3):
+        w_facets = [(normal, cycle) for (normal, _), cycle in zip(w.rows, w.cycles)]
+    elif w.affine_dim == 2 and p.affine_dim == 3:
+        normal, cycle = _plane_normal(zs), tuple(range(len(zs)))
+        w_facets = [(normal, cycle), (vec_scale(-1, normal), cycle[:1] + cycle[:0:-1])]
+    else:
+        pair_of = {vec_add(x, z): (i, j) for i, x in enumerate(xs) for j, z in enumerate(zs)}
+        poly = lattice_hull(sorted(pair_of), den)
+        ys, r = poly.lattice
+        return poly, [pair_of[vec_scale(den // r, y)] for y in ys]
+    p_facets = [(normal, cycle) for (normal, _), cycle in zip(p.rows or (), p.cycles or ())]
+    return minkowski_polytope((xs, p_facets), (zs, w_facets), den)
 
 
 def lattice_hull(points, den):

@@ -13,13 +13,14 @@ of its shift (the address with that digit dropped), so evaluate_ep_addresses
 evaluates a batch with one closed-form solve per cycle of shifts and one
 integer map for every other address.
 
-The vertex ledger of step k is the Polytope conv(A_k) with one length-k
-address per vertex, in the polytope's own vertex order.  One hull-recursion
-step, `_step`, takes the ledger of conv(A_k) to that of conv(A_{k+1}); its one
-driver is the generator `decide.hull_steps`.  With Delta = conv(D) the step is
-conv(A_{k+1}) = T(conv(A_k) + Delta), a Minkowski sum.  A rational step is
-one hull.image_sum, on integers; a float step hulls the images of the
-current vertices.
+The vertex ledger of step k is the Polytope P_k = conv(A_k) with one
+length-k address per vertex, in the polytope's own vertex order.  One
+hull-recursion step, `_step`, takes the ledger of P_k to that of P_{k+1}; its
+one driver is the generator `decide.hull_steps`.  Since A_k is the set of
+sums sum_{s<=k} T^s d_{j_s}, P_k is the Minkowski sum of the T^s conv(D), and
+P_{k+1} = P_k + T^{k+1} conv(D).  A rational step is that one
+hull.minkowski_sum, on integers; a float step hulls the images T(v + d_j) of
+the current vertices v.
 """
 
 from __future__ import annotations
@@ -86,15 +87,9 @@ class IfsModel(_ModelFields):
         return matrix, delta, tuple(linalg.mat_vec(matrix, d) for d in digits), e
 
     @functools.cached_property
-    def _digit_hull(self):
-        """conv{M E_j} of a rational model and each vertex's digit."""
-        shifts = self.lattice[2]
-        digit_of = {z: j for j, z in enumerate(shifts, start=1)}
-        if self.dim == 2:
-            poly = hull_mod.lattice_polytope(hull_mod.lattice_cycle(shifts), 1)
-        else:
-            poly = hull_mod.lattice_hull(sorted(shifts), 1)
-        return poly, [digit_of[z] for z in poly.lattice[0]]
+    def _digit_powers(self):
+        """[(M^i E_j for every digit j) for i = 1, 2, ...], grown by _digit_image (rational mode)."""
+        return [self.lattice[2]]
 
     @functools.cached_property
     def _fixed_point_matrices(self):
@@ -368,22 +363,41 @@ def initial_ledger(model: IfsModel) -> VertexLedger:
     return VertexLedger(0, poly, ((),))
 
 
+def _digit_image(model, k):
+    """W = conv(T^k D) as an exact Polytope, and the digit of each of its vertices.
+
+    T^k d_j is M^k E_j over delta^k e, and the integer points M^k E_j are
+    read off model._digit_powers, which grows by one mat-vec per digit per
+    new k.  Distinct digits have distinct images, since T is nonsingular.
+    """
+    matrix, delta, _, e = model.lattice
+    powers = model._digit_powers
+    while len(powers) < k:
+        powers.append(tuple(linalg.mat_vec(matrix, z) for z in powers[-1]))
+    points, den = powers[k - 1], delta**k * e
+    if model.dim == 2:
+        cycle = hull_mod.lattice_cycle(points)
+        return hull_mod.lattice_polytope(cycle, den), [points.index(z) + 1 for z in cycle]
+    w = hull_mod.lattice_hull(sorted(points), den)
+    xs, t = w.lattice
+    return w, [points.index(linalg.vec_scale(den // t, x)) + 1 for x in xs]
+
+
 def _step(model: IfsModel, ledger: VertexLedger):
     """One hull-recursion step; returns the new ledger and its polytope.
 
-    A rational step is one hull.image_sum of the polytope and the digit hull
-    conv{M E_j} (IfsModel._digit_hull, hulled once per model), and a vertex
-    that sums vertex i with the image of digit j gets the address (j,) + a_i.
-    A float step hulls the candidates T(v + d_j) of the current vertices v,
-    which suffice because extreme points of a union of affine images of a
-    hull are images of extreme points; coincident candidates keep the
+    A rational step is one hull.minkowski_sum P_{k+1} = P_k + W of the
+    polytope and W = conv(T^{k+1} D) (_digit_image), and a vertex that sums
+    vertex i with the image of digit j gets the address a_i + (j,).  A float
+    step hulls the candidates T(v + d_j) of the current vertices v, which
+    suffice because extreme points of a union of affine images of a hull are
+    images of extreme points; coincident candidates keep the
     lexicographically smallest address.
     """
     if model.mode == RATIONAL:
-        matrix, delta, _, e = model.lattice
-        zpoly, digit_of = model._digit_hull
-        poly, pairs = hull_mod.image_sum(ledger.poly, matrix, e, zpoly, delta)
-        addresses = tuple((digit_of[j],) + ledger.addresses[i] for i, j in pairs)
+        w, digit_of = _digit_image(model, ledger.step + 1)
+        poly, pairs = hull_mod.minkowski_sum(ledger.poly, w)
+        addresses = tuple(ledger.addresses[i] + (digit_of[j],) for i, j in pairs)
         return VertexLedger(ledger.step + 1, poly, addresses), poly
     candidates = {}
     for x, address in zip(ledger.poly.vertices, ledger.addresses):

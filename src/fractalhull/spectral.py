@@ -209,34 +209,24 @@ def validate_spectrum(matrix, mode=RATIONAL) -> SpectrumCheck:
     return SpectrumCheck(True, None, warnings, eigenvalues, coeffs)
 
 
-def _norm(v):
-    """The float length of a 2- or 3-vector, one sum() of its squares as in linalg's kernels."""
-    if len(v) == 2:
-        return math.sqrt(sum((float(v[0]) ** 2, float(v[1]) ** 2)))
-    return math.sqrt(sum((float(v[0]) ** 2, float(v[1]) ** 2, float(v[2]) ** 2)))
-
-
 def _parallel(u, v, eps, nv):
-    """True when u and v are parallel (nonzero scaling of either sign); nv is _norm(v)."""
+    """True when u and v are parallel (nonzero scaling of either sign); nv is linalg.norm2(v)."""
     if len(u) == 2:
         cross = u[0] * v[1] - u[1] * v[0]
         if eps == 0.0:
             return cross == 0
-        nu = _norm(u)
-        return abs(float(cross)) <= eps * nu * nv
+        return abs(float(cross)) <= eps * linalg.norm2(u) * nv
     cx = u[1] * v[2] - u[2] * v[1]
     cy = u[2] * v[0] - u[0] * v[2]
     cz = u[0] * v[1] - u[1] * v[0]
     if eps == 0.0:
         return cx == 0 and cy == 0 and cz == 0
-    nu = _norm(u)
-    cross_norm = math.sqrt(float(cx) ** 2 + float(cy) ** 2 + float(cz) ** 2)
-    return cross_norm <= eps * nu * nv
+    return linalg.norm2((cx, cy, cz)) <= eps * linalg.norm2(u) * nv
 
 
 def _power_of_normal(tmat, normal, k_cap, eps):
     """The least k <= k_cap with tmat^k normal parallel to normal, or None, by iteration."""
-    w, nv = normal, _norm(normal) if eps else None
+    w, nv = normal, linalg.norm2(normal) if eps else None
     for k in range(1, k_cap + 1):
         w = linalg.mat_vec(tmat, w)
         if _parallel(w, normal, eps, nv):

@@ -459,6 +459,10 @@ GOLDEN_MODELS = {
     "k72lcm": {"dimension": 3, "matrix": [[0, "-3/4", 0], ["1/4", "3/4", 0], [0, 0, "-1/3"]],
                "digits": _SOLID_DIGITS,
                "options": {"bound_mode": "lcm"}},
+    # the same matrix with a flat digit hull: from step 3 on, a solid plus a triangle
+    "k72flat_lcm": {"dimension": 3, "matrix": [[0, "-3/4", 0], ["1/4", "3/4", 0], [0, 0, "-1/3"]],
+                    "digits": [[0, 0, 0], [1, 0, 0], ["1/3", "2/3", 1]],
+                    "options": {"bound_mode": "lcm"}},
 }
 
 
@@ -474,8 +478,8 @@ def test_iterate_table_equals_its_golden_file(tmp_path, capsys):
     """iterate --steps 12 of the k = 72 matrix with a flat digit hull, whose
     every step sums a polytope with a triangle in space, writes
     tests/data/k72flat_iterate_12.tsv byte for byte, as CI diffs it."""
-    doc = {"dimension": 3, "matrix": GOLDEN_MODELS["k72lcm"]["matrix"],
-           "digits": [[0, 0, 0], [1, 0, 0], ["1/3", "2/3", 1]]}
+    doc = {"dimension": 3, "matrix": GOLDEN_MODELS["k72flat_lcm"]["matrix"],
+           "digits": GOLDEN_MODELS["k72flat_lcm"]["digits"]}
     assert cli.main(["iterate", write_model(tmp_path, "m.json", doc), "--steps", "12"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "k72flat_iterate_12.tsv").read_text(encoding="utf-8")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 from itertools import islice, pairwise
@@ -613,6 +614,44 @@ def test_hausdorff_skips_vertices_on_nested_steps(monkeypatch):
     assert calls["full"] <= 2 * calls["hausdorff"]
 
 
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _edge_directions(points):
+    """The primitive edge directions of the counterclockwise cycle of conv(points),
+    for distinct integer points in the plane: those of b - a for each pair
+    with no point to its right, so a segment gives both directions and a point
+    none."""
+    return {
+        _primitive((bx - ax, by - ay))
+        for ax, ay in points
+        for bx, by in points
+        if (ax, ay) != (bx, by) and all((bx - ax) * (y - ay) >= (by - ay) * (x - ax) for x, y in points)
+    }
+
+
+def test_planar_counts_equal_the_edge_direction_oracle():
+    """P_i is the Minkowski sum of the polygons T^t conv(D), t <= i, so its
+    vertex count is the number of distinct primitive directions among the
+    edges sign(det T)^t T^t e of their counterclockwise cycles (T^t reverses
+    a cycle when det T^t < 0), and 1 when there is none.  It holds at every
+    search row of the 100 suite models, on integers and with no hull."""
+    rows = 0
+    for model in suite5_models():
+        (a, b), (c, d) = matrix = model.lattice[0]
+        sign = 1 if a * d > b * c else -1
+        edges = _edge_directions(to_lattice(model.digits)[0])
+        directions = set()
+        for i, row in enumerate(decide_polytope(model)[1].counts, start=1):
+            edges = {_primitive(vec_scale(sign, mat_vec(matrix, e))) for e in edges}
+            directions |= edges
+            assert (row.i, row.count) == (i, max(len(directions), 1))
+            rows += 1
+    assert rows > 200
+
+
 def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
     """The planar rational search and extraction take no hull.
 
@@ -645,18 +684,22 @@ def test_planar_rational_decide_takes_no_hull_step(monkeypatch):
 
 
 def test_spatial_rational_search_takes_no_hull_step(monkeypatch):
-    """The 3D counterpart: with a full-dimensional digit hull a rational step
-    overlays two normal fans and hulls nothing.  lattice_hull runs only in
-    certification, in the cross-check, and once per model for conv{M E_j}."""
+    """The 3D counterpart: a rational step P_k + W overlays two normal fans,
+    and the one hull it takes is that of W = conv(T^k D) itself, at most q
+    points, so a hull of the q |V_k| candidates T(v + d_j) fails this test.
+    Once P_k is solid that holds for a flat digit hull too, which enters the
+    overlay as two opposite facets: on the flat k = 72 model from step 3 on.
+    Outside the steps lattice_hull runs only in certification and the
+    cross-check."""
     calls, within = [], []
 
     def recording_hull(points, den):
-        calls.append((within[-1] if within else "search", points, den))
+        calls.append((within[-1] if within else None, points, den))
         return real_hull(points, den)
 
-    def entered(name, real):
+    def entered(real, name=None):
         def run(*args, **kwargs):
-            within.append(name)
+            within.append(name if name else args[1].step + 1)  # a step: the number it makes
             try:
                 return real(*args, **kwargs)
             finally:
@@ -666,24 +709,37 @@ def test_spatial_rational_search_takes_no_hull_step(monkeypatch):
 
     real_hull = hull_mod.lattice_hull
     monkeypatch.setattr(hull_mod, "lattice_hull", recording_hull)
-    monkeypatch.setattr(decide_mod, "certify_polytope", entered("certify", certify_polytope))
-    monkeypatch.setattr(decide_mod, "cross_check", entered("cross_check", cross_check))
+    monkeypatch.setattr(decide_mod, "_step", entered(decide_mod._step))
+    monkeypatch.setattr(decide_mod, "certify_polytope", entered(certify_polytope, "certify"))
+    monkeypatch.setattr(decide_mod, "cross_check", entered(cross_check, "cross_check"))
     digits = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [F(1, 3), F(2, 3), 1]]
-    models = [
-        (validate_model([[F(-1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(-1, 2)]], digits), "product"),
-        (validate_model([[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]], digits), "lcm"),
+    k72 = [[0, F(-3, 4), 0], [F(1, 4), F(3, 4), 0], [0, 0, F(-1, 3)]]
+    models = [  # (model, bound mode, the first step that hulls W alone)
+        (validate_model([[F(-1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(-1, 2)]], digits), "product", 1),
+        (validate_model(k72, digits), "lcm", 1),
         (
             validate_model(
                 [[F(1, 3), F(1, 5), 0], [F(-1, 4), F(2, 5), F(1, 7)], [F(1, 6), 0, F(-1, 3)]], digits
             ),
             "product",
+            1,
         ),
+        (validate_model(k72, [digits[0], digits[1], digits[3]]), "lcm", 3),
     ]
-    verdicts = {analyze_model(model, mode)[0].verdict for model, mode in models}
+    verdicts, names = set(), set()
+    for model, mode, first in models:
+        del calls[:]
+        verdicts.add(analyze_model(model, mode)[0].verdict)
+        names.update(name for name, _, _ in calls)
+        searched = [(k, points, den) for k, points, den in calls if isinstance(k, int) and k >= first]
+        assert {k for k, _, _ in searched} == set(range(first, max(k for k, _, _ in searched) + 1))
+        for k, points, den in searched:
+            power = linalg_mod.mat_pow(model.matrix, k)
+            images = sorted(mat_vec(power, d) for d in model.digits)
+            assert len(points) <= model.digit_count
+            assert [tuple(F(c, den) for c in x) for x in points] == images
     assert VERDICT_POLYTOPE in verdicts and VERDICT_NO_STABILIZATION in verdicts
-    searched = [(points, den) for name, points, den in calls if name == "search"]
-    assert searched == [(sorted(model.lattice[2]), 1) for model, _ in models]
-    assert {name for name, _, _ in calls} == {"search", "certify", "cross_check"}
+    assert None not in names and {"certify", "cross_check"} <= names
 
 
 def test_spatial_rational_search_reads_only_integer_forms(monkeypatch):

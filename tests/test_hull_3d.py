@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,10 +37,10 @@ from fractalhull.hull import (
     _rational,
     _tri_edges,
     convex_hull,
-    image_sum,
     lattice_cycle,
     lattice_hull,
     minkowski_polytope,
+    minkowski_sum,
 )
 from fractalhull.ifs import lattice_images, validate_model
 from fractalhull.linalg import dot, vec_add, vec_scale, vec_sub
@@ -289,8 +289,8 @@ def _fan_facets(poly, factor=1):
 def test_minkowski_polytope_is_the_hull_of_all_sums(case):
     """The normal-fan overlay gives lattice_hull of every sum p_i + q_j, repr,
     rows and faces alike, and each vertex is the sum of the pair it names; a
-    point p gives q shifted.  p's normals come as multiples, as a mapped
-    step's do."""
+    point p gives q shifted.  p's normals come as multiples, which the
+    overlay reduces to primitive rows."""
     p_pts, q_pts, den = case
     p, q = lattice_hull(p_pts, 1), lattice_hull(q_pts, 1)
     assume(p.affine_dim == q.affine_dim == 3)
@@ -308,50 +308,85 @@ def test_minkowski_polytope_is_the_hull_of_all_sums(case):
         ]
 
 
+_KINDS = ("point", "segment", "polygon", "solid")
+
+
 @st.composite
-def _image_summands(draw):
-    """(p, m, e, q, delta) for image_sum: on a line, or in space with q a
-    point, segment, polygon or any hull, and p an exact hull of any dimension."""
-    entry = st.integers(-3, 3)
-    if draw(st.booleans()):
-        p = lattice_hull(sorted(set(draw(st.lists(st.tuples(st.integers(-12, 12)), min_size=1)))), 5)
-        q_pts = draw(st.lists(st.tuples(entry), min_size=1, max_size=4))
-        m = ((draw(st.sampled_from((-2, -1, 1, 3))),),)
+def _shaped(draw, n, kind):
+    """Distinct integer points in dimension n, sorted, whose hull is of the given kind.
+
+    A segment is a few points on a line; a polygon is random points in the
+    plane or, in space, grid points mapped onto a random integer plane; a
+    solid comes from _lattice_sets.
+    """
+    entry = st.integers(-4, 4)
+    vec = st.tuples(*[entry] * n)
+    a = draw(vec)
+    if kind == "point":
+        return [a]
+    if kind == "segment":
+        u = draw(vec)
+        assume(any(u))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5, unique=True))
+        return sorted(vec_add(a, vec_scale(k, u)) for k in steps)
+    if kind == "solid":
+        pts = draw(_lattice_sets())[0]
+    elif n == 2:
+        pts = sorted(set(draw(st.lists(vec, min_size=3, max_size=12))))
     else:
-        p = lattice_hull(*draw(_lattice_sets()))
-        kind = draw(st.sampled_from(("point", "segment", "polygon", "any")))
-        q_pts = [draw(st.tuples(entry, entry, entry))]
-        if kind == "segment":
-            q_pts += [vec_add(q_pts[0], (k, -k, 2 * k)) for k in draw(st.lists(entry, min_size=1))]
-        elif kind == "polygon":
-            q_pts += [(x, y, 7) for x, y in draw(st.lists(st.tuples(entry, entry), min_size=3))]
-            assume(lattice_hull(sorted(set(q_pts)), 1).affine_dim == 2)
-        elif kind == "any":
-            q_pts = draw(_lattice_sets())[0]
-        m = draw(st.tuples(*[st.tuples(entry, entry, entry)] * 3))
-        assume(dot(m[0], _cross3(m[1], m[2])) != 0)
-    q = lattice_hull(sorted(set(q_pts)), 1)
-    return p, m, draw(st.integers(1, 3)), q, draw(st.integers(1, 4))
+        u, v = draw(vec), draw(vec)
+        assume(any(_cross3(u, v)))
+        cells = draw(st.lists(st.tuples(entry, entry), min_size=3, max_size=12))
+        pts = sorted({vec_add(a, vec_add(vec_scale(x, u), vec_scale(y, v))) for x, y in cells})
+    assume(lattice_hull(pts, 1).affine_dim == (2 if kind == "polygon" else 3))
+    return pts
 
 
-@given(_image_summands())
-@settings(max_examples=300, deadline=None)
-def test_image_sum_is_the_hull_of_all_sums(case):
-    """image_sum is the hull of every sum e M x + s z over delta e s, and each
-    of its vertices is the sum of the pair it names: the overlay of a solid
-    with a point or a solid, and lattice_hull of the vertex sums otherwise."""
-    p, m, e, q, delta = case
-    (xs, s), zs = p.lattice, q.lattice[0]
-    ys = [tuple(e * dot(row, x) for row in m) for x in xs]
-    poly, pairs = image_sum(p, m, e, q, delta)
-    den = delta * e * s
-    reference = lattice_hull(sorted({vec_add(y, vec_scale(s, z)) for y in ys for z in zs}), den)
+@st.composite
+def _minkowski_summands(draw):
+    """(p points, s, w points, t): two summands of any shapes in dimension 1 to 3,
+    each over its own denominator.  In space the three overlay pairs (a point
+    or solid with a solid, a solid with a polygon) are drawn four times as
+    often as the others, and a polygon w next to a solid p is half the time
+    one of p's facets, negated or not, so that it lies parallel to facets of p."""
+    n = draw(st.sampled_from((1, 2, 2, 3, 3, 3)))
+    pairs = list(product(_KINDS[: n + 1], repeat=2))
+    if n == 3:
+        pairs += [("point", "solid"), ("solid", "solid"), ("solid", "polygon")] * 3
+    p_kind, w_kind = draw(st.sampled_from(pairs))
+    p = draw(_shaped(n, p_kind))
+    if p_kind == "solid" and w_kind == "polygon" and draw(st.booleans()):
+        solid = lattice_hull(p, 1)
+        sign = draw(st.sampled_from((1, -1)))
+        w = sorted(vec_scale(sign, solid.lattice[0][i]) for i in draw(st.sampled_from(solid.cycles)))
+    else:
+        w = draw(_shaped(n, w_kind))
+    return p, draw(st.integers(1, 12)), w, draw(st.integers(1, 12))
+
+
+@given(_minkowski_summands())
+@settings(max_examples=400, deadline=None)
+def test_minkowski_sum_is_the_hull_of_all_sums(case):
+    """minkowski_sum of two exact hulls over their own scales is lattice_hull
+    of every pairwise sum of their points over the lcm, repr, rows and cycles
+    alike, and each vertex is the sum of the two summand vertices its pair
+    names.  The shapes cover the edge merge of a point, segment or polygon
+    with any of them in the plane; the overlay of a point or solid with a
+    solid and of a solid with a polygon (two opposite facets) in space; and
+    lattice_hull of the vertex sums for every other pair and on a line."""
+    p_pts, s, w_pts, t = case
+    p, w = lattice_hull(p_pts, s), lattice_hull(w_pts, t)
+    poly, pairs = minkowski_sum(p, w)
+    den = math.lcm(s, t)
+    sums = {vec_add(vec_scale(den // s, x), vec_scale(den // t, z)) for x in p_pts for z in w_pts}
+    reference = lattice_hull(sorted(sums), den)
     assert repr(poly) == repr(reference)
     assert poly.lattice == reference.lattice and poly.rows == reference.rows
     assert poly.cycles == reference.cycles
-    cut = den // poly.lattice[1]
-    assert [tuple(c * cut for c in x) for x in poly.lattice[0]] == [
-        vec_add(ys[i], vec_scale(s, zs[j])) for i, j in pairs
+    assert len(pairs) == len(poly.lattice[0])
+    assert list(poly.vertices) == [
+        vec_add(_rational(p.lattice[0][i], p.lattice[1]), _rational(w.lattice[0][j], w.lattice[1]))
+        for i, j in pairs
     ]
 
 

@@ -233,18 +233,20 @@ def _fraction_step(model, ledger):
 @given(rational_models())
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1]]))
 @example(validate_model([[F(1, 3), 0, 0], [0, F(1, 3), 0], [0, 0, F(1, 3)]], [[0, 0, 0], [1, 1, 1]]))
-# planar edge merge: det T < 0, in a rotation-reflection and on a segment
+# planar edge merge: det T < 0, so T^k conv(D) alternates its orientation, in a
+# rotation-reflection and on a segment
 @example(validate_model([[F(1, 3), F(1, 2)], [F(1, 2), F(-1, 4)]], [[0, 0], [1, 0], [0, 1], [1, 1]]))
 @example(validate_model([[F(-1, 2), 0], [0, F(1, 3)]], [[0, 0], [1, 0], [F(1, 3), 0]]))
 # collinear digits on a line that T keeps: every step is a segment
 @example(validate_model([[F(-1, 2), 0], [0, F(-1, 2)]], [[0, 0], [1, 2], [2, 4]]))
 # a digit strictly inside conv(D)
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [2, 0], [0, 2], [F(1, 2), F(1, 2)]]))
-# every edge of T P_k parallel to an edge of T conv(D)
+# every edge of P_k parallel to an edge of T^{k+1} conv(D)
 @example(validate_model([[F(1, 2), 0], [0, F(1, 2)]], [[0, 0], [1, 0], [1, 1], [0, 1]]))
-# lattice_hull of the vertex sums: a line, and flat digit hulls in space; the
-# six coplanar digits give cycles that only the 3D polygon direction rule
-# makes equal to the Fraction step's
+# a line, and flat digit hulls in space: lattice_hull of the vertex sums while
+# P_k is flat, as the six coplanar digits keep it, whose cycles only the 3D
+# polygon direction rule makes equal to the Fraction step's; once P_k is solid
+# (the k = 72 matrix) the overlay, with T^{k+1} conv(D) as two opposite facets
 @example(validate_model([[F(-1, 3)]], [[0], [1], [5], [2]]))
 @example(validate_model([[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]],
                         [[0, 0, 0], [1, 0, 0], [1, 0, -1], [2, 0, -1], [2, 0, -2], [3, 0, -2]]))
@@ -317,8 +319,8 @@ def _spatial_model(rng, kind, q):
 def test_overlay_step_equals_candidate_hull(kind, q):
     """The normal-fan overlay step gives the candidate hull's lattice, faces,
     rows and addresses, step for step, from the point P_0 on; homotheties
-    put faces of T P_k and T conv(D) on parallel planes, where they meet in
-    2D sums."""
+    put faces of P_k and T^{k+1} conv(D) on parallel planes, where they meet
+    in 2D sums."""
     model = _spatial_model(random.Random(f"{kind}{q}"), kind, q)
     ledger = initial_ledger(model)
     for _ in range(10):
@@ -332,10 +334,11 @@ def test_overlay_step_equals_candidate_hull(kind, q):
 def test_lattice_scale_tracks_ledger_denominators():
     """Each step's scale is the lcm of its ledger's denominators.
 
-    A rational step sums at the scale delta*e*s, s the scale of the step
-    before, and cuts it by the gcd of that scale and the integer vertices:
-    so the new scale t divides delta*e*s and gcd(t, X) = 1, and the scale
-    of each ledger is at most (here equal to) the lcm of its denominators.
+    A rational step cuts the scale of its sum by the gcd of that scale and
+    the integer vertices, and P_{k+1} = T(P_k + conv(D)) has its vertices
+    over delta*e*s, s the scale of P_k: so the new scale t divides
+    delta*e*s and gcd(t, X) = 1, and the scale of each ledger is at most
+    (here equal to) the lcm of its denominators.
     """
     twin_dragon, _opts = parse_model(str(MODELS / "twindragon.json"))
     homothety = validate_model(

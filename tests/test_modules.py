@@ -1,8 +1,10 @@
-"""Module boundaries: no module reaches into another's private names."""
+"""Module boundaries: no module reaches into another's private names, and
+no top-level function or class is left without a user."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import fractalhull
@@ -59,3 +61,41 @@ def test_private_use_detector_sees_both_forms(tmp_path):
         encoding="utf-8",
     )
     assert sorted(_private_uses(source)) == [("hull", "_fvec"), ("linalg", "_mode_of")]
+
+
+def _unused_definitions(package, exported):
+    """module.name for each top-level function or class of the package's modules
+    that is not in exported and that no source in the package names outside
+    its own definition (its decorators included)."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    found = []
+    for stem, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported:
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = lines[: first - 1] + lines[node.end_lineno :]
+            others = ["\n".join(rest)] + [other for name, other in sources.items() if name != stem]
+            pattern = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(pattern.search(other) for other in others):
+                found.append(f"{stem}.{node.name}")
+    return found
+
+
+def test_every_definition_has_a_user():
+    assert _unused_definitions(PACKAGE, set(fractalhull.__all__)) == []
+
+
+def test_unused_definition_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def lonely():\n    return lonely() + used()\n\n\n"
+        "@decorate\nclass Exported:\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("def decorate(cls):\n    return cls\n", encoding="utf-8")
+    assert _unused_definitions(tmp_path, {"Exported"}) == ["a.lonely"]
+    assert _unused_definitions(tmp_path, set()) == ["a.lonely", "a.Exported"]
