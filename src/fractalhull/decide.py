@@ -22,7 +22,7 @@ attractor map sends P* into itself and F is trapped inside P*.  Together: P* <= 
 Certification reads only the model and the candidates.  (a) uses shift
 closure: a candidate whose address ep has its shift ep.shift() among the
 candidates, as candidate k, must equal T(x_k + d_head), and only the others
-are evaluated (ifs.is_address_value, in float mode evaluate_ep_address);
+are evaluated (ifs.evaluate_ep_address) and compared with their points;
 that suffices, because the errors e = x - value(ep) satisfy e_i = T e_k, so
 following k ends at a tested candidate (e = 0) or at a cycle with
 e = T^m e, and I - T^m is nonsingular.  Float mode holds each link and each
@@ -48,7 +48,6 @@ from .ifs import (
     evaluate_ep_address,
     evaluate_ep_addresses,
     initial_ledger,
-    is_address_value,
     lattice_images,
 )
 
@@ -200,11 +199,9 @@ def certify_polytope(model: IfsModel, candidates, *, eps: Optional[float] = None
         k, j = index.get(ep.shift()), ep.head
         if k is not None and 1 <= j <= model.digit_count:
             evaluated.append(link(i, k, j))
-        elif exact:
-            evaluated.append(is_address_value(model, ep, point))
         else:
-            value = evaluate_ep_address(model, ep)
-            evaluated.append(linalg.norm2(linalg.vec_sub(value, point)) <= eps)
+            error = linalg.vec_sub(evaluate_ep_address(model, ep), point)
+            evaluated.append(not any(error) if exact else linalg.norm2(error) <= eps)
     checks = [
         CertCheck(
             "address_evaluation",

@@ -3,11 +3,13 @@
 Exact hulls run on integers.  Rational points are written as integer vectors
 over one shared positive denominator (lattice_hull takes them in that form),
 so every predicate, from the signs of 2x2 / 3x3 determinants to the plane
-keys, works on Python ints.  Every exact Polytope keeps only that
-integer form, its vertices over the least denominator and its integer facet
-rows (lattice_polytope); its Fraction vertices and facets are built only when
-they are read.  Float inputs use a caller-supplied eps scaled by the
-coordinate magnitude, and points within tolerance of a facet are treated as
+keys, works on Python ints.  lattice_polytope builds every exact Polytope,
+which stores only that integer form: its vertices over the least
+denominator and, for a solid, its integer facet rows and their cycles.  Every
+other view (the Fraction vertices and facets, the rows of an interval or a
+polygon, a solid's faces, the float vertices) is built once, when first
+read.  Float inputs use a caller-supplied eps scaled by the coordinate
+magnitude, and points within tolerance of a facet are treated as
 non-vertices, which errs toward fewer vertices.  The float predicates that
 run many times against one polytope read data computed once per polytope:
 contains its vertex scale, facet offsets and normal lengths, and the
@@ -26,7 +28,8 @@ inside 3D runs from its smallest vertex toward the smaller of its two
 neighbours, 3D vertex lists are sorted and each facet is fanned from its
 smallest vertex index into a sorted triangular face list, so equal hulls
 compare equal structurally.  An exact solid keeps each facet's vertex cycle
-beside its row.
+beside its row and lists its facets in increasing order of their integer
+rows; a float solid sorts its facets by their float keys.
 
 Minkowski sums need no hull: minkowski_cycle merges two integer polygon
 cycles by edge direction, and minkowski_polytope overlays the normal fans of
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul
@@ -59,20 +61,22 @@ class Polytope:
     faces (affine_dim 3).  facets holds outward unnormalized (normal, offset)
     pairs for full-dimensional hulls and is None otherwise.
 
-    An exact Polytope comes from lattice_polytope and holds only its integer
-    form: lattice = (X, den), the vertices X/den in order over the least
-    den, and rows, the integer facet rows (n, c) with x = X/den inside iff
-    n.X <= c for all of them (None unless full-dimensional).  An exact solid
-    also keeps cycles: per row, its facet's vertex indices counterclockwise
-    seen from outside, from the smallest; faces fans each from there.  Its
-    Fraction vertices and facets are built when first read.  A float
-    Polytope has lattice, rows and cycles None.
+    An exact Polytope comes from lattice_polytope and stores only its integer
+    form: lattice = (X, den), the vertices X/den in order over the least den,
+    and for a solid its integer facet rows (n, c), with x = X/den inside iff
+    n.X <= c, in increasing order, and cycles: per row, its facet's vertex
+    indices counterclockwise seen from outside, from the smallest.  Every
+    other view is built once, when first read: the Fraction vertices and
+    facets, the rows of an interval or a polygon in the plane (rows is None
+    unless the hull is full-dimensional), a solid's faces, fanned from each
+    cycle's first index, and the float vertices the Hausdorff passes read.  A
+    float Polytope has lattice, rows and cycles None.
 
     A Polytope is immutable.  It equals, hashes and reprs by its five fields
     ambient_dim, affine_dim, vertices, faces and facets.
     """
 
-    lattice = rows = cycles = None
+    lattice = cycles = None
 
     def __init__(self, ambient_dim, affine_dim, vertices, faces=None, facets=None):
         vars(self).update(
@@ -101,13 +105,27 @@ class Polytope:
             *self._key()
         )
 
-    # a lattice_polytope leaves vertices and facets out of its __dict__, and
-    # these build them when first read (a __getattr__ hook would slow every
-    # attribute read instead)
+    # a lattice_polytope leaves these views out of its __dict__, and they are
+    # built when first read (a __getattr__ hook would slow every attribute
+    # read instead); a float Polytope's __init__ sets its vertices and faces
     @functools.cached_property
     def vertices(self):
         xs, den = self.lattice
         return tuple(_rational(x, den) for x in xs)
+
+    @functools.cached_property
+    def faces(self):
+        return None if self.cycles is None else _fan(self.cycles)
+
+    @functools.cached_property
+    def rows(self):
+        if self.lattice is None or self.affine_dim < self.ambient_dim:
+            return None
+        xs = self.lattice[0]
+        if self.ambient_dim == 1:
+            (lo,), (hi,) = xs
+            return ((-1,), -lo), ((1,), hi)
+        return _polygon_facets(xs)
 
     @functools.cached_property
     def facets(self):
@@ -116,6 +134,14 @@ class Polytope:
         den = self.lattice[1]
         s = den if self.ambient_dim == 2 else 1  # a polygon's rows are edge normals of X
         return tuple(_fraction_facet(row, s, den) for row in self.rows)
+
+    @functools.cached_property
+    def _floats(self):
+        """The vertices as floats; X/den is float(Fraction) bit for bit, both correctly rounded."""
+        if self.lattice is None:
+            return tuple(map(_fvec, self.vertices))
+        xs, den = self.lattice
+        return tuple(tuple(c / den for c in x) for x in xs)
 
     @property
     def vertex_set(self):
@@ -129,10 +155,7 @@ class Polytope:
     @functools.cached_property
     def _slack_rows(self):
         """(normal, float offset, |normal|) per facet, for float contains."""
-        return tuple(
-            (normal, float(offset), math.sqrt(sum(float(c) ** 2 for c in normal)))
-            for normal, offset in self.facets
-        )
+        return tuple((normal, float(offset), norm2(normal)) for normal, offset in self.facets)
 
 
 def _fraction_facet(row, s, den):
@@ -145,35 +168,30 @@ def _rational(p, den):
     return tuple(Fraction(c, den) for c in p)
 
 
-def lattice_polytope(points, den, rows=None, cycles=None):
-    """The exact Polytope of the integer vertices X/den, its Fractions built when read.
+def lattice_polytope(points, den, facets=None):
+    """The exact Polytope of the integer vertices X/den; see Polytope for its views.
 
     points are the vertices in Polytope order: a point, a segment's two ends
     in lexicographic order, a polygon's cycle (counterclockwise from its
     lexicographic minimum in the plane, without collinear middle vertices),
-    or a solid's sorted vertices with its facet rows n.X <= c and their
-    cycles, each from its smallest vertex index; the solid's faces fan each
-    cycle from there.  The scale is cut to the least den, and an interval or
-    a planar polygon gets its rows here.
+    or a solid's sorted vertices.  A solid also takes its facets as (row,
+    cycle) pairs: the row n.X <= c of a primitive outward normal n, and the
+    facet's vertex indices counterclockwise seen from outside.  The scale is
+    cut to the least den, each cycle rotated to start at its smallest index
+    and the facets sorted by row.
     """
     g = math.gcd(den, *chain.from_iterable(points))
     if g > 1:
         points = [tuple(c // g for c in x) for x in points]
         den //= g
-        if rows is not None:
-            rows = tuple((normal, offset // g) for normal, offset in rows)
-    n = len(points[0])
-    adim = 3 if cycles is not None else min(len(points) - 1, 2)
-    if adim == n == 1:
-        (lo,), (hi,) = points
-        rows = (((-1,), -lo), ((1,), hi))
-    elif adim == n == 2:
-        rows = _polygon_facets(points)
     poly = object.__new__(Polytope)
     vars(poly).update(
-        ambient_dim=n, affine_dim=adim, faces=None if cycles is None else _fan(cycles),
-        lattice=(points, den), rows=rows, cycles=cycles,
+        ambient_dim=len(points[0]), affine_dim=min(len(points) - 1, 2), lattice=(points, den)
     )
+    if facets is not None:
+        facets = sorted(((normal, offset // g), _from_min(cycle)) for (normal, offset), cycle in facets)
+        rows, cycles = zip(*facets)
+        vars(poly).update(affine_dim=3, rows=rows, cycles=cycles)
     return poly
 
 
@@ -186,15 +204,6 @@ def _from_min(cycle):
     """The cycle rotated to start at its smallest entry, as a tuple."""
     s = cycle.index(min(cycle))
     return tuple(cycle[s:] + cycle[:s])
-
-
-def _solid(points, den, facets):
-    """The exact solid of the sorted integer points X/den and its (row, cycle) facets.
-
-    Each cycle holds indices into points, counterclockwise seen from outside.
-    """
-    facets = _facet_order([(row, _from_min(cycle)) for row, cycle in facets], den)
-    return lattice_polytope(points, den, *map(tuple, zip(*facets)))
 
 
 # The largest float coordinate per dimension: float predicates square differences of
@@ -320,7 +329,7 @@ def _polygon_facets(cycle):
 
 def _direction_key(d):
     """Canonical signed direction key of a float vector, for collinearity grouping."""
-    n = math.sqrt(sum(float(c) ** 2 for c in d))
+    n = norm2(d)
     if n == 0.0:
         return None
     return tuple(round(float(c) / n, 9) for c in d)
@@ -373,7 +382,7 @@ def _plane_key(normal, anchor, exact, scale):
     if exact:
         prim = _primitive(normal)
         return (prim, dot(prim, anchor))
-    n = math.sqrt(sum(float(c) ** 2 for c in normal))
+    n = norm2(normal)
     unit = tuple(round(float(c) / n, 7) for c in normal)
     off = round(sum(u * float(a) for u, a in zip(unit, anchor)) / max(1.0, scale), 7)
     return (unit, off)
@@ -493,7 +502,7 @@ def _hull_3d(pts, den=None, eps=0.0, scale=1.0):
     cycles = [[index_of[t] for t in poly] for _, poly in facet_polys]
     if exact:
         # a plane key is the facet row: primitive normal n and n.X on the plane
-        return _solid(vertices, den, [(key, c) for (key, _), c in zip(facet_polys, cycles)])
+        return lattice_polytope(vertices, den, [(key, c) for (key, _), c in zip(facet_polys, cycles)])
     triangles = _fan(list(map(_from_min, cycles)))
     facets = []
     for _, poly in facet_polys:
@@ -541,7 +550,7 @@ def _float_seed(pts, tol2, tol3):
     m = len(pts)
     for i2 in range(2, m):
         normal = _plane_normal((pts[0], pts[1], pts[i2]))
-        if math.sqrt(sum(float(c) ** 2 for c in normal)) > tol2:
+        if norm2(normal) > tol2:
             seed = normal + pts[0]
             i3 = next((i for i in range(2, m) if i != i2 and abs(_height(seed, pts[i])) > tol3), None)
             return None if i3 is None else (0, 1, i2, i3)
@@ -618,23 +627,6 @@ def _insert_float(pts, tet, faces, edge_map, insert, tol3):
             if edge_map[(v, u)] not in visible_set
         ]
         insert(idx, visible, horizon)
-
-
-def _facet_order(facets, den):
-    """3D (row, cycle) facets in the order of their Fraction facets' float keys (n, c/den).
-
-    c / den on ints is float(Fraction(c, den)) bit for bit, both correctly
-    rounded; rows whose float keys tie go in the repr order of their Fraction
-    facets, which are built for those rows alone.
-    """
-    keyed = [((tuple(map(float, row[0])), row[1] / den), (row, cycle)) for row, cycle in facets]
-    ties = Counter(key for key, _ in keyed)
-
-    def order(item):
-        key, (row, _) = item
-        return key, repr(_fraction_facet(row, 1, den)) if ties[key] > 1 else ""
-
-    return [facet for _, facet in sorted(keyed, key=order)]
 
 
 def _plane_cycle(pts, base, u, v, eps):
@@ -752,9 +744,9 @@ def minkowski_polytope(p, q, den):
         can cross an arc of q.
     A vertex of a Minkowski sum splits into its summands in one way only,
     so each comes with one pair.  The result is lattice_hull's canonical
-    form: sorted vertices, rows of primitive normals with their cycles in
-    _facet_order, faces fanned from each cycle's smallest index; the pairs
-    come in its vertex order.
+    form (lattice_polytope): sorted vertices, the rows of primitive normals
+    in increasing order with their cycles; the pairs come in its vertex
+    order.
     """
     (ps, p_facets), (qs, q_facets) = p, q
     q_cycles = {_primitive(normal): cycle for normal, cycle in q_facets}
@@ -801,7 +793,7 @@ def minkowski_polytope(p, q, den):
         ((n, sum(map(mul, n, points[cycle[0]]))), [index_of[pair] for pair in cycle])
         for n, cycle in out.items()
     ]
-    return _solid([points[pair] for pair in pairs], den, facets), pairs
+    return lattice_polytope([points[pair] for pair in pairs], den, facets), pairs
 
 
 def minkowski_sum(p, w):
@@ -856,13 +848,8 @@ def lattice_hull(points, den):
     if adim == 0:
         return lattice_polytope([base], den)
 
-    if adim == 1:
-        u = dirs[0]
-
-        def along(p):
-            return dot(vec_sub(p, base), u)
-
-        return lattice_polytope(sorted((min(points, key=along), max(points, key=along))), den)
+    if adim == 1:  # sorted collinear points: lexicographic order follows the line
+        return lattice_polytope([points[0], points[-1]], den)
 
     if adim == 2:
         return lattice_polytope(_plane_cycle(points, base, dirs[0], dirs[1], 0), den)
@@ -979,7 +966,7 @@ def contains(poly: Polytope, x, eps=0.0):
         v = poly.vertices[0]
         if exact:
             return tuple(x) == v
-        return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(x, v))) <= eps * scale
+        return norm2(vec_sub(_fvec(x), _fvec(v))) <= eps * scale
 
     if poly.affine_dim == 1:
         a, b = poly.vertices
@@ -992,7 +979,7 @@ def contains(poly: Polytope, x, eps=0.0):
         if exact:
             if any(c != 0 for c in off_line):
                 return False
-        elif math.sqrt(sum(float(c) ** 2 for c in off_line)) > eps * scale * scale:
+        elif norm2(off_line) > eps * scale * scale:
             return False
         t = dot(r, d) / dot(d, d)
         if exact:
@@ -1169,14 +1156,6 @@ def _containment(p, q):
     return lambda i: all(e * sum(map(mul, normal, xs[i])) <= c for normal, c in rows)
 
 
-def _floats(poly):
-    """poly's vertices as floats; X/den is float(Fraction) bit for bit, both correctly rounded."""
-    if poly.lattice is None:
-        return [_fvec(v) for v in poly.vertices]
-    xs, den = poly.lattice
-    return [tuple(c / den for c in x) for x in xs]
-
-
 def _directed(xf, inside, poly, verts, best):
     """max(best, the distance from each float point in xf to poly), verts its floats.
 
@@ -1228,7 +1207,7 @@ def hausdorff(p: Polytope, q: Polytope):
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatch("polytopes live in different ambient dimensions")
-    pf, qf = _floats(p), _floats(q)
+    pf, qf = p._floats, q._floats
     if p.ambient_dim == 1:
         return max(abs(pf[0][0] - qf[0][0]), abs(pf[-1][0] - qf[-1][0]))
     best = _directed(qf, _containment(q, p), p, pf, 0.0)
@@ -1246,4 +1225,4 @@ def nested_hausdorff(p: Polytope, q: Polytope):
     """
     if p.ambient_dim == 1 or q.affine_dim < q.ambient_dim or q.lattice is None:
         return hausdorff(p, q)
-    return _directed(_floats(q), _containment(q, p), p, _floats(p), 0.0)
+    return _directed(q._floats, _containment(q, p), p, p._floats, 0.0)

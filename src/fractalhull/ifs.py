@@ -337,23 +337,6 @@ def evaluate_ep_address(model: IfsModel, ep: EpAddress):
     return acc
 
 
-def is_address_value(model: IfsModel, ep: EpAddress, point):
-    """Whether a rational point is the value of ep, by an exact fixed-point test.
-
-    The prefix is peeled off by the inverse maps x -> T^{-1}x - d_j; the rest
-    must be fixed by the period's composite map, applied on the lattice.  That
-    map's fixed point is unique (I - T^p is nonsingular), so no solve is needed.
-    """
-    _check_indices(model, ep.prefix + ep.period)
-    for j in ep.prefix:
-        point = linalg.vec_sub(linalg.solve(model.matrix, point), model.digits[j - 1])
-    (y,), s = linalg.to_lattice([point])
-    image, t = y, s
-    for j in reversed(ep.period):
-        image, t = _lattice_map(model, image, t, j)
-    return linalg.vec_scale(t, y) == linalg.vec_scale(s, image)
-
-
 def initial_ledger(model: IfsModel) -> VertexLedger:
     """Step 0: the origin, its hull, and its empty address."""
     if model.mode == RATIONAL:

@@ -11,7 +11,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fractalhull import validate_model
-from fractalhull.linalg import det, eigenvalues, solve
+from fractalhull.linalg import det, eigenvalues, identity, mat_pow, mat_sub, mat_vec, solve, vec_add
 
 SUITE_SEED = 20250809
 
@@ -24,6 +24,18 @@ def inverse(matrix):
 
 def spectral_radius(matrix):
     return max(abs(z) for z in eigenvalues(matrix))
+
+
+def fraction_evaluate(model, ep):
+    """The Fraction evaluator of an EpAddress: Horner block, Gaussian solve, prefix fold."""
+    block = (F(0),) * model.dim
+    for j in reversed(ep.period):
+        block = mat_vec(model.matrix, vec_add(model.digits[j - 1], block))
+    tp = mat_pow(model.matrix, len(ep.period))
+    acc = solve(mat_sub(identity(model.dim), tp), block)
+    for j in reversed(ep.prefix):
+        acc = mat_vec(model.matrix, vec_add(model.digits[j - 1], acc))
+    return acc
 
 
 def sierpinski_model():

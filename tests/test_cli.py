@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fractalhull import cli
 from fractalhull.cli import ModelFileError, parse_entry, parse_model
+from fractalhull.decide import decide_polytope
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -532,6 +535,31 @@ def test_certify_peels_an_address_prefix(tmp_path, capsys):
 
     candidates[1]["prefix"] = [3]
     assert _certify(tmp_path, candidates) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL] address_evaluation" in out
+    assert "NOT CERTIFIED: check 'address_evaluation' failed" in out
+
+
+def test_certify_evaluates_prefixed_unlinked_addresses(tmp_path, capsys):
+    """Each twin dragon vertex written with its first digit as a prefix: no
+    address is the shift of another, so check (a) evaluates every one.  The
+    exact values certify; one point moved by 1/den fails check (a)."""
+    model, _opts = parse_model(str(MODELS / "twindragon.json"))
+    decision, _ = decide_polytope(model)
+    candidates = []
+    for point, ep in decision.vertices:
+        first, rest = ep.period[0], ep.period[1:] + ep.period[:1]
+        candidates.append({"point": [str(c) for c in point], "prefix": [first], "period": list(rest)})
+    cfile = tmp_path / "candidates.json"
+    args = ["certify", str(MODELS / "twindragon.json"), "--vertices", str(cfile)]
+    cfile.write_text(json.dumps(candidates), encoding="utf-8")
+    assert cli.main(args) == 0
+    assert "CERTIFIED: 8 vertices" in capsys.readouterr().out
+
+    den = math.lcm(*(c.denominator for point, _ in decision.vertices for c in point))
+    candidates[3]["point"][0] = str(decision.vertices[3][0][0] + Fraction(1, den))
+    cfile.write_text(json.dumps(candidates), encoding="utf-8")
+    assert cli.main(args) == 0
     out = capsys.readouterr().out
     assert "[FAIL] address_evaluation" in out
     assert "NOT CERTIFIED: check 'address_evaluation' failed" in out

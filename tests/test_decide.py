@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     diag_model,
     float_mirror,
+    fraction_evaluate,
     rational_models,
     rot1_model,
     sierpinski_model,
@@ -36,6 +37,7 @@ from fractalhull.decide import (
     extract_ep_addresses,
     hull_steps,
     inverse_eigenvalue_classes,
+    search_rows,
 )
 from fractalhull.errors import ExtractionFailure
 from fractalhull import hull as hull_mod
@@ -47,7 +49,6 @@ from fractalhull.ifs import (
     VertexLedger,
     brute_force_vertices,
     evaluate_ep_address,
-    is_address_value,
     tail_error_bound,
     validate_model,
 )
@@ -427,10 +428,10 @@ def test_integer_self_mapping_matches_fraction_contains(model, data):
 @example(validate_model([[0, F(-1, 2), 0], [F(1, 2), 0, 0], [0, 0, F(1, 2)]],
                         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), None)
 def test_shift_closure_check_matches_fixed_point_tests(model, data):
-    """Check (a) holds exactly when every candidate passes is_address_value."""
+    """Check (a) holds exactly when every candidate is the Fraction value of its address."""
     for candidates in _candidate_sets(model, data):
         check = certify_polytope(model, candidates).checks[0]
-        assert check.ok == all(is_address_value(model, ep, point) for ep, point in candidates)
+        assert check.ok == all(tuple(fraction_evaluate(model, ep)) == point for ep, point in candidates)
 
 
 def _candidate_sets(model, data):
@@ -471,23 +472,23 @@ def test_decide_evaluates_each_address_once(monkeypatch):
     """Rational decide solves once per cycle of shifts and certifies on integers alone.
 
     The 8 twin dragon vertices form one cycle under the shift, so one
-    closed-form solve gives all their values, check (a) needs no fallback
-    fixed-point test and check (c) no Fraction contains().
+    closed-form solve gives all their values, check (a) evaluates no address
+    again and check (c) makes no Fraction contains().
     """
     model, _opts = parse_model(str(MODELS / "twindragon.json"))
-    solve, fixed_point = ifs_mod._periodic_value, decide_mod.is_address_value
+    solve, evaluate = ifs_mod._periodic_value, decide_mod.evaluate_ep_address
     solves, fallbacks, contains_calls = [], [], []
 
     def counting_solve(model, period):
         solves.append(period)
         return solve(model, period)
 
-    def counting_fixed_point(model, ep, point):
+    def counting_evaluate(model, ep):
         fallbacks.append(ep)
-        return fixed_point(model, ep, point)
+        return evaluate(model, ep)
 
     monkeypatch.setattr(ifs_mod, "_periodic_value", counting_solve)
-    monkeypatch.setattr(decide_mod, "is_address_value", counting_fixed_point)
+    monkeypatch.setattr(decide_mod, "evaluate_ep_address", counting_evaluate)
     monkeypatch.setattr(hull_mod, "contains", lambda *args, **kw: contains_calls.append(args))
     decision, _ = decide_polytope(model)
     assert decision.certified
@@ -769,6 +770,47 @@ def test_spatial_rational_search_reads_only_integer_forms(monkeypatch):
     assert len(hulls) == 1 and hulls[0].affine_dim == 3
     for poly in polys + hulls:
         assert not {"vertices", "facets"} & vars(poly).keys()
+
+
+def test_rational_search_builds_no_view_of_the_digit_image(monkeypatch):
+    """A planar step never builds the rows of W = conv(T^{k+1} D), a 3D step
+    never its faces: the step reads W's integer form, and a solid W's rows
+    and cycles, alone, and no later stage of the decision sees W."""
+    images = []
+    real_sum = hull_mod.minkowski_sum
+
+    def recording_sum(p, w):
+        images.append(w)
+        return real_sum(p, w)
+
+    monkeypatch.setattr(hull_mod, "minkowski_sum", recording_sum)
+    shapes = set()
+    for model in suite5_models()[:20] + _spatial_models():
+        del images[:]
+        decide_polytope(model)
+        view = "rows" if model.dim == 2 else "faces"
+        assert not any(view in vars(w) for w in images)
+        shapes.update((model.dim, w.affine_dim) for w in images)
+    assert {(2, 2), (3, 3), (3, 2)} <= shapes
+
+
+def test_search_rows_builds_each_polytopes_floats_once(monkeypatch):
+    """Each step polytope meets two Hausdorff deltas, as the later and as the
+    earlier polytope of a row, and builds its float vertices once for both."""
+    view = hull_mod.Polytope._floats
+    real_floats, built = view.func, []
+
+    def recording_floats(poly):
+        built.append(poly)
+        return real_floats(poly)
+
+    monkeypatch.setattr(view, "func", recording_floats)
+    models = [twin_dragon_model(), float_mirror(twin_dragon_model()), *_spatial_models()[:2]]
+    for model in models:
+        del built[:]
+        steps = list(islice(hull_steps(model), 7))
+        assert len(list(search_rows(model, steps))) == 6
+        assert sorted(map(id, built)) == sorted(id(poly) for _, poly in steps)
 
 
 def test_perturbation_rejection():

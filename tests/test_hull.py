@@ -730,13 +730,36 @@ def test_integer_form_matches_fraction_derivation():
 
 
 def test_facet_order_breaks_float_ties():
-    """Two facets whose keys agree as floats keep a fixed order."""
+    """Facets whose keys agree as floats come in increasing integer-row order."""
     m = 2**60  # float(m) == float(m + 1)
     poly = convex_hull([
         fr(0, 1, 0), fr(0, -1, 0), fr(m, 1, 1), fr(m, -1, 1),
         fr(-m - 1, 1, -1), fr(-m - 1, -1, -1), fr(-3 * m, 0, 0),
     ])
-    assert poly.facets[-2:] == ((fr(1, 0, -m), F(0)), (fr(1, 0, -m - 1), F(0)))
+    assert list(poly.rows) == sorted(poly.rows)
+    assert poly.rows[-2:] == (((1, 0, -m - 1), 0), ((1, 0, -m), 0))
+    assert poly.facets[-2:] == ((fr(1, 0, -m - 1), F(0)), (fr(1, 0, -m), F(0)))
+
+
+def _float_key_order(facets):
+    """Fraction facets sorted by their float keys (n, c), repr breaking a tie of keys.
+
+    The order solids listed their facets in before they took integer-row order.
+    """
+    return tuple(sorted(facets, key=lambda f: (tuple(map(float, f[0])), float(f[1]), repr(f))))
+
+
+@given(st.sampled_from((3, 2**12, 2**24)), st.sampled_from((1, 3, 2**20)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solid_rows_follow_the_float_key_order(bound, den, data):
+    """Below 2**53 a float normal entry is its integer, so row order is float-key order."""
+    coord = st.builds(lambda c: F(c, den), st.integers(-bound, bound))
+    points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=14))
+    poly = convex_hull(points)
+    assume(poly.affine_dim == 3)
+    assume(all(abs(c) < 2**53 for normal, _ in poly.rows for c in normal))
+    assert list(poly.rows) == sorted(poly.rows)
+    assert poly.facets == _float_key_order(poly.facets)
 
 
 def test_float_mode_near_collinear_dropped():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     diag_model,
     float_mirror,
+    fraction_evaluate,
     inverse,
     rational_models,
     sierpinski_model,
@@ -24,7 +25,7 @@ from conftest import (
 )
 from fractalhull import hull as hull_mod
 from fractalhull.cli import parse_model
-from fractalhull.decide import hull_steps
+from fractalhull.decide import certify_polytope, hull_steps
 from fractalhull.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
@@ -42,7 +43,6 @@ from fractalhull.ifs import (
     evaluate_ep_addresses,
     evaluate_finite_address,
     initial_ledger,
-    is_address_value,
     lattice_images,
     tail_error_bound,
     validate_model,
@@ -358,18 +358,6 @@ def test_lattice_scale_tracks_ledger_denominators():
         assert steps[-1][1].affine_dim == model.dim
 
 
-def _fraction_evaluate(model, ep):
-    """The Fraction evaluator of an EpAddress: Horner block, Gaussian solve, prefix fold."""
-    block = (F(0),) * model.dim
-    for j in reversed(ep.period):
-        block = mat_vec(model.matrix, vec_add(model.digits[j - 1], block))
-    tp = mat_pow(model.matrix, len(ep.period))
-    acc = solve(mat_sub(identity(model.dim), tp), block)
-    for j in reversed(ep.prefix):
-        acc = mat_vec(model.matrix, vec_add(model.digits[j - 1], acc))
-    return acc
-
-
 def _addresses(model):
     digit = st.integers(1, model.digit_count)
     return st.builds(
@@ -387,7 +375,7 @@ def test_lattice_evaluate_matches_fraction_evaluator(data):
     for _ in range(3):
         ep = data.draw(_addresses(model))
         value = evaluate_ep_address(model, ep)
-        reference = _fraction_evaluate(model, ep)
+        reference = fraction_evaluate(model, ep)
         assert value == reference and repr(value) == repr(reference)
 
 
@@ -459,33 +447,48 @@ def test_batch_evaluation_matches_per_address(data):
     for batch in batches:
         got = evaluate_ep_addresses(model, batch)
         assert got == [evaluate_ep_address(model, ep) for ep in batch]
-        assert got == [_fraction_evaluate(model, ep) for ep in batch]
-        assert repr(got) == repr([_fraction_evaluate(model, ep) for ep in batch])
+        assert got == [fraction_evaluate(model, ep) for ep in batch]
+        assert repr(got) == repr([fraction_evaluate(model, ep) for ep in batch])
+
+
+def _address_check(model, ep, point):
+    """Certification check (a) on the lone candidate (ep, point)."""
+    return certify_polytope(model, [(ep, point)]).checks[0].ok
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_fixed_point_check_accepts_value_and_rejects_perturbation(data):
-    """is_address_value holds at the value of an address and not next to it."""
+    """Check (a) holds at the Fraction value of an address and not next to it.
+
+    A lone candidate is evaluated unless its address is its own shift, a
+    period of one digit, which check (a) links to itself.
+    """
     model = data.draw(rational_models())
     drawn = data.draw(_addresses(model))
     prefixed = EpAddress((model.digit_count,), drawn.period)
     for ep in (drawn, EpAddress((), drawn.period), prefixed):
-        value = evaluate_ep_address(model, ep)
-        assert is_address_value(model, ep, value)
+        value = fraction_evaluate(model, ep)
+        assert _address_check(model, ep, value)
         axis = data.draw(st.integers(0, model.dim - 1))
         shift = data.draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 10**6)))
         moved = tuple(c + shift if i == axis else c for i, c in enumerate(value))
-        assert not is_address_value(model, ep, moved)
+        assert not _address_check(model, ep, moved)
 
 
 def test_fixed_point_check_peels_the_prefix():
-    """A ledger point is the value of its finite address followed by the origin digit 1."""
+    """A ledger point is the value of its finite address followed by the origin digit 1.
+
+    Check (a) evaluates such a candidate through its prefix and agrees with
+    the Fraction evaluator, also for the tail digit 2, whose value differs.
+    """
     for model in (sierpinski_model(), twin_dragon_model(), diag_model()):
         for ledger, _ in islice(hull_steps(model), 1, 6):
             for point, address in ledger.entries:
-                assert is_address_value(model, EpAddress(address, (1,)), point)
-                assert not is_address_value(model, EpAddress(address, (2,)), point)
+                for tail, holds in (((1,), True), ((2,), False)):
+                    ep = EpAddress(address, tail)
+                    assert (tuple(fraction_evaluate(model, ep)) == point) is holds
+                    assert _address_check(model, ep, point) is holds
 
 
 def test_brute_force_matches_examples():
